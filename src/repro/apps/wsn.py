@@ -124,8 +124,7 @@ class CoverageAwareClient(Component):
             self._until = now + float(self.rng.uniform(*self.shift))
         if now >= self._next_beacon:
             self._next_beacon = now + self.beacon_period
-            for q in self.neighbors:
-                self.send(q, self.name, "beacon")
+            self.send_all(self.neighbors, self.name, "beacon")
         if now >= self._until:
             self._until = None
             self.diner.exit_eating()

@@ -55,9 +55,8 @@ class ReliableBroadcast(Component):
         self._seen.add(bid)
         # Relay first, deliver second: if we crash mid-relay some peers got
         # it; if we completed delivery, every peer was sent a copy.
-        for peer in self.peers:
-            self.send(peer, self.name, "rb", bid=list(bid), origin=origin,
-                      body=body)
+        self.send_all(self.peers, self.name, "rb", bid=list(bid),
+                      origin=origin, body=body)
         self.delivered_count += 1
         if self.deliver is not None:
             self.deliver(origin, body)

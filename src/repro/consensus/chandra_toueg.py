@@ -115,8 +115,8 @@ class ChandraTouegConsensus(Component):
                     and len(ests) >= self.majority):
                 self._proposed.add(r)
                 value = max(ests, key=lambda e: e[1])[0]
-                for pid in self.pids:
-                    self.send(pid, self.name, "propose", round=r, v=value)
+                self.send_all(self.pids, self.name, "propose",
+                              round=r, v=value)
 
     @receive("propose")
     def on_propose(self, msg: Message) -> None:

@@ -75,15 +75,14 @@ class FairDiner(DinerComponent):
         self._want_seq += 1
         ts = self._tick()
         self._my_want = (ts, self.pid)
-        for q in self.neighbors:
-            self.send(q, self.name, "want", seq=self._want_seq, ts=ts)
+        self.send_all(self.neighbors, self.name, "want",
+                      seq=self._want_seq, ts=ts)
 
     def on_exit(self) -> None:
         self.rounds_completed += 1
         self._my_want = None
         self.inner.exit_eating()
-        for q in self.neighbors:
-            self.send(q, self.name, "served", seq=self._want_seq)
+        self.send_all(self.neighbors, self.name, "served", seq=self._want_seq)
 
     # -- the entitlement gate ---------------------------------------------------
 

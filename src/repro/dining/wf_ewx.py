@@ -89,9 +89,38 @@ class EWXDiner(DinerComponent):
 
     # -- protocol actions ------------------------------------------------------
 
-    @action(guard=lambda self: self.state is DinerState.HUNGRY
-            and any(not self.fork[q] and self.token[q] and q not in self._requested
-                    for q in self.neighbors))
+    # The three guards below are probed on every scheduler pass over this
+    # diner, mostly to answer False: plain loops over local references
+    # that return at the first deciding neighbour.
+
+    def _can_request(self) -> bool:
+        if self._state is not DinerState.HUNGRY:
+            return False
+        fork, token, requested = self.fork, self.token, self._requested
+        for q in self.neighbors:
+            if not fork[q] and token[q] and q not in requested:
+                return True
+        return False
+
+    def _owes_dirty_fork(self) -> bool:
+        if self._state is DinerState.EATING:
+            return False
+        fork, token, dirty = self.fork, self.token, self.dirty
+        for q in self.neighbors:
+            if token[q] and fork[q] and dirty[q]:
+                return True
+        return False
+
+    def _may_eat(self) -> bool:
+        if self._state is not DinerState.HUNGRY:
+            return False
+        fork, suspect = self.fork, self.suspect
+        for q in self.neighbors:
+            if not (fork[q] or suspect(q)):
+                return False
+        return True
+
+    @action(guard=_can_request)
     def request_missing_forks(self) -> None:
         """Hungry and missing forks: spend request tokens."""
         for q in self.neighbors:
@@ -100,9 +129,7 @@ class EWXDiner(DinerComponent):
                 self._requested.add(q)
                 self.send(q, self.name, "req")
 
-    @action(guard=lambda self: self.state is not DinerState.EATING
-            and any(self.token[q] and self.fork[q] and self.dirty[q]
-                    for q in self.neighbors))
+    @action(guard=_owes_dirty_fork)
     def yield_dirty_forks(self) -> None:
         """Honour requests: a dirty fork goes to the requester, stamped
         with our meal recency so the receiver can orient it."""
@@ -154,8 +181,7 @@ class EWXDiner(DinerComponent):
             return mine[1] < their_meal[1]
         return self.pid > q
 
-    @action(guard=lambda self: self.state is DinerState.HUNGRY
-            and all(self.fork[q] or self.suspect(q) for q in self.neighbors))
+    @action(guard=_may_eat)
     def enter_critical_section(self) -> None:
         """The ◇WX scheduling rule: fork OR suspicion, for every neighbor."""
         self._begin_eating()
@@ -182,13 +208,6 @@ class EWXDiner(DinerComponent):
 
     def holds_fork(self, q: ProcessId) -> bool:
         return self.fork[q]
-
-    def fork_state(self) -> dict[ProcessId, tuple[bool, bool, bool]]:
-        """``q -> (fork, dirty, token)`` snapshot (test aid)."""
-        return {
-            q: (self.fork[q], self.dirty[q], self.token[q])
-            for q in self.neighbors
-        }
 
 
 class WaitFreeEWXDining(DiningInstance):

@@ -23,6 +23,7 @@ paper's reduction circumvents by *extracting* ◇P from dining instead.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 from repro.errors import ConfigurationError
@@ -64,7 +65,21 @@ class EventuallyPerfectDetector(OracleModule):
             q: float(initial_timeout) for q in self.monitored
         }
         self._last_hb: dict[ProcessId, int] = {q: 0 for q in self.monitored}
+        #: Gate on the timeout scan: no trusted peer can time out at a tick
+        #: before this one.  Heartbeats only push a trusted peer's due tick
+        #: later, so the gate may be early (a scan that finds nothing and
+        #: re-derives it) but is never late.
+        self._next_due: float = 0
         self.mistakes = 0
+
+    def _due_tick(self, q: ProcessId) -> int:
+        """First tick at which ``ticks - last_hb > timeout`` holds for ``q``.
+
+        Integer arithmetic on purpose: for an integer gap ``k`` and any
+        float ``x``, ``k > x`` iff ``k > floor(x)``, so the result is exact
+        whatever ``backoff`` made of the timeout.
+        """
+        return self._last_hb[q] + math.floor(self._timeout[q]) + 1
 
     # Always enabled: fires once per round-robin rotation, acting as the
     # module's local clock tick.
@@ -72,13 +87,17 @@ class EventuallyPerfectDetector(OracleModule):
     def tick(self) -> None:
         self.ticks += 1
         if self.ticks % self.heartbeat_period == 0:
-            for q in self.monitored:
-                self.send(q, self.name, "hb")
+            self.send_all(self.monitored, self.name, "hb")
+        if self.ticks < self._next_due:
+            return
+        next_due = math.inf
         for q in self.monitored:
-            if not self.suspected(q) and (
-                self.ticks - self._last_hb[q] > self._timeout[q]
-            ):
-                self.set_suspected(q, True)
+            if not self.suspected(q):
+                if self.ticks - self._last_hb[q] > self._timeout[q]:
+                    self.set_suspected(q, True)
+                else:
+                    next_due = min(next_due, self._due_tick(q))
+        self._next_due = next_due
 
     @receive("hb")
     def on_heartbeat(self, msg: Message) -> None:
@@ -91,6 +110,7 @@ class EventuallyPerfectDetector(OracleModule):
             self.mistakes += 1
             self._timeout[q] *= self.backoff
             self.set_suspected(q, False)
+            self._next_due = min(self._next_due, self._due_tick(q))
 
     def timeout_for(self, q: ProcessId) -> float:
         """Current adaptive timeout for peer ``q`` (test/diagnostic aid)."""

@@ -218,8 +218,10 @@ def _build_sparse_rgg(i: int) -> Callable[[], int]:
 
     # A large-n sparse point under conflict-graph-local monitoring — the
     # shape big campaigns run in (see repro.perf.scaling for the full
-    # events/sec-vs-n curve).
-    spec = RunSpec(name="bench-sparse", graph=rgg_spec(256, seed=7 + i),
+    # events/sec-vs-n curve).  Degree 6 and possibly disconnected: the
+    # graphs the frozen baseline entry was measured on.
+    spec = RunSpec(name="bench-sparse",
+                   graph=rgg_spec(256, seed=7 + i, target_degree=6.0),
                    seed=7 + i, max_time=60.0, pairs="neighbors",
                    trace="counters", allow_disconnected=True)
     built = instantiate(spec)

@@ -25,7 +25,7 @@ round-robin, so every continuously-enabled action is eventually executed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.types import Message, ProcessId
@@ -142,14 +142,25 @@ class Component:
 
     def send(self, to: ProcessId, tag: str, kind: str, **payload: Any) -> None:
         """Send a message; delivery is reliable, delayed, non-FIFO."""
-        self._process().send(
-            Message(sender=self.pid, receiver=to, tag=tag, kind=kind,
-                    payload=payload)
-        )
+        proc = self._process()
+        proc.send(Message(proc.pid, to, tag, kind, payload))
+
+    def send_all(self, receivers: Sequence[ProcessId], tag: str, kind: str,
+                 **payload: Any) -> None:
+        """Send the same message to every receiver, in order.
+
+        Equivalent to calling :meth:`send` once per receiver (same uids,
+        same delay draws, same delivery order) in one trip through the
+        process and network layers; the envelopes share one payload
+        mapping, which receivers must treat as read-only.
+        """
+        self._process().send_all(receivers, tag, kind, payload)
 
     def record(self, kind: str, **data: Any) -> None:
         """Append a structured record to the run trace."""
-        self._process().record(kind, component=self.name, **data)
+        proc = self._process()
+        proc._require_engine().trace.record(
+            kind, proc.pid, component=self.name, **data)
 
     def other_component(self, name: str) -> "Component":
         """Access a sibling component on the same process.

@@ -150,9 +150,6 @@ class Engine:
 
     # -- scheduling (engine/network internal + experiment drivers) ---------------
 
-    def schedule_delivery(self, msg: Message, at: Time) -> None:
-        self._push(at, "deliver", msg)
-
     def schedule_call(self, at: Time, fn: Callable[[], None]) -> None:
         """Run an environment callback at virtual time ``at``."""
         self._push(at, "call", fn)
@@ -188,7 +185,7 @@ class Engine:
         self._stopped = False
         since_check = 0
         # Hot loop: locals for everything touched per event, dispatch
-        # inlined (no _dispatch call), clock advanced by direct slot write
+        # inlined, clock advanced by direct slot write
         # after the same backwards check Clock.advance_to performs.  The
         # event counter is kept in a local and synced back in the finally
         # block so it stays correct when a handler raises.
@@ -266,18 +263,6 @@ class Engine:
 
     def _push(self, t: Time, kind: str, payload: object) -> None:
         heapq.heappush(self._heap, (t, next(self._seq), kind, payload))
-
-    def _dispatch(self, kind: str, payload: object) -> None:
-        if kind == "step":
-            self._do_step(payload)  # type: ignore[arg-type]
-        elif kind == "deliver":
-            self._do_deliver(payload)  # type: ignore[arg-type]
-        elif kind == "crash":
-            self._do_crash(payload)  # type: ignore[arg-type]
-        elif kind == "call":
-            payload()  # type: ignore[operator]
-        else:  # pragma: no cover - defensive
-            raise SimulationError(f"unknown event kind {kind!r}")
 
     def _step_state(self, pid: ProcessId) -> tuple[object, float]:
         """Build (and cache) the per-process step-scheduling entry."""

@@ -32,11 +32,12 @@ Delay models encode the synchrony assumptions:
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Callable, Optional
+from heapq import heappush
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Counter, MetricsRegistry
 from repro.sim.transport import TRANSPORT_TAG
 from repro.types import Message, ProcessId, Time
 
@@ -126,21 +127,25 @@ class PartialSynchronyDelays(DelayModel):
         self.pre_gst_max = float(pre_gst_max)
 
     def delay(self, msg: Message, now: Time, rng: np.random.Generator) -> Time:
+        # ``uniform`` already returns a Python float on both the raw and
+        # the batched stream.
         if now >= self.gst:
-            return float(rng.uniform(0.1 * self.delta, self.delta))
+            return rng.uniform(0.1 * self.delta, self.delta)
         # Chaotic period: the draw may be long, but every message sent
         # before GST is delivered by gst + delta, so that post-GST the
         # channel bound delta holds for all in-flight traffic (standard
         # GST semantics, needed for heartbeat timeouts to converge).
-        deliver_at = now + float(rng.uniform(1e-9, self.pre_gst_max))
-        cap = self.gst + float(rng.uniform(0.1 * self.delta, self.delta))
-        return max(min(deliver_at, cap) - now, 1e-9)
+        deliver_at = now + rng.uniform(1e-9, self.pre_gst_max)
+        cap = self.gst + rng.uniform(0.1 * self.delta, self.delta)
+        d = (cap if cap < deliver_at else deliver_at) - now
+        return d if d > 1e-9 else 1e-9
 
 
 class Network:
     """Routes messages between processes through the engine's event queue.
 
-    ``send`` is the application-level entry point (counted in ``sent``);
+    ``send`` is the application-level entry point (counted in ``sent``)
+    and ``send_many`` its broadcast form;
     ``transmit`` is the raw wire below any installed transport, where the
     optional link-fault model drops, duplicates, or partitions traffic.
     """
@@ -243,12 +248,7 @@ class Network:
         assert engine is not None, "network not bound to an engine"
         self._c_sent.inc()
         kind = msg.kind
-        c_kind = self._c_sent_kind.get(kind)
-        if c_kind is None:
-            c_kind = self._registry.counter("net.messages_sent", kind=kind)
-            self._c_sent_kind[kind] = c_kind
-            self._kinds_sent.add(kind)
-        c_kind.inc()
+        (self._c_sent_kind.get(kind) or self._sent_kind_counter(kind)).inc()
         if self.on_send is not None:
             self.on_send(msg)
         if engine.config.record_messages:
@@ -261,6 +261,49 @@ class Network:
             transport.wrap_and_send(msg)
         else:
             self.transmit(msg)
+
+    def _sent_kind_counter(self, kind: str) -> Counter:
+        """Register (on first use) the per-kind ``sent`` counter."""
+        c_kind = self._registry.counter("net.messages_sent", kind=kind)
+        self._c_sent_kind[kind] = c_kind
+        self._kinds_sent.add(kind)
+        return c_kind
+
+    def send_many(self, sender: ProcessId, receivers: Sequence[ProcessId],
+                  tag: str, kind: str, payload: Mapping[str, Any]) -> None:
+        """Send one ``(tag, kind, payload)`` message to each receiver.
+
+        Observably a loop of :meth:`send` over fresh envelopes: uids,
+        ``network``-stream draws and heap sequence numbers are taken per
+        receiver in list order.  On the plain wire (no transport, fault
+        model, ``on_send`` hook or message recording) the per-message
+        bookkeeping is hoisted out of the loop and deliveries go straight
+        onto the engine's heap.
+        """
+        engine = self._engine
+        assert engine is not None, "network not bound to an engine"
+        if (self.transport is not None or self.fault_model is not None
+                or self.on_send is not None or engine.config.record_messages):
+            for to in receivers:
+                self.send(Message(sender, to, tag, kind, payload))
+            return
+        n = len(receivers)
+        if n == 0:
+            return
+        self._c_sent.inc(n)
+        (self._c_sent_kind.get(kind) or self._sent_kind_counter(kind)).inc(n)
+        delay_model = self.delay_model
+        if delay_model is not self._wire_model:
+            self._rebind_wire_rng()
+        delay = delay_model.delay
+        rng = self._rng_wire
+        now = engine.clock._now
+        heap = engine._heap
+        seq = engine._seq
+        for to in receivers:
+            msg = Message(sender, to, tag, kind, payload)
+            heappush(heap, (now + delay(msg, now, rng), next(seq),
+                            "deliver", msg))
 
     def transmit(self, msg: Message) -> None:
         """Put ``msg`` on the raw wire: fault verdict, then delay per copy."""

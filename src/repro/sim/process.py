@@ -13,7 +13,7 @@ often (weak fairness).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError, CrashedProcessError, SimulationError
 from repro.sim.component import BoundAction, Component
@@ -82,8 +82,13 @@ class Process:
             raise CrashedProcessError(f"crashed process {self.pid} cannot send")
         self._require_engine().network.send(msg)
 
-    def record(self, kind: str, **data: Any) -> None:
-        self._require_engine().trace.record(kind, pid=self.pid, **data)
+    def send_all(self, receivers: Sequence[ProcessId], tag: str, kind: str,
+                 payload: Mapping[str, Any]) -> None:
+        """Broadcast form of :meth:`send`: one envelope per receiver."""
+        if self.crashed:
+            raise CrashedProcessError(f"crashed process {self.pid} cannot send")
+        self._require_engine().network.send_many(
+            self.pid, receivers, tag, kind, payload)
 
     def env_now(self) -> Time:
         """Environment-only access to the global clock.
@@ -127,8 +132,8 @@ class Process:
         n = len(actions)
         if n == 0:
             return None
-        # Round-robin scan with _try_fire inlined: this is the single
-        # hottest process-side path, and most probed actions are disabled
+        # Round-robin scan, firing inlined: this is the single hottest
+        # process-side path, and most probed actions are disabled
         # (guard False or no matching message), so the scan must be cheap.
         rotation = self._rotation
         inbox = self._inbox
@@ -168,26 +173,6 @@ class Process:
         return None
 
     # -- internals --------------------------------------------------------------
-
-    def _try_fire(self, act: BoundAction) -> bool:
-        """Fire ``act`` if enabled (kept for tests; ``step`` inlines this)."""
-        if act.kind == "internal":
-            if act.guard is not None and not act.guard(act.component):
-                return False
-            act.effect()
-            return True
-        # receive action: find the earliest-buffered matching message
-        bucket = self._inbox.get(act.component.name, ())
-        for i, msg in enumerate(bucket):
-            if not msg.matches(act.component.name, act.message_kind):
-                continue
-            if act.guard is not None and not act.guard(act.component, msg):
-                continue
-            del bucket[i]
-            self._inbox_count -= 1
-            act.effect(msg)
-            return True
-        return False
 
     def _require_engine(self) -> "Engine":
         if self._engine is None:

@@ -18,27 +18,46 @@ plus algorithm-specific kinds (``"ping"``, ``"decide"``, ``"duty"``, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.sim.sinks import TraceSink, make_sink
 from repro.types import ProcessId, Time
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TraceRecord:
-    """One observed event: ``(time, kind, pid, data)``."""
+    """One observed event: ``(time, kind, pid, data)``.
+
+    A row is written once and then read tens of times by the checkers, so
+    the fields stay plain slots (the cheapest attribute read there is);
+    only the generated ``__init__``, which pays one ``object.__setattr__``
+    per field, is replaced by one that fills the slots directly.
+    """
 
     time: Time
     kind: str
     pid: ProcessId
-    data: Mapping[str, Any] = field(default_factory=dict)
+    data: Mapping[str, Any]
+
+    def __init__(self, time: Time, kind: str, pid: ProcessId,
+                 data: Mapping[str, Any] | None = None) -> None:
+        _set_time(self, time)
+        _set_kind(self, kind)
+        _set_pid(self, pid)
+        _set_data(self, {} if data is None else data)
 
     def __getitem__(self, key: str) -> Any:
         return self.data[key]
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.data.get(key, default)
+
+
+_set_time = TraceRecord.time.__set__
+_set_kind = TraceRecord.kind.__set__
+_set_pid = TraceRecord.pid.__set__
+_set_data = TraceRecord.data.__set__
 
 
 class Trace:
@@ -147,7 +166,7 @@ class Trace:
             if kind == "crash":
                 self._crash_times[pid] = t
             return None
-        rec = TraceRecord(time=t, kind=kind, pid=pid, data=data)
+        rec = TraceRecord(t, kind, pid, data)
         self._append(rec)
         return rec
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Any, Mapping
 
 #: Name of a process in the system Π.  Kept as ``str`` so traces read well.
@@ -50,22 +50,40 @@ DINER_CYCLE = (
 _msg_counter = itertools.count()
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(
+        namedtuple("_MessageFields", "sender receiver tag kind payload uid")):
     """An immutable message envelope.
 
     ``tag`` routes the message to a component within the receiving process
     (e.g. ``("DX0:p->q", "fork")``); ``payload`` carries algorithm data.
     ``uid`` makes every message distinct so non-FIFO delivery and duplicate
     detection are testable.
+
+    Tuple-backed: an envelope is built once and read a handful of times,
+    so one ``tuple.__new__`` beats a frozen dataclass's per-field
+    ``object.__setattr__`` by more than the slower field getters cost.
     """
 
-    sender: ProcessId
-    receiver: ProcessId
-    tag: str
-    kind: str
-    payload: Mapping[str, Any] = field(default_factory=dict)
-    uid: int = field(default_factory=lambda: next(_msg_counter))
+    __slots__ = ()
+
+    def __new__(cls, sender: ProcessId, receiver: ProcessId, tag: str,
+                kind: str, payload: Mapping[str, Any] | None = None,
+                uid: int | None = None) -> "Message":
+        return tuple.__new__(cls, (
+            sender, receiver, tag, kind,
+            {} if payload is None else payload,
+            next(_msg_counter) if uid is None else uid,
+        ))
+
+    # Equal only to another envelope with equal fields: a bare tuple of
+    # the same items is not a message.
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def matches(self, tag: str, kind: str | None = None) -> bool:
         """Return True when this message is addressed to ``tag`` (and ``kind``)."""

@@ -1,10 +1,14 @@
 """Integration tests for the ◇P-based WF-◇WX dining algorithm."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dining.spec import check_exclusion, check_wait_freedom
+from repro.dining.wf_ewx import EWXDiner
 from repro.graphs import clique, pair_graph, ring, star
 from repro.sim.faults import CrashSchedule
+from repro.types import DinerState
 from tests.dining.helpers import INSTANCE, run_dining
 
 
@@ -321,3 +325,69 @@ class TestMealRecencyRule:
         b.on_fork(Message("a", "b", "DX:diner", "fork",
                           payload={"last_meal": (0, 0.0)}))
         assert not b.dirty["a"]         # "b" > "a": b outranks, fork clean
+
+
+# -- loop-form guards ---------------------------------------------------------
+
+NEIGHBORS = ("n0", "n1", "n2", "n3")
+
+
+class Unmonitored(Exception):
+    pass
+
+
+def reference_guards(d):
+    """The guard expressions as the algorithm states them."""
+    return (
+        lambda: d.state is DinerState.HUNGRY
+        and any(not d.fork[q] and d.token[q] and q not in d._requested
+                for q in d.neighbors),
+        lambda: d.state is not DinerState.EATING
+        and any(d.token[q] and d.fork[q] and d.dirty[q]
+                for q in d.neighbors),
+        lambda: d.state is DinerState.HUNGRY
+        and all(d.fork[q] or d.suspect(q) for q in d.neighbors),
+    )
+
+
+def outcome(fn):
+    try:
+        return bool(fn())
+    except Unmonitored as exc:
+        return exc.args
+
+
+per_neighbor = st.fixed_dictionaries(
+    {q: st.booleans() for q in NEIGHBORS})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    degree=st.integers(0, len(NEIGHBORS)),
+    state=st.sampled_from(list(DinerState)),
+    fork=per_neighbor, token=per_neighbor, dirty=per_neighbor,
+    suspected=per_neighbor,
+    requested=st.sets(st.sampled_from(NEIGHBORS)),
+    monitored=st.sets(st.sampled_from(NEIGHBORS)),
+)
+def test_loop_guards_equal_the_any_all_expressions(
+        degree, state, fork, token, dirty, suspected, requested, monitored):
+    calls = []
+
+    def suspect(q):
+        calls.append(q)
+        if q not in monitored:
+            raise Unmonitored(q)
+        return suspected[q]
+
+    d = EWXDiner("I:diner", "I", NEIGHBORS[:degree], suspect)
+    d._state = state
+    d.fork, d.token, d.dirty, d._requested = fork, token, dirty, requested
+    guards = (d._can_request, d._owes_dirty_fork, d._may_eat)
+    for new, ref in zip(guards, reference_guards(d)):
+        del calls[:]
+        expected = outcome(ref)
+        ref_calls = list(calls)
+        del calls[:]
+        assert outcome(new) == expected
+        assert calls == ref_calls      # same probes, same short-circuit

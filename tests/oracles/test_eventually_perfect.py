@@ -1,6 +1,10 @@
 """Simulation tests for the heartbeat/adaptive-timeout ◇P."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.oracles import EventuallyPerfectDetector, attach_detectors
@@ -10,6 +14,8 @@ from repro.oracles.properties import (
 )
 from repro.sim import Engine, PartialSynchronyDelays, SimConfig
 from repro.sim.faults import CrashSchedule
+from repro.types import Message
+from tests.conftest import make_engine
 
 
 def run_system(seed=1, gst=150.0, max_time=1200.0, crash=None, n=3,
@@ -83,13 +89,9 @@ def test_heartbeats_are_sent():
 
 
 def test_unmonitored_heartbeat_ignored():
-    from tests.conftest import make_engine
-
     eng = make_engine()
     proc = eng.add_process("p")
     mod = proc.add_component(EventuallyPerfectDetector("fd", ["q"]))
-    from repro.types import Message
-
     proc.deliver(Message("stranger", "p", "fd", "hb"))
     for _ in range(4):
         proc.step()
@@ -100,3 +102,101 @@ def test_no_self_monitoring():
     _, pids, _, mods = run_system(max_time=100.0)
     for pid in pids:
         assert pid not in mods[pid].monitored
+
+
+# -- the deadline gate on the timeout scan -----------------------------------
+
+
+class ScanEveryTick(EventuallyPerfectDetector):
+    """Reference: the ungated tick, probing every peer on every firing."""
+
+    def tick(self):
+        self.ticks += 1
+        if self.ticks % self.heartbeat_period == 0:
+            for q in self.monitored:
+                self.send(q, self.name, "hb")
+        for q in self.monitored:
+            if not self.suspected(q) and (
+                self.ticks - self._last_hb[q] > self._timeout[q]
+            ):
+                self.set_suspected(q, True)
+
+
+def drive(cls, peers, schedule, initial_timeout, backoff):
+    """Feed ``schedule`` (None = tick, pid = heartbeat from pid) to a lone
+    module; returns the module, its suspect rows and per-op outputs."""
+    eng = make_engine()
+    mod = eng.add_process("p").add_component(
+        cls("fd", peers, initial_timeout=initial_timeout, backoff=backoff))
+    outputs = []
+    for op in schedule:
+        if op is None:
+            mod.tick()
+        else:
+            mod.on_heartbeat(Message(op, "p", "fd", "hb"))
+        outputs.append((mod.ticks, mod.suspects()))
+        if cls is EventuallyPerfectDetector:
+            assert_gate_not_late(mod)
+    rows = [(r["target"], r["suspected"], r.get("initial", False))
+            for r in eng.trace.records("suspect")]
+    return mod, rows, outputs
+
+
+def assert_gate_not_late(mod):
+    """No trusted peer times out at any tick before the gate."""
+    trusted = [q for q in mod.monitored if not mod.suspected(q)]
+    if mod._next_due == math.inf:
+        assert not trusted
+        return
+    last_skipped = mod._next_due - 1
+    for q in trusted:
+        assert not last_skipped - mod._last_hb[q] > mod._timeout[q]
+
+
+PEERS = ["q0", "q1", "q2", "q3"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_peers=st.integers(0, len(PEERS)),
+    backoff=st.sampled_from([2.0, 1.5, 1.1]),
+    initial_timeout=st.integers(1, 6),
+    schedule=st.lists(
+        st.one_of(st.none(), st.none(), st.sampled_from(PEERS + ["stranger"])),
+        max_size=300),
+)
+def test_gated_tick_equals_every_peer_scan(n_peers, backoff, initial_timeout,
+                                           schedule):
+    peers = PEERS[:n_peers]
+    gated, rows, outputs = drive(EventuallyPerfectDetector, peers, schedule,
+                                 initial_timeout, backoff)
+    ref, ref_rows, ref_outputs = drive(ScanEveryTick, peers, schedule,
+                                       initial_timeout, backoff)
+    assert rows == ref_rows
+    assert outputs == ref_outputs
+    assert gated.mistakes == ref.mistakes
+    assert gated._timeout == ref._timeout
+
+
+@pytest.mark.parametrize("backoff", [2.0, 1.5, 1.1])
+def test_retrusted_peer_lowers_a_gate_left_open(backoff):
+    """With every peer suspected nothing is due; a heartbeat that
+    re-trusts one must re-arm the scan for exactly that peer's deadline."""
+    timeout = 3
+    schedule = [None] * (timeout + 1)          # both peers time out
+    schedule += ["q0"]                         # q0 re-trusted, q1 stays out
+    schedule += [None] * 40                    # q0 must time out again
+    gated, rows, outputs = drive(EventuallyPerfectDetector, ["q0", "q1"],
+                                 schedule, timeout, backoff)
+    _, ref_rows, ref_outputs = drive(ScanEveryTick, ["q0", "q1"],
+                                     schedule, timeout, backoff)
+    assert outputs[timeout][1] == frozenset({"q0", "q1"})
+    assert outputs[timeout + 1][1] == frozenset({"q1"})
+    assert rows == ref_rows and outputs == ref_outputs
+    assert rows[-1] == ("q0", True, False)
+    assert gated._next_due == math.inf
+
+
+def test_no_peers_never_scans():
+    mod, rows, _ = drive(EventuallyPerfectDetector, [], [None] * 50, 2, 1.1)
+    assert rows == [] and mod.ticks == 50 and mod._next_due == math.inf

@@ -1,10 +1,14 @@
 """Tests for trace recording, queries, and interval extraction."""
 
+import pickle
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim.trace import (
     Trace,
+    TraceRecord,
     intervals_overlap,
     overlapping_pairs,
     state_intervals,
@@ -20,6 +24,47 @@ def make_trace(rows):
         clock["now"] = time
         t.record(kind, pid=pid, **data)
     return t
+
+
+class TestTraceRecord:
+    REC = TraceRecord(2.5, "suspect", "p", {"target": "q", "suspected": True})
+
+    def test_fields_and_data_access(self):
+        rec = self.REC
+        assert (rec.time, rec.kind, rec.pid) == (2.5, "suspect", "p")
+        assert rec["target"] == "q" and rec.get("suspected") is True
+        assert rec.get("missing") is None and rec.get("missing", 3) == 3
+        with pytest.raises(KeyError):
+            rec["missing"]
+
+    def test_keyword_construction_and_default_data(self):
+        a = TraceRecord(time=1.0, kind="crash", pid="p")
+        b = TraceRecord(time=1.0, kind="crash", pid="p")
+        assert a.data == {} and a == b
+        a.data["leak"] = 1
+        assert b.data == {}
+
+    def test_frozen(self):
+        for attr in ("time", "kind", "pid", "data"):
+            with pytest.raises(AttributeError):
+                setattr(self.REC, attr, "x")
+            with pytest.raises(AttributeError):
+                delattr(self.REC, attr)
+
+    def test_equality_is_field_wise_between_records(self):
+        rec = self.REC
+        assert rec == TraceRecord(2.5, "suspect", "p", dict(rec.data))
+        assert rec != TraceRecord(2.5, "suspect", "p", {"target": "r"})
+        assert rec != TraceRecord(2.6, "suspect", "p", dict(rec.data))
+        assert rec != (2.5, "suspect", "p", dict(rec.data))
+
+    def test_repr_shows_every_field(self):
+        assert repr(TraceRecord(1.0, "crash", "p")) \
+            == "TraceRecord(time=1.0, kind='crash', pid='p', data={})"
+
+    def test_pickle_round_trip(self):
+        clone = pickle.loads(pickle.dumps(self.REC))
+        assert type(clone) is TraceRecord and clone == self.REC
 
 
 def test_empty_trace():

@@ -122,6 +122,22 @@ def test_bench_scaling_writes_report(tmp_path, capsys):
     assert "events/sec" in capsys.readouterr().out
 
 
+def test_bench_scaling_rgg_points_are_connected(tmp_path):
+    """The rgg family walks seeds to a connected draw and runs it under
+    the default (reject-disconnected) validation."""
+    import networkx as nx
+
+    from repro.perf.scaling import connected_rgg_spec
+    from repro.runtime.spec import parse_graph
+
+    assert connected_rgg_spec(1000) == "rgg:1000:0.0564:8"   # the ledger's
+    out = tmp_path / "scaling.json"
+    assert main(["bench", "--scaling", "--ns", "8", "16",
+                 "--workloads", "rgg", "--out", str(out), "--json"]) == 0
+    for point in json.loads(out.read_text())["families"]["rgg"]:
+        assert nx.is_connected(parse_graph(point["graph"]))
+
+
 def test_bench_scaling_unknown_family_is_a_clean_error(tmp_path, capsys):
     rc = main(["bench", "--scaling", "--workloads", "hypercube",
                "--out", str(tmp_path / "s.json")])
