@@ -6,7 +6,8 @@ to carry: everything here goes through ``RunSpec → execute``, the same
 path scenarios, sweeps, and chaos campaigns use.
 """
 
-from repro.runtime import ParallelExecutor, RunSpec, execute, instantiate
+from repro.runtime import RunSpec, SupervisedExecutor, execute, instantiate
+from repro.runtime.executor import _execute_detached
 
 SPEC = RunSpec(graph="ring:4", seed=3, max_time=400.0)
 
@@ -33,7 +34,7 @@ def test_campaign_serial(benchmark):
     specs = [RunSpec(graph="ring:3", seed=s, max_time=300.0)
              for s in range(4)]
     results = benchmark.pedantic(
-        lambda: ParallelExecutor(workers=1).run_specs(specs),
+        lambda: SupervisedExecutor(workers=1).map(execute, specs),
         rounds=1, iterations=1)
     assert all(r.ok for r in results)
 
@@ -42,6 +43,6 @@ def test_campaign_parallel_4_workers(benchmark):
     specs = [RunSpec(graph="ring:3", seed=s, max_time=300.0)
              for s in range(4)]
     results = benchmark.pedantic(
-        lambda: ParallelExecutor(workers=4).run_specs(specs),
+        lambda: SupervisedExecutor(workers=4).map(_execute_detached, specs),
         rounds=1, iterations=1)
     assert all(r.ok for r in results)

@@ -37,12 +37,17 @@ chaos``) are thin wrappers over the same two calls.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Mapping, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError
 from repro.oracles.registry import DetectorSpec
 from repro.runtime.builder import execute
-from repro.runtime.executor import ParallelExecutor, RetryPolicy
+from repro.runtime.executor import (
+    RetryPolicy,
+    SupervisedExecutor,
+    _execute_detached,
+)
 from repro.runtime.result import RunResult
 from repro.runtime.seeds import fanout_seeds
 from repro.runtime.spec import RunSpec
@@ -95,16 +100,12 @@ def sweep(spec: Union[RunSpec, Mapping],
             raise ConfigurationError(f"runs must be >= 1, got {runs}")
         seeds = fanout_seeds(base.seed, runs)
     shards = [replace(base, seed=int(s)) for s in seeds]
-    executor = ParallelExecutor(workers=workers, timeout=timeout,
-                                retry=retry)
-    if check is None:
-        return executor.run_specs(shards)
-    if workers <= 1 or len(shards) <= 1:
-        return [execute(s, check=check) for s in shards]
-    # The pooled path pickles the task by reference; execute's check knob
-    # rides along via a module-level partial-free wrapper per value.
-    fn = _execute_checked if check else _execute_unchecked
-    return executor.map(fn, shards)
+    executor = SupervisedExecutor(workers=workers, timeout=timeout,
+                                  retry=retry)
+    # In-process results keep their traces, as a lone ``run`` returns
+    # them; only results that cross a process boundary are detached.
+    fn = execute if workers <= 1 or len(shards) <= 1 else _execute_detached
+    return executor.map(partial(fn, check=check), shards)
 
 
 def compare(*args, **kwargs):
@@ -118,11 +119,3 @@ def compare(*args, **kwargs):
     from repro.lattice import compare as _compare
 
     return _compare(*args, **kwargs)
-
-
-def _execute_checked(spec: RunSpec) -> RunResult:
-    return execute(spec, check=True).detach_trace()
-
-
-def _execute_unchecked(spec: RunSpec) -> RunResult:
-    return execute(spec, check=False).detach_trace()

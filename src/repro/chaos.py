@@ -33,12 +33,15 @@ import numpy as np
 from repro.analysis.report import Table
 from repro.errors import ConfigurationError
 from repro.obs import CampaignTelemetry, run_record
-from repro.runtime import SupervisedExecutor
-from repro.runtime.seeds import fanout_seeds  # noqa: F401  (re-export: the
-# campaign seed fanout lives in the runtime layer; ``repro.chaos`` keeps
-# the historical name for callers and the CLI)
+from repro.runtime import (
+    RunResult,
+    RunSpec,
+    SupervisedExecutor,
+    execute,
+    fanout_seeds,
+    parse_graph,
+)
 from repro.runtime.store import ResultStore, resumable_map, spec_hash
-from repro.scenario import Scenario, ScenarioReport, parse_graph
 from repro.sim.faults import CrashSchedule
 
 
@@ -72,7 +75,6 @@ class ChaosConfig:
     #: invariant must pass; ``transport=False`` exposes raw lossy channels
     #: to the algorithms (negative testing — expect failures).
     transport: bool = True
-    oracle: str = "hb"
     #: Which failure detector every run uses, by registry name
     #: (:data:`repro.oracles.registry.REGISTRY`); the default keeps the
     #: historical heartbeat ◇P.  The detector knob consumes no randomness
@@ -146,7 +148,7 @@ class ChaosConfig:
         return " ".join(flags)
 
 
-def build_run(run_seed: int, cfg: ChaosConfig) -> Scenario:
+def build_run(run_seed: int, cfg: ChaosConfig) -> RunSpec:
     """The scenario for one chaos run — a pure function of ``run_seed``.
 
     All randomization is drawn from a generator seeded with ``run_seed``
@@ -189,11 +191,10 @@ def build_run(run_seed: int, cfg: ChaosConfig) -> Scenario:
 
     # NB: the detector knobs are pure pass-through (no rng draws), so every
     # scenario below is identical across detectors for a given run seed.
-    return Scenario(
+    return RunSpec(
         name=f"chaos-{run_seed}",
         graph=graph_spec,
         algorithm=algorithm,
-        oracle=cfg.oracle,
         detector=cfg.detector,
         detector_params=dict(cfg.detector_params),
         client=client,
@@ -221,8 +222,8 @@ class RunVerdict:
 
     index: int
     run_seed: int
-    scenario: Scenario
-    report: ScenarioReport
+    scenario: RunSpec
+    report: RunResult
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -281,7 +282,7 @@ class RunVerdict:
         return self.report.span_records()
 
 
-def check_invariants(report: ScenarioReport, cfg: ChaosConfig) -> list[str]:
+def check_invariants(report: RunResult, cfg: ChaosConfig) -> list[str]:
     """The per-run invariant battery; empty list = all good.
 
     An *unchecked* report (``counters`` trace sink: no rows retained, so
@@ -310,7 +311,7 @@ def check_invariants(report: ScenarioReport, cfg: ChaosConfig) -> list[str]:
 def run_one(index: int, run_seed: int, cfg: ChaosConfig) -> RunVerdict:
     """Build, run, and judge a single chaos run."""
     scenario = build_run(run_seed, cfg)
-    report = scenario.run()
+    report = execute(scenario)
     return RunVerdict(index=index, run_seed=run_seed, scenario=scenario,
                       report=report, failures=check_invariants(report, cfg))
 
@@ -340,19 +341,9 @@ def _verdict_payload(verdict: RunVerdict) -> dict[str, Any]:
     spans-off stores don't grow."""
     payload = {"run_seed": verdict.run_seed, "verdict": verdict.summary(),
                "record": verdict.run_record()}
-    if getattr(verdict.report, "spans", None) is not None:
+    if verdict.report.spans is not None:
         payload["spans"] = verdict.span_records()
     return payload
-
-
-class _StoredReport:
-    """Minimal report view for a store-served verdict (no trace, no
-    re-derived verdict objects — aggregation reads the stored dicts)."""
-
-    __slots__ = ("trace_mode",)
-
-    def __init__(self, trace_mode: str) -> None:
-        self.trace_mode = trace_mode
 
 
 class StoredVerdict:
@@ -361,7 +352,7 @@ class StoredVerdict:
     aggregation uses, returning the stored summary and record verbatim
     (key order preserved), so resumed aggregates are byte-identical."""
 
-    def __init__(self, index: int, run_seed: int, scenario: Scenario,
+    def __init__(self, index: int, run_seed: int, scenario: RunSpec,
                  payload: Mapping[str, Any]) -> None:
         self.index = index
         self.run_seed = run_seed
@@ -370,7 +361,9 @@ class StoredVerdict:
         self._record = dict(payload["record"])
         self._spans = list(payload.get("spans") or ())
         self.failures = list(self._summary.get("failures", ()))
-        self.report = _StoredReport(
+        # No trace and no re-derived verdict objects — aggregation reads
+        # the stored dicts; the report carries the sink mode only.
+        self.report = RunResult(
             trace_mode=str(self._summary.get("trace_mode", "full")))
 
     @property
@@ -511,12 +504,19 @@ def run_campaign(cfg: ChaosConfig, workers: int = 1,
                  else lambda i, v: on_result(i, v, False))
         verdicts = executor.map(_run_one_detached, tasks, on_result=fresh)
     else:
+        def decode(payload, i, task):
+            # Another surface's entry (sweep / service) under a colliding
+            # key carries no verdict: a miss, recomputed and overwritten.
+            if "verdict" not in payload:
+                return None
+            return StoredVerdict(task[0], task[1],
+                                 build_run(task[1], cfg), payload)
+
         verdicts = resumable_map(
             _run_one_detached, tasks,
             keys=[run_key(run_seed, cfg) for run_seed in seeds],
             encode=_verdict_payload,
-            decode=lambda payload, i, task: StoredVerdict(
-                task[0], task[1], build_run(task[1], cfg), payload),
+            decode=decode,
             store=store, resume=resume, executor=executor,
             on_result=on_result,
         )

@@ -128,23 +128,20 @@ def cmd_scenario(path: str, metrics_out: str | None = None,
                  spans_out: str | None = None) -> int:
     import dataclasses
 
-    from repro.scenario import Scenario
+    from repro.obs import run_record, write_jsonl
+    from repro.runtime import RunSpec, execute
 
-    spec = Scenario.from_json(path)
+    spec = RunSpec.from_json(path)
     if trace_sink is not None:
         spec = dataclasses.replace(spec, trace=trace_sink)
     if spans_out is not None:
         spec = dataclasses.replace(spec, spans=True)
-    report = spec.run()
+    report = execute(spec)
     print(report.render())
     if metrics_out is not None:
-        from repro.obs import run_record, write_jsonl
-
         write_jsonl(metrics_out, [run_record(report)])
         print(f"metrics written to {metrics_out}")
     if spans_out is not None:
-        from repro.obs import write_jsonl
-
         n = write_jsonl(spans_out, report.span_records())
         print(f"{n} span records written to {spans_out}")
     if not report.checked:
@@ -153,14 +150,12 @@ def cmd_scenario(path: str, metrics_out: str | None = None,
     return 0 if report.ok else 1
 
 
-def _sweep_one(task: tuple) -> dict:
+def _sweep_one(spec) -> dict:
     """One sweep run (module-level so worker pools pickle it by reference)."""
-    import dataclasses
-
     from repro.obs import run_record
+    from repro.runtime import execute
 
-    base, seed = task
-    report = dataclasses.replace(base, seed=seed).run()
+    report = execute(spec)
     stats = {"messages": float(report.metrics.messages_sent)}
     if report.checked:
         stats.update({
@@ -193,35 +188,31 @@ def cmd_sweep(path: str, seeds: Sequence[int], workers: int = 1,
     from repro.analysis.report import Table
     from repro.analysis.stats import sweep_many
     from repro.obs import CampaignTelemetry, write_jsonl
-    from repro.runtime import ParallelExecutor, SupervisedExecutor
+    from repro.runtime import RunSpec, SupervisedExecutor
     from repro.runtime.store import resumable_map, spec_hash
-    from repro.scenario import Scenario
 
-    base = Scenario.from_json(path)
+    base = RunSpec.from_json(path)
     if trace_sink is not None:
         base = dataclasses.replace(base, trace=trace_sink)
     if spans_out is not None:
         base = dataclasses.replace(base, spans=True)
     seeds = list(seeds)
-    shards = [(base, seed) for seed in seeds]
+    shards = [dataclasses.replace(base, seed=int(seed)) for seed in seeds]
     if progress is not None:
         progress.start()
     try:
-        if store is not None:
-            executor = SupervisedExecutor(workers=workers,
-                                          timeout=task_timeout)
-            rows = resumable_map(
-                _sweep_one, shards,
-                keys=[spec_hash(dataclasses.replace(base, seed=int(seed)))
-                      for seed in seeds],
-                encode=lambda row: row,
-                decode=lambda payload, i, item: payload,
-                store=store, resume=resume, executor=executor,
-                on_result=(None if progress is None else progress.update))
-        else:
-            rows = ParallelExecutor(workers=workers, timeout=task_timeout).map(
-                _sweep_one, shards,
-                on_result=(None if progress is None else progress.update))
+        rows = resumable_map(
+            _sweep_one, shards,
+            keys=[spec_hash(shard) for shard in shards],
+            encode=lambda row: row,
+            # A stored payload without sweep stats is another surface's
+            # entry (the service's, say) under the same spec key: a miss.
+            decode=lambda payload, i, item: (
+                payload if "stats" in payload else None),
+            store=store, resume=resume,
+            executor=SupervisedExecutor(workers=workers,
+                                        timeout=task_timeout),
+            on_result=(None if progress is None else progress.update))
     finally:
         if progress is not None:
             progress.finish()
@@ -731,7 +722,7 @@ def cmd_run(names: Sequence[str], workers: int = 1,
             metrics_out: str | None = None,
             trace_sink: str | None = None,
             task_timeout: float | None = None) -> int:
-    from repro.runtime import ParallelExecutor
+    from repro.runtime import SupervisedExecutor
 
     registry = _registry()
     if trace_sink is not None:
@@ -748,9 +739,9 @@ def cmd_run(names: Sequence[str], workers: int = 1,
         print("use 'python -m repro list'", file=sys.stderr)
         return 2
     failures = 0
-    outcomes = ParallelExecutor(workers=workers,
-                                timeout=task_timeout).map(_run_experiment,
-                                                          names)
+    outcomes = SupervisedExecutor(workers=workers,
+                                  timeout=task_timeout).map(_run_experiment,
+                                                            names)
     for result, dt in outcomes:
         print(result.render())
         print(f"\n({dt:.1f}s wall)\n{'=' * 72}")

@@ -32,7 +32,7 @@ def run(seed: int = 701, n: int = 3, crash_at: float = 700.0,
         max_time: float = 2500.0) -> ExperimentResult:
     pids = [f"p{i}" for i in range(n)]
     system = build_system(
-        pids, seed=seed, max_time=max_time, oracle="perfect",
+        pids, seed=seed, max_time=max_time, detector="perfect",
         crash=CrashSchedule.single(pids[-1], crash_at),
     )
     box = lambda iid, g: PerpetualDining(iid, g, system.provider)  # noqa: E731

@@ -15,6 +15,7 @@ from repro.oracles.properties import (
     check_strong_completeness,
     false_positive_count,
 )
+from repro.oracles.registry import DetectorSpec
 from repro.sim.faults import CrashSchedule
 
 EXP_ID = "E11"
@@ -33,7 +34,11 @@ def run(seed: int = 1101, n: int = 3,
         system = build_system(
             pids, seed=seed + k, gst=gst, max_time=max_time,
             crash=CrashSchedule.single(pids[-1], crash_at),
-            initial_timeout=8, heartbeat_period=6, pre_gst_max=60.0,
+            detector=DetectorSpec(
+                "eventually_perfect",
+                {"initial_timeout": 8, "heartbeat_period": 6},
+                seed=seed + k),
+            pre_gst_max=60.0,
         )
         system.engine.run()
         trace = system.engine.trace

@@ -20,8 +20,8 @@ Registered detectors (the comparison lattice ``repro lattice`` runs):
 
 ======================  =====================================================
 ``eventually_perfect``  ◇P from partial synchrony (heartbeats + adaptive
-                        timeouts) — the default, bit-identical to the
-                        historical ``oracle="hb"`` wiring.
+                        timeouts) — the default; the golden traces pin
+                        its wiring bit for bit.
 ``perfect``             P substrate (crash schedule + fixed latency).
 ``trusting``            T substrate (trust granted late, revoked only on
                         real crashes).
@@ -60,7 +60,7 @@ from repro.sim.engine import Engine
 from repro.sim.faults import CrashSchedule
 from repro.types import ProcessId
 
-#: The registry name of the historical default oracle (``oracle="hb"``).
+#: The registry name of the default oracle: the heartbeat ◇P.
 DEFAULT_DETECTOR = "eventually_perfect"
 
 #: Trace label of the dining-facing detector in every declarative run.
@@ -101,24 +101,6 @@ class DetectorSpec:
         merged = dict(self.entry.defaults)
         merged.update(self.params)
         return merged
-
-    @classmethod
-    def from_legacy_oracle(cls, oracle: str, *, heartbeat_period: int = 4,
-                           initial_timeout: int = 10,
-                           seed: int = 0) -> "DetectorSpec":
-        """Map the deprecated ``oracle="hb" | "perfect"`` knob onto the
-        registry (``hb`` keeps the historical heartbeat parameters so the
-        golden traces stay bit-identical)."""
-        if oracle == "hb":
-            return cls(DEFAULT_DETECTOR,
-                       {"heartbeat_period": int(heartbeat_period),
-                        "initial_timeout": int(initial_timeout)},
-                       seed=seed)
-        if oracle == "perfect":
-            return cls("perfect", seed=seed)
-        raise ConfigurationError(
-            f"unknown oracle kind {oracle!r} (use hb | perfect, or the "
-            f"detector registry: {detector_kind_help()})")
 
 
 @dataclass

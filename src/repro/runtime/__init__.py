@@ -9,17 +9,14 @@ wired, executed, and judged:
 * :mod:`~repro.runtime.builder` — the canonical builder
   (:func:`~repro.runtime.builder.build_system`,
   :func:`~repro.runtime.builder.instantiate`,
-  :func:`~repro.runtime.builder.execute`) that every former wiring path
-  (``scenario``, ``chaos``, ``experiments/common``, benchmarks) now
-  delegates to;
+  :func:`~repro.runtime.builder.execute`) that ``chaos``,
+  ``experiments/common`` and the benchmarks all build through;
 * :class:`~repro.runtime.result.RunResult` — the uniform outcome envelope
   (verdicts, metrics, trace handle + sink mode);
-* :class:`~repro.runtime.executor.ParallelExecutor` — deterministic
-  multi-core fan-out of spec lists (``--workers N`` on the CLI), backed
-  by the fault-tolerant
-  :class:`~repro.runtime.executor.SupervisedExecutor` (per-task
-  timeouts, crashed-worker detection, seeded backoff retry, graceful
-  serial degradation);
+* :class:`~repro.runtime.executor.SupervisedExecutor` — deterministic,
+  fault-tolerant multi-core fan-out (``--workers N`` on the CLI):
+  per-task timeouts, crashed-worker detection, seeded backoff retry,
+  graceful serial degradation;
 * :class:`~repro.runtime.store.ResultStore` /
   :func:`~repro.runtime.store.spec_hash` — content-addressed result
   caching and campaign checkpoint/resume (``--store`` / ``--resume``);
@@ -45,7 +42,6 @@ from repro.runtime.builder import (
     justify_violations,
 )
 from repro.runtime.executor import (
-    ParallelExecutor,
     RetryPolicy,
     SupervisedExecutor,
     mp_context,
@@ -64,7 +60,6 @@ __all__ = [
     "INSTANCE",
     "BuiltRun",
     "PROGRESS_SCHEMA",
-    "ParallelExecutor",
     "ProgressReporter",
     "ResultStore",
     "RetryPolicy",

@@ -1,9 +1,6 @@
 """The one canonical builder: ``RunSpec`` → wired engine → ``RunResult``.
 
-Historically four places wired Engine + Network + oracles + dining stacks
-by hand, each slightly differently (``scenario.Scenario``,
-``chaos.build_run``, ``experiments/common.build_system``, benchmark
-fixtures).  All of that construction now lives here:
+All wiring of Engine + Network + oracles + dining stacks lives here:
 
 * :func:`build_system` — engine + per-process box oracle + suspicion
   provider (the substrate experiments attach their own instances to);
@@ -14,7 +11,7 @@ fixtures).  All of that construction now lives here:
 
 ``execute`` is a pure function of its spec (all randomness flows from
 ``spec.seed``), which is what lets the
-:class:`~repro.runtime.executor.ParallelExecutor` fan specs out over
+:class:`~repro.runtime.executor.SupervisedExecutor` fan specs out over
 worker processes with bit-identical per-seed results.
 """
 
@@ -44,6 +41,7 @@ from repro.oracles.properties import (
 )
 from repro.oracles.registry import (
     BOX_LABEL,
+    DEFAULT_DETECTOR,
     DetectorSpec,
     InstallContext,
     install_detector,
@@ -95,9 +93,6 @@ def build_system(
     crash: CrashSchedule | None = None,
     delta: Time = 1.5,
     pre_gst_max: Time = 30.0,
-    heartbeat_period: int = 4,
-    initial_timeout: int = 10,
-    oracle: str = "hb",
     delay_model: "DelayModel | None" = None,
     fault_model: "LinkFaultModel | None" = None,
     transport: "bool | RetransmitPolicy" = False,
@@ -106,16 +101,14 @@ def build_system(
     obs: bool = True,
     spans: bool = False,
     peers_of: Mapping[ProcessId, Sequence[ProcessId]] | None = None,
-    detector: "DetectorSpec | str | None" = None,
+    detector: "DetectorSpec | str" = DEFAULT_DETECTOR,
 ) -> System:
     """Engine + per-process box-internal oracle + the suspicion provider
     dining boxes use.
 
     ``detector`` selects the oracle from the registry
-    (:data:`repro.oracles.registry.REGISTRY`) — a :class:`DetectorSpec`, a
-    bare registry name, or ``None`` to map the legacy ``oracle`` knob
-    (``"hb"`` heartbeat ◇P with this function's ``heartbeat_period`` /
-    ``initial_timeout``, or the ``"perfect"`` P substrate).
+    (:data:`repro.oracles.registry.REGISTRY`) — a :class:`DetectorSpec`
+    (which carries parameter overrides) or a bare registry name.
     ``delay_model`` overrides the default GST channel model (e.g. to wrap
     it in adversarial :class:`~repro.sim.adversary.TargetedDelays`).
     ``fault_model`` makes the wire fair-lossy; pass ``transport=True`` (or
@@ -126,14 +119,8 @@ def build_system(
     each process's oracle module to an explicit peer list
     (conflict-graph-local monitoring); default is all-to-all.
     """
-    if detector is None:
-        spec = DetectorSpec.from_legacy_oracle(
-            oracle, heartbeat_period=heartbeat_period,
-            initial_timeout=initial_timeout, seed=seed)
-    elif isinstance(detector, str):
-        spec = DetectorSpec(detector, seed=seed)
-    else:
-        spec = detector
+    spec = (DetectorSpec(detector, seed=seed) if isinstance(detector, str)
+            else detector)
     schedule = crash or CrashSchedule.none()
     engine = Engine(
         SimConfig(seed=seed, max_time=max_time, trace_sink=trace_sink,
@@ -304,7 +291,8 @@ def instantiate(spec: RunSpec) -> BuiltRun:
     system = build_system(
         pids, seed=spec.seed, gst=spec.gst, max_time=spec.max_time,
         crash=CrashSchedule(dict(spec.crashes)),
-        detector=spec.detector_spec(),
+        detector=DetectorSpec(spec.detector, dict(spec.detector_params),
+                              seed=spec.seed),
         delay_model=build_delay_model(spec), fault_model=fault_model,
         transport=use_transport, trace_sink=spec.trace,
         record_messages=spec.record_messages, obs=spec.obs,

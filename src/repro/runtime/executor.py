@@ -5,23 +5,17 @@ spec, running N specs on N cores is embarrassingly parallel *and*
 deterministic: results are keyed by spec (seed), not by completion order,
 so ``workers=4`` reproduces ``workers=1`` bit for bit, per seed.
 
-Two layers live here:
-
-* :class:`SupervisedExecutor` — the reliability core.  It owns its
-  worker processes directly (explicit ``multiprocessing`` context, one
-  task/result pipe pair per worker) so it can do what a bare ``Pool``
-  cannot: enforce per-task wall-clock timeouts, detect workers that were
-  SIGKILLed or died mid-task (OOM killer, segfault), retry the lost task
-  with seeded exponential backoff + jitter, recycle workers after
-  ``maxtasksperchild`` tasks, and degrade gracefully to in-process serial
-  execution when the pool proves irrecoverable.  Retry/timeout/crash
-  counts are published to a :class:`~repro.obs.registry.MetricsRegistry`.
-* :class:`ParallelExecutor` — the deterministic-map facade the rest of
-  the codebase uses (``--workers N`` on the CLI).  ``workers <= 1``
-  short-circuits to a plain in-process loop — byte-for-byte the
-  historical serial path, with no pool, no pickling, and traces left
-  attached to the results; ``workers > 1`` delegates to a
-  :class:`SupervisedExecutor`.
+:class:`SupervisedExecutor` is the one executor (``--workers N`` on the
+CLI).  ``workers <= 1`` is a plain in-process loop — no pool, no
+pickling.  With more workers it owns its worker processes directly
+(explicit ``multiprocessing`` context, one task/result pipe pair per
+worker) so it can do what a bare ``Pool`` cannot: enforce per-task
+wall-clock timeouts, detect workers that were SIGKILLed or died mid-task
+(OOM killer, segfault), retry the lost task with seeded exponential
+backoff + jitter, recycle workers after ``maxtasksperchild`` tasks, and
+degrade gracefully to in-process serial execution when the pool proves
+irrecoverable.  Retry/timeout/crash counts are published to a
+:class:`~repro.obs.registry.MetricsRegistry`.
 
 Determinism under supervision: task functions must be module-level
 (picklable by reference) and pure functions of their argument, so a
@@ -523,70 +517,10 @@ class _PoolSupervisor:
             worker.close()
 
 
-def _execute_detached(spec: RunSpec) -> RunResult:
+def _execute_detached(spec: RunSpec,
+                      check: Optional[bool] = None) -> RunResult:
     """Worker-side task: run one spec, ship verdicts/metrics back without
-    the bulk trace (event history stays in the worker)."""
-    return execute(spec).detach_trace()
-
-
-@dataclass(frozen=True)
-class ParallelExecutor:
-    """Deterministic map over supervised worker processes.
-
-    ``workers=1`` (the default) runs serially in-process; results are
-    identical either way, so the flag is purely a wall-clock knob.
-    Task functions must be module-level (picklable by reference) and pure
-    functions of their argument; tasks are dispatched one at a time so
-    scheduling never affects which worker computes what.
-
-    ``timeout`` and ``retry`` thread through to the underlying
-    :class:`SupervisedExecutor` (per-task wall-clock budget, seeded
-    backoff retry of tasks lost to crashed/hung workers).
-    """
-
-    workers: int = 1
-    timeout: Optional[float] = None
-    retry: Optional[RetryPolicy] = None
-
-    def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ConfigurationError(
-                f"workers must be non-negative, got {self.workers}")
-
-    def supervised(self, **overrides: Any) -> SupervisedExecutor:
-        """The :class:`SupervisedExecutor` this facade would delegate to."""
-        kwargs: dict[str, Any] = dict(workers=self.workers,
-                                      timeout=self.timeout, retry=self.retry)
-        kwargs.update(overrides)
-        return SupervisedExecutor(**kwargs)
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T],
-            on_result: Optional[Callable[[int, R], None]] = None) -> list[R]:
-        """``[fn(x) for x in items]``, fanned out when ``workers > 1``.
-
-        ``on_result(index, value)`` fires once per task as it lands — in
-        item order serially, completion order under a pool (same contract
-        as :meth:`SupervisedExecutor.map`).
-        """
-        tasks = list(items)
-        if self.workers <= 1 or len(tasks) <= 1:
-            out = []
-            for i, x in enumerate(tasks):
-                value = fn(x)
-                if on_result is not None:
-                    on_result(i, value)
-                out.append(value)
-            return out
-        return self.supervised().map(fn, tasks, on_result=on_result)
-
-    def run_specs(self, specs: Sequence[RunSpec]) -> list[RunResult]:
-        """Execute each spec; order and content match the serial path.
-
-        Parallel results come back trace-detached (see
-        :func:`_execute_detached`); serial results keep their traces,
-        matching what a lone :func:`~repro.runtime.builder.execute` call
-        returns.
-        """
-        if self.workers <= 1 or len(specs) <= 1:
-            return [execute(s) for s in specs]
-        return self.map(_execute_detached, specs)
+    the bulk trace (event history stays in the worker).  Bind ``check``
+    with :func:`functools.partial` — a partial of a module-level function
+    pickles by reference."""
+    return execute(spec, check=check).detach_trace()

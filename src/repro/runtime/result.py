@@ -3,14 +3,13 @@
 A :class:`RunResult` bundles everything downstream consumers read off a
 finished run: the four dining/oracle verdicts, run metrics, the end time,
 and a handle on the trace (plus the sink mode that produced it, so a
-truncated trace is never misread as a complete one).
-``ScenarioReport``, chaos ``RunVerdict``, and ``ExperimentResult`` are
-thin views over (or wrappers around) this envelope.
+truncated trace is never misread as a complete one).  Chaos
+``RunVerdict`` carries one as its ``report``; :meth:`RunResult.render`
+is the table ``repro scenario`` prints.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Optional, TYPE_CHECKING
 
@@ -90,10 +89,6 @@ class RunResult:
     @property
     def ok(self) -> bool:
         return self.checked and self.wait_freedom.ok
-
-    def eventually_exclusive_by(self, t: float) -> bool:
-        """◇WX convergence test: did all exclusion violations end by ``t``?"""
-        return self.exclusion.eventually_exclusive_by(t)
 
     def span_records(self) -> list[dict[str, Any]]:
         """This run's ``repro.span.v1`` JSONL records (empty when the
@@ -189,8 +184,40 @@ class RunResult:
             "trace_evicted": self.trace_evicted,
         }
 
-    @classmethod
-    def view_fields(cls, result: "RunResult") -> dict[str, Any]:
-        """Field dict for constructing thin subclass views over ``result``."""
-        return {f.name: getattr(result, f.name)
-                for f in dataclasses.fields(RunResult)}
+    def render(self) -> str:
+        """The property/value table ``repro scenario`` prints."""
+        from repro.analysis.report import Table
+
+        m = self.metrics
+        traffic = [["messages sent", m.messages_sent],
+                   ["messages dropped", m.messages_dropped],
+                   ["messages duplicated", m.messages_duplicated],
+                   ["retransmissions", m.retransmissions]]
+        title, footer = f"scenario: {self.name}", ""
+        if self.checked:
+            wf, ex = self.wait_freedom, self.exclusion
+            rows = [["wait-free", wf.ok],
+                    ["starving", ", ".join(wf.starving) or None],
+                    ["max hungry wait", wf.max_wait],
+                    ["exclusion violations", ex.count],
+                    ["last violation ends", ex.last_violation_end],
+                    ["perpetually exclusive", ex.perpetual_ok],
+                    ["oracle accuracy ok", self.oracle_accuracy_ok],
+                    ["oracle completeness ok", self.oracle_completeness_ok],
+                    ["violations justified", self.violations_justified],
+                    ["worst overtaking", self.fairness.worst_overall()],
+                    *traffic]
+            footer = "\nsessions: " + ", ".join(
+                f"{p}:{n}" for p, n in sorted(wf.sessions.items()))
+        else:
+            # counters-sink run: no rows were retained, so no verdicts —
+            # render the cost/telemetry side only.
+            title += f" (unchecked, trace {self.trace_mode})"
+            rows = [*traffic,
+                    ["events processed", m.events_processed],
+                    ["convergence time", self.convergence_time]]
+        table = Table(["property", "value"], title=title)
+        for row in rows + [["trace sink", self.trace_mode],
+                           ["virtual time", self.end_time]]:
+            table.add_row(row)
+        return table.render() + footer

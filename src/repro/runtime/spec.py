@@ -9,9 +9,8 @@ compares by value; the single canonical builder in
 :func:`repro.runtime.builder.execute` turns it into a
 :class:`~repro.runtime.result.RunResult`.
 
-Every former construction path — ``scenario.Scenario``,
-``chaos.build_run``, ``experiments/common.build_system``, ad-hoc
-benchmark fixtures — is now a thin producer or consumer of this type.
+``chaos.build_run``, ``repro scenario``/``repro sweep`` JSON files and
+the service's submissions all produce this one type.
 """
 
 from __future__ import annotations
@@ -121,12 +120,6 @@ class RunSpec:
     name: str = "run"
     graph: str = "ring:4"
     algorithm: str = "wf-ewx"
-    #: Deprecated spelling of the detector choice (``hb`` | ``perfect``).
-    #: Kept for stored-spec compatibility; any non-default value raises a
-    #: DeprecationWarning pointing at ``detector=`` and maps onto the
-    #: registry (``hb`` → ``eventually_perfect``, ``perfect`` →
-    #: ``perfect``).  New specs should leave it alone.
-    oracle: str = "hb"
     client: str = "eager:2"
     crashes: Mapping[str, float] = field(default_factory=dict)
     seed: int = 0
@@ -211,27 +204,11 @@ class RunSpec:
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(
                     f"{name} must be a probability in [0, 1], got {value}")
-        if self.oracle not in ("hb", "perfect"):
-            raise ConfigurationError(
-                f"unknown oracle kind {self.oracle!r} (use hb | perfect)")
         # Detector name/params are owned by the oracle registry; eager
         # validation here means an unknown detector or parameter fails at
         # spec construction with the full registry enumerated.
-        from repro.oracles.registry import DEFAULT_DETECTOR, DetectorSpec
+        from repro.oracles.registry import DetectorSpec
 
-        if self.oracle != "hb":
-            if self.detector != DEFAULT_DETECTOR or self.detector_params:
-                raise ConfigurationError(
-                    f"oracle={self.oracle!r} conflicts with "
-                    f"detector={self.detector!r}; the oracle knob is "
-                    "deprecated — set detector/detector_params only")
-            import warnings
-
-            warnings.warn(
-                f"RunSpec.oracle={self.oracle!r} is deprecated; use "
-                f"detector={'perfect' if self.oracle == 'perfect' else self.detector!r} "
-                "(see repro.DetectorSpec and docs/detectors.md)",
-                DeprecationWarning, stacklevel=3)
         DetectorSpec(self.detector, dict(self.detector_params))
         # Pair-selection grammar is owned by PairSelection.parse.
         from repro.core.extraction import PairSelection
@@ -242,17 +219,6 @@ class RunSpec:
         from repro.sim.sinks import make_sink
 
         make_sink(self.trace)
-
-    def detector_spec(self) -> "Any":
-        """Resolve the spec's detector fields into a registry
-        :class:`~repro.oracles.registry.DetectorSpec` (legacy ``oracle``
-        values map through ``DetectorSpec.from_legacy_oracle``)."""
-        from repro.oracles.registry import DetectorSpec
-
-        if self.oracle != "hb":
-            return DetectorSpec.from_legacy_oracle(self.oracle, seed=self.seed)
-        return DetectorSpec(self.detector, dict(self.detector_params),
-                            seed=self.seed)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":

@@ -49,14 +49,9 @@ STORE_SCHEMA = "repro.store.v1"
 
 #: Version salt mixed into every spec hash: bump when RunSpec semantics
 #: change incompatibly, so stale stores miss instead of serving results
-#: computed under different rules.
-SPEC_HASH_VERSION = "repro.spec.v4"  # v4: detector registry fields
-
-#: The salt default-detector specs keep hashing under.  A spec that does
-#: not select a non-default detector is semantically identical to its
-#: pre-registry form, so its hash must not move — stores written before
-#: the detector fields existed stay cache hits.
-_PRE_DETECTOR_VERSION = "repro.spec.v3"  # v3: spans knob
+#: computed under different rules.  The store is a cache — entries
+#: written under an older salt are never read again and simply re-run.
+SPEC_HASH_VERSION = "repro.spec.v5"  # v5: one salt, oracle knob removed
 
 
 def canonical_spec(spec: RunSpec) -> dict[str, Any]:
@@ -68,30 +63,33 @@ def spec_hash(spec: RunSpec) -> str:
     """Canonical content address of one run: sha256 over the versioned,
     key-sorted JSON encoding of every spec field.
 
-    Two equal specs hash equally regardless of construction path
-    (``RunSpec`` vs ``Scenario``, JSON vs kwargs), and the hash is stable
-    across processes, machines, and worker counts.
-
-    Compatibility: a spec on the default detector with no parameter
-    overrides hashes exactly as it did before the registry fields existed
-    (the detector fields are dropped and the pre-registry version salt is
-    used), so stored results keyed under ``repro.spec.v3`` keep serving as
-    cache hits.  Selecting any other detector — or overriding parameters —
-    changes the simulated run, so those fields join the payload under the
-    ``repro.spec.v4`` salt and the key moves.
+    Two equal specs hash equally regardless of construction path (JSON vs
+    kwargs, defaults spelled out or not), and the hash is stable across
+    processes, machines, and worker counts.
     """
-    fields = canonical_spec(spec)
-    if (fields.get("detector") == "eventually_perfect"
-            and not fields.get("detector_params")):
-        fields.pop("detector", None)
-        fields.pop("detector_params", None)
-        version = _PRE_DETECTOR_VERSION
-    else:
-        version = SPEC_HASH_VERSION
-    payload = {"version": version, "spec": fields}
+    payload = {"version": SPEC_HASH_VERSION, "spec": canonical_spec(spec)}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def durable_append(path: "str | pathlib.Path", data: bytes) -> None:
+    """Append ``data`` to ``path`` and fsync before returning.
+
+    The bytes go down in one ``os.write`` on an ``O_APPEND`` descriptor,
+    so concurrent appends from separate processes (two campaigns sharing
+    a store, a service restarting over a live file) land as whole lines
+    instead of interleaving — POSIX serializes each append write at the
+    file offset.  Pinned by ``tests/runtime/test_store_concurrent.py``.
+    The store and the service's job journal both persist through here.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class ResultStore:
@@ -168,27 +166,12 @@ class ResultStore:
         return payload
 
     def put(self, key: str, payload: Mapping[str, Any]) -> None:
-        """Durably append ``key -> payload`` (fsync per record).
-
-        The whole record goes down in one ``os.write`` on an
-        ``O_APPEND`` descriptor, so concurrent appends from separate
-        processes (two campaigns sharing a store, a service restarting
-        over a live file) land as whole lines instead of interleaving —
-        POSIX serializes each append write at the file offset.  Pinned
-        by ``tests/runtime/test_store_concurrent.py``.
-        """
+        """Durably append ``key -> payload`` as one line
+        (:func:`durable_append`: single write, fsync per record)."""
         line = json.dumps(
             {"schema": STORE_SCHEMA, "key": key, "payload": payload},
             separators=(",", ":"))
-        data = (line + "\n").encode("utf-8")
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                     0o644)
-        try:
-            while data:
-                data = data[os.write(fd, data):]
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        durable_append(self.path, (line + "\n").encode("utf-8"))
         self._index[key] = dict(payload)
         self.metrics.counter("store.puts").inc()
 
@@ -203,7 +186,7 @@ def resumable_map(
     keys: Sequence[str],
     *,
     encode: Callable[[R], Mapping[str, Any]],
-    decode: Callable[[dict[str, Any], int, T], R],
+    decode: Callable[[dict[str, Any], int, T], Optional[R]],
     store: Optional[ResultStore] = None,
     resume: bool = False,
     executor: Optional[SupervisedExecutor] = None,
@@ -213,11 +196,15 @@ def resumable_map(
 
     ``keys[i]`` is the content address of ``items[i]``.  With ``resume``,
     stored keys are served from ``store`` via ``decode(payload, i, item)``
-    without executing; fresh results are checkpointed via ``encode`` the
-    moment they land (completion order), so an interruption at any point
-    loses at most the tasks still in flight.  Results come back in item
-    order either way — and, because every task is a pure function of its
-    item, a resumed map returns exactly what an uninterrupted one would.
+    without executing.  ``decode`` returns ``None`` for a payload its
+    surface did not write (the CLI and the service store different
+    shapes under the same spec key); such an entry is a miss — the item
+    executes and its result overwrites the entry, last write wins.
+    Fresh results are checkpointed via ``encode`` the moment they land
+    (completion order), so an interruption at any point loses at most the
+    tasks still in flight.  Results come back in item order either way —
+    and, because every task is a pure function of its item, a resumed map
+    returns exactly what an uninterrupted one would.
 
     ``on_result(index, value, cached)`` fires once per item as it lands:
     at load for cache hits (``cached=True``), in completion order for
@@ -231,13 +218,14 @@ def resumable_map(
     results: dict[int, R] = {}
     todo: list[int] = []
     for i, key in enumerate(keys):
-        payload = store.get(key) if (resume and store is not None) else None
-        if payload is not None:
-            results[i] = decode(payload, i, items[i])
-            if on_result is not None:
-                on_result(i, results[i], True)
-        else:
+        payload = store.get(key) if resume else None
+        value = None if payload is None else decode(payload, i, items[i])
+        if value is None:
             todo.append(i)
+            continue
+        results[i] = value
+        if on_result is not None:
+            on_result(i, value, True)
 
     def checkpoint(pos: int, value: R) -> None:
         index = todo[pos]

@@ -10,20 +10,20 @@ content-addressed :class:`~repro.runtime.store.ResultStore` then serves
 whatever those jobs had already computed, so recovery re-simulates only
 the genuinely lost tail (docs/service.md).
 
-Durability model matches the store: one record per line, single
-``O_APPEND`` write + fsync per record, torn-final-line tolerance on
-load.
+Durability is the store's: one record per line through
+:func:`~repro.runtime.store.durable_append` (single ``O_APPEND`` write +
+fsync per record), torn-final-line tolerance on load.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import time
 from typing import Any, Optional
 
 from repro.errors import ConfigurationError
+from repro.runtime.store import durable_append
 from repro.service.jobs import JOB_SCHEMA, QUEUED, TERMINAL, Job
 
 
@@ -40,16 +40,8 @@ class JobJournal:
                 f"journal directory {self.path.parent} does not exist")
 
     def _append(self, record: dict[str, Any]) -> None:
-        data = (json.dumps(record, sort_keys=True, separators=(",", ":"))
-                + "\n").encode("utf-8")
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                     0o644)
-        try:
-            while data:
-                data = data[os.write(fd, data):]
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        durable_append(self.path, (line + "\n").encode("utf-8"))
 
     def record_submit(self, job: Job) -> None:
         self._append({

@@ -49,7 +49,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.exporters import prometheus_text
@@ -65,7 +65,11 @@ from repro.runtime.store import (
     spec_hash,
 )
 from repro.service import jobs as jobstates
-from repro.service.encoding import execute_spec_payload, payload_bytes
+from repro.service.encoding import (
+    RESULT_SCHEMA,
+    execute_spec_payload,
+    payload_bytes,
+)
 from repro.service.jobs import Job, next_job_id
 from repro.service.journal import JobJournal
 
@@ -111,9 +115,13 @@ class ServiceConfig:
         return self.journal_path or self.store_path + ".jobs"
 
 
-def _decode_payload(payload: dict, index: int, item: Any) -> dict:
-    """resumable_map decode hook: stored payloads are served verbatim."""
-    return payload
+def _own_payload(payload: Optional[dict]) -> Optional[dict]:
+    """The stored payload when the service wrote it (served verbatim),
+    else None: the CLI stores other shapes under the same spec keys, and
+    such an entry is a miss here — re-executed and overwritten."""
+    if payload is not None and payload.get("schema") == RESULT_SCHEMA:
+        return payload
+    return None
 
 
 class CampaignService:
@@ -241,7 +249,8 @@ class CampaignService:
 
         resumable_map(
             execute_spec_payload, job.specs, keys=job.spec_keys,
-            encode=lambda payload: payload, decode=_decode_payload,
+            encode=lambda payload: payload,
+            decode=lambda payload, i, item: _own_payload(payload),
             store=self.store, resume=True,
             executor=SupervisedExecutor(workers=self.config.workers,
                                         timeout=self.config.task_timeout),
@@ -345,10 +354,12 @@ class CampaignService:
             await self._respond(writer, 400, {"error": str(exc)})
             return
         key = spec_hash(spec)
-        if key in self.store:
-            # Cache hit: served synchronously, no job scheduled.  The
-            # counted get keeps /metrics hit accounting exact.
-            payload = self.store.get(key)
+        # Cache hit: served synchronously, no job scheduled.  The counted
+        # get keeps /metrics hit accounting exact; a miss is counted when
+        # the job's resumable_map looks the key up.
+        payload = (_own_payload(self.store.get(key))
+                   if key in self.store else None)
+        if payload is not None:
             self.registry.counter("service.cache_served").inc()
             await self._respond(writer, 200, {
                 "cached": True, "spec_key": key, "job": None,
@@ -390,7 +401,7 @@ class CampaignService:
             "spec_keys": keys})
 
     async def _get_run(self, writer, key: str) -> None:
-        payload = self.store.get(key)
+        payload = _own_payload(self.store.get(key))
         if payload is None:
             await self._respond(writer, 404, {
                 "error": "result not cached", "spec_key": key})

@@ -13,25 +13,20 @@ properties.  :func:`collect_metrics` publishes the engine-side facts the
 registry did not already hold (virtual time, processed events, per-
 process step counts — as ``sim.*`` gauges) and freezes one snapshot that
 backs both ``RunResult.metrics`` and ``RunResult.obs``.
-
-.. deprecated::
-    Constructing ``RunMetrics`` from loose keyword values
-    (``RunMetrics(virtual_time=..., messages_sent=...)``) predates the
-    registry and is kept only for backward compatibility — it builds a
-    synthetic snapshot under the hood (see :meth:`RunMetrics.from_values`).
-    New code should read metrics off a run's snapshot instead.
+:meth:`RunMetrics.from_values` builds a view over a synthetic snapshot
+for tests.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.obs.registry import MetricsRegistry, MetricsSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
 
-#: Registry names backing the legacy view fields.
+#: Registry names backing the view fields.
 _G_VIRTUAL_TIME = "sim.virtual_time"
 _G_EVENTS = "sim.events_processed"
 _G_STEPS_PREFIX = 'sim.steps{process="'
@@ -63,15 +58,7 @@ class RunMetrics:
 
     __slots__ = ("snapshot",)
 
-    def __init__(self, snapshot: Optional[MetricsSnapshot] = None,
-                 **legacy: Any) -> None:
-        if snapshot is None:
-            # Deprecated keyword-value construction (see module docstring).
-            snapshot = RunMetrics.from_values(**legacy).snapshot
-        elif legacy:
-            raise TypeError(
-                "pass either a MetricsSnapshot or legacy keyword values, "
-                "not both")
+    def __init__(self, snapshot: MetricsSnapshot) -> None:
         self.snapshot = snapshot
 
     @classmethod
@@ -87,7 +74,7 @@ class RunMetrics:
         messages_duplicated: int = 0,
         retransmissions: int = 0,
     ) -> "RunMetrics":
-        """Build a view over a synthetic snapshot (tests, legacy callers)."""
+        """Build a view over a synthetic snapshot (tests)."""
         reg = MetricsRegistry()
         reg.gauge(_G_VIRTUAL_TIME).set(float(virtual_time))
         reg.gauge(_G_EVENTS).set(float(events_processed))

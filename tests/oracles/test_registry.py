@@ -1,5 +1,5 @@
-"""The detector registry: specs, errors, legacy mapping, and end-to-end
-equivalence of every registered detector on a real run."""
+"""The detector registry: specs, errors, and end-to-end equivalence of
+every registered detector on a real run."""
 
 import hashlib
 
@@ -71,14 +71,6 @@ class TestDetectorSpec:
         assert merged["initial_timeout"] == 20
         assert merged["heartbeat_period"] == 4  # default preserved
 
-    def test_from_legacy_oracle(self):
-        hb = DetectorSpec.from_legacy_oracle("hb")
-        assert hb.name == DEFAULT_DETECTOR
-        assert hb.merged_params()["initial_timeout"] == 10
-        assert DetectorSpec.from_legacy_oracle("perfect").name == "perfect"
-        with pytest.raises(ConfigurationError, match="unknown oracle"):
-            DetectorSpec.from_legacy_oracle("psychic")
-
 
 class TestRunSpecIntegration:
     def test_runspec_validates_detector_eagerly(self):
@@ -86,26 +78,6 @@ class TestRunSpecIntegration:
             RunSpec(detector="psychic")
         with pytest.raises(ConfigurationError, match="accepted"):
             RunSpec(detector_params={"bogus": 1})
-
-    def test_legacy_oracle_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="detector"):
-            RunSpec(oracle="perfect")
-
-    def test_oracle_conflicts_with_detector(self):
-        with pytest.raises(ConfigurationError, match="deprecated"):
-            RunSpec(oracle="perfect", detector="trusting")
-
-    def test_legacy_oracle_runs_identically_to_registry_name(self):
-        # oracle="perfect" and detector="perfect" must be the same run,
-        # bit for bit (trace digests compare full record streams).
-        with pytest.warns(DeprecationWarning):
-            legacy = RunSpec(graph="ring:3", seed=5, max_time=300.0,
-                             crashes={"p1": 120.0}, oracle="perfect")
-        modern = RunSpec(graph="ring:3", seed=5, max_time=300.0,
-                         crashes={"p1": 120.0}, detector="perfect")
-        a, b = execute(legacy), execute(modern)
-        assert _digest(a) == _digest(b)
-        assert a.summary()["wait_free"] == b.summary()["wait_free"]
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))

@@ -90,18 +90,21 @@ class TestExecute:
 
 
 class TestSingleCanonicalBuilder:
-    """The four historical construction paths all land in the runtime."""
+    """Every construction path lands in the runtime's own types."""
 
     def test_scenario_is_a_runspec(self):
-        from repro.scenario import Scenario
+        from repro.chaos import ChaosConfig, build_run
 
-        assert issubclass(Scenario, RunSpec)
+        assert type(build_run(7, ChaosConfig())) is RunSpec
 
     def test_scenario_report_wraps_runresult(self):
+        """A chaos verdict's report is the plain runtime type (no
+        subclass view) — also what crosses the worker pipe."""
+        from repro.chaos import ChaosConfig, run_one
         from repro.runtime import RunResult
-        from repro.scenario import ScenarioReport
 
-        assert issubclass(ScenarioReport, RunResult)
+        report = run_one(0, 7, ChaosConfig(max_time=200.0)).report
+        assert type(report) is RunResult
 
     def test_experiments_common_delegates(self):
         from repro.experiments import common
@@ -111,7 +114,7 @@ class TestSingleCanonicalBuilder:
         assert common.System is builder.System
 
     def test_no_engine_wiring_outside_runtime(self):
-        """Grep-checkable acceptance criterion: scenario.py, chaos.py, and
+        """Grep-checkable acceptance criterion: chaos.py and
         experiments/common.py contain no Engine/Network/attach_detectors
         construction of their own."""
         import pathlib
@@ -119,7 +122,7 @@ class TestSingleCanonicalBuilder:
         import repro
 
         root = pathlib.Path(repro.__file__).parent
-        for rel in ("scenario.py", "chaos.py", "experiments/common.py"):
+        for rel in ("chaos.py", "experiments/common.py"):
             source = (root / rel).read_text()
             for needle in ("Engine(", "attach_detectors",
                            "ReliableTransport(", "Network("):

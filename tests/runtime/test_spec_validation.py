@@ -4,12 +4,7 @@ with an actionable message, not deep inside a fanned-out worker."""
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime import (
-    ParallelExecutor,
-    RetryPolicy,
-    RunSpec,
-    SupervisedExecutor,
-)
+from repro.runtime import RetryPolicy, RunSpec, SupervisedExecutor
 
 
 class TestRunSpecValidation:
@@ -23,7 +18,7 @@ class TestRunSpecValidation:
         ({"drop": 1.5}, "drop must be a probability"),
         ({"drop": -0.1}, "drop must be a probability"),
         ({"duplicate": 2.0}, "duplicate must be a probability"),
-        ({"oracle": "psychic"}, "unknown oracle kind"),
+        ({"detector": "psychic"}, "unknown detector"),
         ({"trace": "ring:notanumber"}, "ring sink capacity"),
         ({"trace": "laserdisc"}, "unknown trace sink"),
     ])
@@ -43,8 +38,6 @@ class TestRunSpecValidation:
 
 class TestExecutorKnobValidation:
     def test_negative_workers_rejected(self):
-        with pytest.raises(ConfigurationError, match="workers"):
-            ParallelExecutor(workers=-1)
         with pytest.raises(ConfigurationError, match="workers"):
             SupervisedExecutor(workers=-2)
 

@@ -11,6 +11,8 @@ invariants from the service's contract are pinned here:
   store, hit counter incremented, **no job scheduled**.
 """
 
+import json
+
 import pytest
 
 import repro
@@ -168,21 +170,30 @@ def test_draining_service_refuses_submissions(service):
 def test_restart_reenqueues_incomplete_journaled_jobs(tmp_path):
     """A job that was submitted but never finished (previous process
     died) is re-enqueued on start with its original id and completed —
-    served from the store where the first life already checkpointed."""
+    served from the store where the first life already checkpointed.
+    One journaled by an older release, whose spec the current
+    ``RunSpec.from_dict`` rejects (the removed ``oracle`` key), fails
+    cleanly with a one-line error and the daemon keeps serving."""
     store_path = tmp_path / "store.jsonl"
     config = ServiceConfig(store_path=str(store_path), port=0)
 
     spec = RunSpec.from_dict(dict(SPEC))
-    job = Job("j7", "run", [canonical_spec(spec)], [spec_hash(spec)])
-    JobJournal(config.journal).record_submit(job)  # no terminal state
+    stale = {**canonical_spec(spec), "oracle": "hb"}
+    journal = JobJournal(config.journal)  # no terminal state for either
+    journal.record_submit(Job("j3", "run", [stale], [spec_hash(spec)]))
+    journal.record_submit(
+        Job("j7", "run", [canonical_spec(spec)], [spec_hash(spec)]))
 
     embedded = EmbeddedService(config)
     host, port = embedded.start()
     try:
         client = Client(host, port)
+        failed = client.wait("j3", timeout=60)
+        assert failed["state"] == "failed" and "\n" not in failed["error"]
+        assert "unknown scenario keys: ['oracle']" in failed["error"]
         final = client.wait("j7", timeout=120)
         assert final["state"] == "done" and final["done"] == 1
-        assert "repro_service_jobs_recovered 1" in client.metrics()
+        assert "repro_service_jobs_recovered 2" in client.metrics()
     finally:
         assert embedded.shutdown() is True
 
@@ -199,6 +210,64 @@ def test_restart_reenqueues_incomplete_journaled_jobs(tmp_path):
         client.wait(sub["job"], timeout=60)
     finally:
         assert embedded.shutdown() is True
+
+
+# The CLI and the service key their payloads by the same spec_hash but store
+# different shapes; an entry another surface wrote is a miss, never a crash.
+SWEPT = {"name": "svc", "graph": "ring:3", "seed": 7, "max_time": 200.0}
+
+
+def _sweep(tmp_path, capsys, *extra) -> str:
+    from repro.cli import main
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SWEPT))
+    capsys.readouterr()
+    assert main(["sweep", str(path), "--seed", "7", "--seeds", "2",
+                 *extra]) == 0
+    return capsys.readouterr().out
+
+
+def test_service_written_entries_are_misses_for_cli_resume(tmp_path, capsys):
+    from repro.chaos import ChaosConfig, build_run, fanout_seeds, run_campaign
+    from repro.runtime.store import ResultStore
+
+    store_path = str(tmp_path / "store.jsonl")
+    cfg = ChaosConfig(campaigns=2, seed=3, max_time=200.0)
+    with EmbeddedService(ServiceConfig(store_path=store_path,
+                                       port=0)) as (host, port):
+        client = Client(host, port)
+        jobs = [client.submit_campaign(SWEPT, runs=2)["job"]]
+        jobs += [client.submit_run(canonical_spec(build_run(seed, cfg)))["job"]
+                 for seed in fanout_seeds(cfg.seed, cfg.campaigns)]
+        for job in jobs:
+            assert client.wait(job, timeout=120)["state"] == "done"
+
+    fresh = _sweep(tmp_path, capsys)
+    assert _sweep(tmp_path, capsys, "--store", store_path,
+                  "--resume") == fresh
+    resumed = run_campaign(cfg, store=ResultStore(store_path), resume=True)
+    assert resumed.to_json() == run_campaign(cfg).to_json()
+
+
+def test_cli_written_entries_are_misses_for_the_service(tmp_path, capsys):
+    store_path = str(tmp_path / "store.jsonl")
+    _sweep(tmp_path, capsys, "--store", store_path)
+    shard = dict(SWEPT, seed=int(repro.fanout_seeds(7, 2)[0]))
+    key = spec_hash(RunSpec.from_dict(shard))
+
+    with EmbeddedService(ServiceConfig(store_path=store_path,
+                                       port=0)) as (host, port):
+        client = Client(host, port)
+        with pytest.raises(ServiceError) as err:
+            client.result_bytes(key)
+        assert err.value.status == 404
+        sub = client.submit_run(shard)
+        assert sub["cached"] is False and sub["spec_key"] == key
+        final = client.wait(sub["job"], timeout=120)
+        assert final["state"] == "done" and final["cached"] == 0
+        assert client.result_bytes(key) == \
+            payload_bytes(result_payload(repro.run(shard)))
 
 
 def _metric(client: Client, name: str) -> float:

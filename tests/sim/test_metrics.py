@@ -36,16 +36,14 @@ def test_collect_metrics_counts():
 
 
 def test_messages_per_time():
-    m = RunMetrics(virtual_time=10.0, events_processed=0, messages_sent=20,
-                   messages_delivered=20, messages_by_kind={},
-                   steps_by_process={})
+    m = RunMetrics.from_values(virtual_time=10.0, messages_sent=20,
+                               messages_delivered=20)
     assert m.messages_per_time() == 2.0
 
 
 def test_messages_per_time_zero_guard():
-    m = RunMetrics(virtual_time=0.0, events_processed=0, messages_sent=5,
-                   messages_delivered=5, messages_by_kind={},
-                   steps_by_process={})
+    m = RunMetrics.from_values(virtual_time=0.0, messages_sent=5,
+                               messages_delivered=5)
     assert m.messages_per_time() == 0.0
 
 
@@ -64,20 +62,6 @@ def test_metrics_is_a_view_over_the_registry_snapshot():
         snap.gauge_value('sim.steps{process="a"}')
     assert m.messages_by_kind["gossip"] == \
         snap.counter_value('net.messages_sent{kind="gossip"}')
-
-
-def test_legacy_kwargs_and_from_values_agree():
-    legacy = RunMetrics(virtual_time=10.0, events_processed=4,
-                        messages_sent=20, messages_delivered=18,
-                        messages_by_kind={"x": 20}, steps_by_process={"p": 7},
-                        messages_dropped=2, retransmissions=1)
-    explicit = RunMetrics.from_values(
-        virtual_time=10.0, events_processed=4, messages_sent=20,
-        messages_delivered=18, messages_by_kind={"x": 20},
-        steps_by_process={"p": 7}, messages_dropped=2, retransmissions=1)
-    assert legacy == explicit
-    assert legacy.messages_dropped == 2
-    assert legacy.total_steps == 7
 
 
 def test_format_table_mentions_kinds():

@@ -1,11 +1,13 @@
-"""Tests for the declarative scenario runner."""
+"""Declarative scenarios: ``RunSpec`` in, ``repro.run`` verdicts out."""
 
 import json
 
 import pytest
 
+import repro
+from repro import RunSpec
 from repro.errors import ConfigurationError
-from repro.scenario import Scenario, parse_graph
+from repro.runtime import parse_graph
 
 
 class TestParseGraph:
@@ -68,67 +70,68 @@ class TestParseGraph:
 class TestScenarioConstruction:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError):
-            Scenario.from_dict({"graph": "ring:3", "typo_key": 1})
+            RunSpec.from_dict({"graph": "ring:3", "typo_key": 1})
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigurationError):
-            Scenario(graph="ring:3", algorithm="quantum",
-                     max_time=10.0).run()
+            repro.run(RunSpec(graph="ring:3", algorithm="quantum",
+                              max_time=10.0))
 
     def test_unknown_client_rejected(self):
         with pytest.raises(ConfigurationError):
-            Scenario(graph="ring:3", client="lazy", max_time=10.0).run()
+            repro.run(RunSpec(graph="ring:3", client="lazy", max_time=10.0))
 
     def test_crash_of_unknown_process_rejected(self):
         with pytest.raises(ConfigurationError):
-            Scenario(graph="ring:3", crashes={"ghost": 5.0}).run()
+            repro.run(RunSpec(graph="ring:3", crashes={"ghost": 5.0}))
 
     def test_from_json_roundtrip(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"name": "x", "graph": "ring:3",
                                     "max_time": 300.0}))
-        s = Scenario.from_json(path)
+        s = RunSpec.from_json(path)
         assert s.name == "x" and s.graph == "ring:3"
 
 
 class TestScenarioRuns:
     def test_basic_run_reports(self):
-        rep = Scenario(name="t", graph="ring:3", seed=5,
-                       max_time=800.0).run()
+        rep = repro.run(RunSpec(name="t", graph="ring:3", seed=5,
+                                max_time=800.0))
         assert rep.ok
         assert rep.metrics.messages_sent > 0
         assert "wait-free" in rep.render()
 
     def test_crash_scenario_stays_wait_free(self):
-        rep = Scenario(graph="ring:4", crashes={"p1": 300.0}, seed=6,
-                       max_time=1500.0).run()
+        rep = repro.run(RunSpec(graph="ring:4", crashes={"p1": 300.0}, seed=6,
+                                max_time=1500.0))
         assert rep.ok
 
     def test_hygienic_crash_scenario_fails_wait_freedom(self):
-        rep = Scenario(graph="pair:a,b", algorithm="hygienic",
-                       crashes={"a": 50.0}, seed=7, max_time=1000.0).run()
+        rep = repro.run(RunSpec(graph="pair:a,b", algorithm="hygienic",
+                                crashes={"a": 50.0}, seed=7, max_time=1000.0))
         assert not rep.ok
         assert "b" in rep.wait_freedom.starving
 
     @pytest.mark.parametrize("algorithm", ["deferred", "manager", "fair:2"])
     def test_all_algorithms_runnable(self, algorithm):
-        rep = Scenario(graph="ring:3", algorithm=algorithm, seed=8,
-                       max_time=800.0).run()
+        rep = repro.run(RunSpec(graph="ring:3", algorithm=algorithm, seed=8,
+                                max_time=800.0))
         assert rep.ok, rep.render()
 
     def test_perfect_oracle_scenario_perpetually_exclusive(self):
-        rep = Scenario(graph="ring:3", oracle="perfect",
-                       crashes={"p1": 300.0}, seed=9, max_time=1200.0).run()
+        rep = repro.run(RunSpec(graph="ring:3", detector="perfect",
+                                crashes={"p1": 300.0}, seed=9,
+                                max_time=1200.0))
         assert rep.ok and rep.exclusion.perpetual_ok
 
     def test_periodic_client(self):
-        rep = Scenario(graph="ring:3", client="periodic", seed=10,
-                       max_time=1000.0, grace=200.0).run()
+        rep = repro.run(RunSpec(graph="ring:3", client="periodic", seed=10,
+                                max_time=1000.0, grace=200.0))
         assert rep.ok
 
     def test_determinism(self):
-        a = Scenario(graph="ring:3", seed=11, max_time=600.0).run()
-        b = Scenario(graph="ring:3", seed=11, max_time=600.0).run()
+        a = repro.run(RunSpec(graph="ring:3", seed=11, max_time=600.0))
+        b = repro.run(RunSpec(graph="ring:3", seed=11, max_time=600.0))
         assert a.wait_freedom.sessions == b.wait_freedom.sessions
         assert a.metrics.messages_sent == b.metrics.messages_sent
 
@@ -144,8 +147,6 @@ class TestScenarioCLI:
 
 class TestSweepCLI:
     def test_sweep_aggregates_across_seeds(self, capsys, tmp_path):
-        import json
-
         from repro.cli import main
 
         path = tmp_path / "s.json"
@@ -158,8 +159,6 @@ class TestSweepCLI:
         assert "wait_free" in out and "(n=3)" in out
 
     def test_sweep_fails_on_broken_scenario(self, capsys, tmp_path):
-        import json
-
         from repro.cli import main
 
         path = tmp_path / "bad.json"
