@@ -325,13 +325,6 @@ def _replay_command(run_seed: int, cfg: ChaosConfig) -> str:
 # -- checkpoint/resume --------------------------------------------------------
 
 
-def run_key(run_seed: int, cfg: ChaosConfig) -> str:
-    """Content address of one chaos run: the canonical hash of the
-    scenario the run seed deterministically expands to, so the key
-    captures every campaign knob that shapes the run."""
-    return spec_hash(build_run(run_seed, cfg))
-
-
 def _verdict_payload(verdict: RunVerdict) -> dict[str, Any]:
     """The store payload for one completed run: the flat verdict summary
     plus the full ``--metrics-out`` record — everything campaign
@@ -482,7 +475,9 @@ def run_campaign(cfg: ChaosConfig, workers: int = 1,
     determinism suite in ``tests/runtime/test_executor.py`` pins this).
 
     With a ``store``, each run's verdict is checkpointed under its
-    content address (:func:`run_key`) the moment it completes, so an
+    content address — the :func:`spec_hash` of the scenario its run seed
+    expands to, so the key captures every campaign knob that shapes the
+    run — the moment it completes, so an
     interrupted campaign keeps everything already computed; with
     ``resume`` as well, stored runs are served from the store instead of
     re-simulated, and the aggregates (tables, ``--json``, telemetry,
@@ -504,17 +499,20 @@ def run_campaign(cfg: ChaosConfig, workers: int = 1,
                  else lambda i, v: on_result(i, v, False))
         verdicts = executor.map(_run_one_detached, tasks, on_result=fresh)
     else:
+        # One build per seed: the key and a stored verdict's scenario are
+        # the same RunSpec.
+        scenarios = [build_run(run_seed, cfg) for run_seed in seeds]
+
         def decode(payload, i, task):
             # Another surface's entry (sweep / service) under a colliding
             # key carries no verdict: a miss, recomputed and overwritten.
             if "verdict" not in payload:
                 return None
-            return StoredVerdict(task[0], task[1],
-                                 build_run(task[1], cfg), payload)
+            return StoredVerdict(task[0], task[1], scenarios[i], payload)
 
         verdicts = resumable_map(
             _run_one_detached, tasks,
-            keys=[run_key(run_seed, cfg) for run_seed in seeds],
+            keys=[spec_hash(scenario) for scenario in scenarios],
             encode=_verdict_payload,
             decode=decode,
             store=store, resume=resume, executor=executor,

@@ -674,11 +674,13 @@ def cmd_store(args) -> int:
         return _fail_usage("repro store", f"no store at {args.path}")
     try:
         store = ResultStore(args.path)
+        # Opening checks each line's framing; items() parses every body.
+        items = store.items()
     except ReproError as exc:
         print(f"repro store: error: {exc}", file=sys.stderr)
         return 2
     entries = [{"spec_key": key, **_store_digest(payload)}
-               for key, payload in store.items()]
+               for key, payload in items]
     counters = {name: int(value) for name, value in store.stats().items()}
     if args.json:
         print(json.dumps({"path": str(args.path), "entries": entries,
@@ -1023,9 +1025,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     sto = sub.add_parser("store",
                          help="inspect a content-addressed result store")
     stosub = sto.add_subparsers(dest="store_command", required=True)
-    stols = stosub.add_parser("ls",
-                              help="list spec keys, run summaries, and "
-                                   "hit/miss/put/corrupt counters")
+    ls_help = ("list spec keys, run summaries, and hit/miss/put/corrupt "
+               "counters; parses every stored payload, so it is also the "
+               "full-file integrity check")
+    stols = stosub.add_parser("ls", help=ls_help, description=ls_help)
     stols.add_argument("path", help="path to the store JSONL file")
     stols.add_argument("--json", action="store_true",
                        help="emit the listing as JSON")

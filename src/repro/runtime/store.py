@@ -14,11 +14,19 @@ so
 
 Durability model: one JSON object per line, appended with flush+fsync
 per put, last-write-wins on duplicate keys at load.  A crash mid-append
-leaves at most one truncated final line, which load tolerates (the
-payload of that line is simply lost and will be recomputed).  Payload
-JSON preserves key order (no ``sort_keys``), so dicts round-trip with
-their original insertion order and resumed aggregates serialize to the
-same bytes as fresh ones.
+leaves one truncated fragment, which load tolerates whether it is still
+the file's tail or a later append has terminated it (the payload of
+that line is simply lost and will be recomputed).  Payload JSON
+preserves key order (no ``sort_keys``), so dicts round-trip with their
+original insertion order and resumed aggregates serialize to the same
+bytes as fresh ones.
+
+Open is an index scan, not a parse: a line in the exact byte frame
+``put`` writes is recorded as ``key -> (offset, length)`` and its JSON
+body is parsed — once — by the first ``get``/``items`` that reads it.
+Any other line (hand-written, re-spaced, escaped key) is parsed at
+open.  So open validates the framing of every line, and first read
+validates the body.
 
 :func:`resumable_map` is the generic checkpoint/resume harness over a
 :class:`~repro.runtime.executor.SupervisedExecutor`: given per-task
@@ -30,11 +38,22 @@ the serial path, so an interrupted ``--workers 1`` campaign resumes too.
 from __future__ import annotations
 
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
 import pathlib
-from typing import Any, Callable, Mapping, Optional, Sequence, TypeVar
+import re
+from typing import (
+    IO,
+    Any,
+    AnyStr,
+    Callable,
+    Mapping,
+    Optional,
+    Sequence,
+    TypeVar,
+)
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.obs.registry import MetricsRegistry
@@ -67,10 +86,22 @@ def spec_hash(spec: RunSpec) -> str:
     kwargs, defaults spelled out or not), and the hash is stable across
     processes, machines, and worker counts.
     """
-    payload = {"version": SPEC_HASH_VERSION, "spec": canonical_spec(spec)}
+    # A shallow field walk: the encoder recurses into the nested mappings
+    # itself, so this is byte-for-byte the encoding of canonical_spec(spec)
+    # without asdict's deep copy (every field is plain JSON data).
+    fields = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    payload = {"version": SPEC_HASH_VERSION, "spec": fields}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+#: What :func:`durable_append` writes ahead of a record when the file's
+#: tail is unterminated.  Space + newline, not a bare newline: a fragment
+#: torn right after a ``}}`` then ends in ``}} \n``, which the store's
+#: frame test rejects, so it is fully parsed (and skipped) at open instead
+#: of being indexed as a record and failing at first read.
+_HEAL = b" \n"
 
 
 def durable_append(path: "str | pathlib.Path", data: bytes) -> None:
@@ -82,14 +113,58 @@ def durable_append(path: "str | pathlib.Path", data: bytes) -> None:
     instead of interleaving — POSIX serializes each append write at the
     file offset.  Pinned by ``tests/runtime/test_store_concurrent.py``.
     The store and the service's job journal both persist through here.
+
+    A crashed writer can leave the file ending mid-record.  The record is
+    never welded onto such a fragment: when the last byte is not a
+    newline, the fragment is terminated first, so it stays a line of its
+    own that both loaders recognise (:func:`is_torn_fragment`) and skip.
+    The check and the write happen under an exclusive ``flock`` — a live
+    writer's half-landed record must not be mistaken for a dead one's.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
     try:
-        while data:
-            data = data[os.write(fd, data):]
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        try:
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                data = _HEAL + data
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            fcntl.flock(fd, fcntl.LOCK_UN)
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def is_torn_fragment(line: "AnyStr", heads: "Sequence[AnyStr]") -> bool:
+    """Whether an unparseable ``line`` is what a crashed writer leaves: a
+    prefix of a record.  ``heads`` are the byte sequences the writer's
+    records open with; a fragment either starts with one or, torn earlier
+    still, is a prefix of one.  Anything else is foreign damage."""
+    line = line.strip()
+    return any(line.startswith(head) or head.startswith(line)
+               for head in heads)
+
+
+#: The bytes every ``put``-written line opens with ...
+_FRAME_HEAD = f'{{"schema":"{STORE_SCHEMA}",'.encode("ascii")
+#: ... the whole frame up to the payload's opening brace.  The key class
+#: admits only bytes ``json.dumps`` emits unescaped, so a match *is* the
+#: key: no escapes to undo, nothing a strict parser would refuse.
+_FRAMED = re.compile(
+    re.escape(_FRAME_HEAD) +
+    rb'"key":"([^"\\\x00-\x1f\x80-\xff]*)","payload":\{').match
+#: ... and how it closes: the payload object, the record, the newline.
+_FRAME_TAIL = b"}}\n"
+
+
+class _Unparsed(tuple):
+    """Index entry for a framed line whose body has not been read yet:
+    ``(offset, length, lineno)``.  A type of its own so that no parsed
+    payload, whatever its JSON type, is mistaken for one."""
+
+    __slots__ = ()
 
 
 class ResultStore:
@@ -105,7 +180,8 @@ class ResultStore:
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.path = pathlib.Path(path)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._index: dict[str, dict[str, Any]] = {}
+        #: key -> payload, or -> where its line is until first read.
+        self._index: dict[str, Any] = {}
         if self.path.exists():
             if self.path.is_dir():
                 raise ConfigurationError(
@@ -121,27 +197,56 @@ class ResultStore:
                     f"store directory {parent} is not writable")
 
     def _load(self) -> None:
-        text = self.path.read_text(encoding="utf-8")
-        lines = text.splitlines()
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                key = rec["key"]
-                payload = rec["payload"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                if i == len(lines) - 1 and not text.endswith("\n"):
-                    # Torn final append (crash mid-write): that one result
-                    # is lost and will be recomputed; everything before it
-                    # is intact.
-                    self.metrics.counter("store.corrupt_lines").inc()
-                    continue
-                raise ExecutionError(
-                    f"{self.path}:{i + 1}: corrupt store line (not a "
-                    f"{STORE_SCHEMA} record); move the file aside or "
-                    "restart without --store") from None
-            self._index[key] = payload
+        index = self._index
+        offset = 0
+        with open(self.path, "rb", buffering=1 << 20) as fh:
+            for lineno, line in enumerate(fh, 1):
+                framed = _FRAMED(line) if line.endswith(_FRAME_TAIL) else None
+                if framed is not None:
+                    index[framed.group(1).decode("ascii")] = _Unparsed(
+                        (offset, len(line), lineno))
+                elif line.strip():
+                    self._load_unframed(line, lineno)
+                offset += len(line)
+
+    def _load_unframed(self, line: bytes, lineno: int) -> None:
+        """A line ``put`` did not frame: parsed here and now, in full."""
+        try:
+            rec = json.loads(line)
+            key = rec["key"]
+            payload = rec["payload"]
+        except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
+                TypeError):
+            if (not line.endswith(b"\n")
+                    or is_torn_fragment(line, (_FRAME_HEAD,))):
+                # A torn append (crash mid-write), still the file's tail
+                # or since terminated by the next append: that one result
+                # is lost and will be recomputed; every other line is
+                # intact.
+                self.metrics.counter("store.corrupt_lines").inc()
+                return
+            raise self._corrupt(lineno) from None
+        self._index[key] = payload
+
+    def _corrupt(self, lineno: int) -> ExecutionError:
+        return ExecutionError(
+            f"{self.path}:{lineno}: corrupt store line (not a "
+            f"{STORE_SCHEMA} record); move the file aside or "
+            "restart without --store")
+
+    def _parse(self, fh: IO[bytes], key: str, entry: _Unparsed) -> Any:
+        """First read of a framed line: parse its body, once, and keep the
+        payload in the index in place of the span."""
+        offset, length, lineno = entry
+        fh.seek(offset)
+        try:
+            rec = json.loads(fh.read(length))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise self._corrupt(lineno) from None
+        if rec["key"] != key:  # a second "key" member later in the body
+            raise self._corrupt(lineno)
+        payload = self._index[key] = rec["payload"]
+        return payload
 
     # -- the surface ---------------------------------------------------------
 
@@ -153,12 +258,22 @@ class ResultStore:
 
     def items(self) -> "list[tuple[str, dict[str, Any]]]":
         """``(key, payload)`` pairs in append order (``repro store ls``);
-        uncounted — inspection is not cache traffic."""
+        uncounted — inspection is not cache traffic.  Parses every payload
+        not read yet, so it is also the full-file body check."""
+        unread = [(key, entry) for key, entry in self._index.items()
+                  if type(entry) is _Unparsed]
+        if unread:
+            with open(self.path, "rb") as fh:
+                for key, entry in unread:
+                    self._parse(fh, key, entry)
         return list(self._index.items())
 
     def get(self, key: str) -> Optional[dict[str, Any]]:
         """The payload stored under ``key``; counts a hit or a miss."""
         payload = self._index.get(key)
+        if type(payload) is _Unparsed:
+            with open(self.path, "rb") as fh:
+                payload = self._parse(fh, key, payload)
         if payload is None:
             self.metrics.counter("store.misses").inc()
             return None

@@ -12,7 +12,8 @@ the genuinely lost tail (docs/service.md).
 
 Durability is the store's: one record per line through
 :func:`~repro.runtime.store.durable_append` (single ``O_APPEND`` write +
-fsync per record), torn-final-line tolerance on load.
+fsync per record, never welded onto a crashed writer's fragment), and
+torn-fragment tolerance on load.
 """
 
 from __future__ import annotations
@@ -23,8 +24,13 @@ import time
 from typing import Any, Optional
 
 from repro.errors import ConfigurationError
-from repro.runtime.store import durable_append
+from repro.runtime.store import durable_append, is_torn_fragment
 from repro.service.jobs import JOB_SCHEMA, QUEUED, TERMINAL, Job
+
+
+#: How ``_append``'s key-sorted records open: a state record with its
+#: ``error`` member, a submission with ``event``.
+_RECORD_HEADS = ('{"error":', '{"event":"submit",')
 
 
 class JobJournal:
@@ -80,8 +86,11 @@ class JobJournal:
                 event = rec["event"]
                 job_id = rec["id"]
             except (json.JSONDecodeError, KeyError, TypeError):
-                if i == len(lines) - 1 and not text.endswith("\n"):
-                    continue  # torn final append; that event is lost
+                if ((i == len(lines) - 1 and not text.endswith("\n"))
+                        or is_torn_fragment(line, _RECORD_HEADS)):
+                    # Torn append — the tail, or a fragment the next
+                    # append terminated; that event is lost.
+                    continue
                 raise ConfigurationError(
                     f"{self.path}:{i + 1}: corrupt journal line (not a "
                     f"{JOB_SCHEMA} record); move the file aside") from None

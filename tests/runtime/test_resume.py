@@ -11,6 +11,8 @@ uninterrupted reference.
 
 import json
 import os
+import pathlib
+import shutil
 import signal
 import subprocess
 import sys
@@ -86,6 +88,69 @@ class TestChaosResume:
                              "--metrics-out", str(out)]) == 0
         capsys.readouterr()
         assert out.read_text() == ref.read_text()
+
+    def test_resume_builds_each_scenario_once(self, tmp_path, monkeypatch):
+        # The key and the StoredVerdict's scenario come from one RunSpec:
+        # a full-store resume expands each run seed exactly once.
+        from repro import chaos
+        from repro.runtime.store import ResultStore
+
+        cfg = chaos.ChaosConfig(campaigns=3, seed=11, max_time=400.0)
+        path = tmp_path / "s.jsonl"
+        fresh = chaos.run_campaign(cfg, store=ResultStore(path))
+
+        built = []
+        real_build_run = chaos.build_run
+
+        def counting_build_run(run_seed, run_cfg):
+            built.append(run_seed)
+            return real_build_run(run_seed, run_cfg)
+
+        monkeypatch.setattr(chaos, "build_run", counting_build_run)
+        store = ResultStore(path)
+        resumed = chaos.run_campaign(cfg, store=store, resume=True)
+        assert len(built) == cfg.campaigns
+        assert store.stats()["store.hits"] == cfg.campaigns
+        assert resumed.to_json() == fresh.to_json()
+        assert ([v.scenario for v in resumed.verdicts]
+                == [v.scenario for v in fresh.verdicts])
+
+    def test_a_store_written_before_the_index_resumes_unchanged(
+            self, tmp_path, capsys):
+        # data/store_pr15.jsonl was written by the commit before the store
+        # opened by index (same line format, same salt): it must open,
+        # serve every run, and reproduce a fresh campaign byte for byte.
+        argv = ["chaos", "--campaigns", "3", "--seed", "11",
+                "--max-time", "400.0", "--json"]
+        store = tmp_path / "old.jsonl"
+        shutil.copy(pathlib.Path(__file__).parent / "data" /
+                    "store_pr15.jsonl", store)
+        before = store.read_bytes()
+        assert main(argv) == 0
+        reference = capsys.readouterr().out
+        assert main(argv + ["--store", str(store), "--resume"]) == 0
+        resumed = capsys.readouterr()
+        assert resumed.out == reference
+        assert "3 cache hit(s), 0 new result(s), 3 total" in resumed.err
+        assert store.read_bytes() == before
+
+    def test_resume_over_a_torn_tail_then_resume_again(self, tmp_path,
+                                                       capsys):
+        # kill -9 mid-append: the tail is a fragment.  The first resume
+        # recomputes that run and appends it — on a line of its own — so
+        # the second resume opens the file and finds everything cached.
+        store = tmp_path / "s.jsonl"
+        assert main(CHAOS + ["--store", str(store)]) == 0
+        reference = capsys.readouterr().out
+        store.write_bytes(store.read_bytes()[:-20])
+        assert main(CHAOS + ["--store", str(store), "--resume"]) == 0
+        first = capsys.readouterr()
+        assert first.out == reference
+        assert "3 cache hit(s), 1 new result(s)" in first.err
+        assert main(CHAOS + ["--store", str(store), "--resume"]) == 0
+        second = capsys.readouterr()
+        assert second.out == reference
+        assert "4 cache hit(s), 0 new result(s)" in second.err
 
 
 class TestSweepResume:

@@ -1,12 +1,45 @@
 """Content-addressed store: hashing, durability, and resumable_map."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.runtime import RunSpec, SupervisedExecutor
-from repro.runtime.store import ResultStore, resumable_map, spec_hash
+from repro.runtime.store import (
+    SPEC_HASH_VERSION,
+    ResultStore,
+    resumable_map,
+    spec_hash,
+)
+
+_pids = st.sampled_from(["p0", "p1", "p2", "p3"])
+_times = st.floats(min_value=0.0, max_value=900.0, allow_nan=False)
+_specs = st.builds(
+    RunSpec,
+    name=st.text(max_size=8),
+    graph=st.sampled_from(["ring:4", "clique:4", "grid:2x2"]),
+    seed=st.integers(min_value=0, max_value=2**63),
+    crashes=st.dictionaries(_pids, _times, max_size=3),
+    drop=st.floats(min_value=0.0, max_value=1.0),
+    partition=st.none() | st.fixed_dictionaries({
+        "side": st.lists(_pids, min_size=1, max_size=3, unique=True),
+        "start": _times, "end": _times}),
+    transport=st.none() | st.booleans() | st.fixed_dictionaries({
+        "rto_initial": _times, "rto_max": _times}),
+    slow=st.none() | st.fixed_dictionaries({
+        "endpoint": _pids, "factor": st.floats(min_value=1.0, max_value=4.0),
+        "extra_max": _times, "until": _times}),
+    spans=st.booleans(),
+    detector_params=st.fixed_dictionaries({}, optional={
+        "heartbeat_period": st.integers(min_value=1, max_value=9),
+        "initial_timeout": st.integers(min_value=1, max_value=40),
+        "backoff": st.floats(min_value=1.0, max_value=3.0)}),
+)
 
 
 class TestSpecHash:
@@ -41,6 +74,17 @@ class TestSpecHash:
         spec = build_run(2885616951, ChaosConfig(max_time=400.0))
         assert spec_hash(spec) == ("b03332d729d9394c31ded573a76b80c1"
                                    "86182469df67638d28eef293fc253055")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_specs)
+    def test_field_walk_hashes_as_the_deep_copy_did(self, spec):
+        # spec_hash no longer deep-copies the spec through asdict; the
+        # bytes it hashes must be the ones asdict's encoding produced.
+        blob = json.dumps(
+            {"version": SPEC_HASH_VERSION, "spec": dataclasses.asdict(spec)},
+            sort_keys=True, separators=(",", ":"), default=str)
+        assert spec_hash(spec) == hashlib.sha256(
+            blob.encode("utf-8")).hexdigest()
 
     def test_non_default_detector_changes_the_key(self):
         base = RunSpec(graph="ring:4", seed=7)
@@ -99,6 +143,43 @@ class TestResultStore:
         store.put("k2", {"v": 2})  # the corruption is now interior
         with pytest.raises(ExecutionError, match="corrupt store line"):
             ResultStore(path)
+
+    def test_put_after_a_torn_tail_does_not_weld(self, tmp_path):
+        # A writer crashed mid-append; the next put must land on a line of
+        # its own, so the open after that holds the old and the new entry.
+        path = tmp_path / "s.jsonl"
+        ResultStore(path).put("k1", {"v": 1})
+        whole = path.read_bytes()
+        with open(path, "ab") as fh:
+            fh.write(whole[:-9])  # k1's line again, minus its tail
+        survivor = ResultStore(path)
+        survivor.put("k2", {"v": 2})
+        reopened = ResultStore(path)
+        assert reopened.get("k1") == {"v": 1}
+        assert reopened.get("k2") == {"v": 2}
+        assert len(reopened) == 2
+        assert reopened.stats()["store.corrupt_lines"] == 1
+
+    def test_a_tail_torn_anywhere_is_survived(self, tmp_path):
+        # Every cut point of a record, including the ones that leave a
+        # fragment ending in "}}" (which a bare-newline terminator would
+        # turn into a well-framed line with a damaged body).
+        payload = {"a": {"b": {"c": 1}}, "d": [2]}
+        record = (json.dumps({"schema": "repro.store.v1", "key": "torn",
+                              "payload": payload},
+                             separators=(",", ":")) + "\n").encode()
+        path = tmp_path / "s.jsonl"
+        for cut in range(1, len(record)):
+            path.write_bytes(record.replace(b"torn", b"kept") + record[:cut])
+            ResultStore(path).put("next", {"v": cut})
+            reopened = ResultStore(path)
+            want = {"kept": payload, "next": {"v": cut}}
+            # cut just before the newline: the record itself was whole
+            lost = 0 if cut == len(record) - 1 else 1
+            if not lost:
+                want["torn"] = payload
+            assert dict(reopened.items()) == want, cut
+            assert reopened.stats().get("store.corrupt_lines", 0) == lost, cut
 
     def test_directory_path_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="is a directory"):

@@ -136,6 +136,21 @@ def test_replay_tolerates_torn_final_line(tmp_path):
     assert len(recovered) == 1 and recovered[0].state == DONE
 
 
+def test_record_after_a_torn_tail_does_not_weld(tmp_path):
+    # The daemon died mid-append; the restarted one journals on.  The new
+    # record must not be welded onto the fragment, and the fragment — now
+    # an interior line — must not make the next replay refuse the file.
+    job = make_job(job_id="j1")
+    journal = journal_with(tmp_path, (job, [RUNNING]))
+    whole = journal.path.read_bytes()
+    for cut in (4, 30, len(whole.splitlines()[-1]) - 1):
+        journal.path.write_bytes(whole + whole.splitlines()[-1][:cut])
+        job.state = DONE
+        journal.record_state(job)
+        recovered = journal.replay()
+        assert len(recovered) == 1 and recovered[0].state == DONE
+
+
 def test_replay_rejects_corrupt_interior_line(tmp_path):
     journal = journal_with(tmp_path, (make_job(job_id="j1"), [DONE]))
     with open(journal.path, "a", encoding="utf-8") as fh:

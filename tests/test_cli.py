@@ -370,6 +370,23 @@ def test_store_ls_renders_table_and_counters(tmp_path, capsys):
     assert len(entry["spec_key"]) == 64
 
 
+def test_store_ls_reports_a_damaged_body_as_one_line(tmp_path, capsys):
+    # Opening validates framing only; ls parses every payload, so damage
+    # inside a well-framed line surfaces here — as the same one-line
+    # error and exit code a failed open gives, not a traceback.
+    from repro.runtime.store import ResultStore
+
+    store = tmp_path / "store.jsonl"
+    ResultStore(store).put("k1", {"record": {"summary": {"name": "x"}}})
+    store.write_bytes(store.read_bytes().replace(b'"name":', b'"name"'))
+    assert main(["store", "ls", str(store)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"repro store: error: {store}:1: corrupt store "
+                            "line (not a repro.store.v1 record); move the "
+                            "file aside or restart without --store\n")
+
+
 def test_store_ls_missing_file_is_usage_error(tmp_path, capsys):
     rc = main(["store", "ls", str(tmp_path / "nope.jsonl")])
     assert rc == 2
