@@ -41,6 +41,7 @@ from repro.runtime import (
     fanout_seeds,
     parse_graph,
 )
+from repro.runtime.result import result_payload
 from repro.runtime.store import ResultStore, resumable_map, spec_hash
 from repro.sim.faults import CrashSchedule
 
@@ -218,7 +219,13 @@ def build_run(run_seed: int, cfg: ChaosConfig) -> RunSpec:
 
 @dataclass
 class RunVerdict:
-    """Outcome of one chaos run: invariant failures plus a replay recipe."""
+    """Outcome of one chaos run: invariant failures plus a replay recipe.
+
+    Everything it reports is a function of its scenario and the run's
+    ``summary`` — the same function whether the run was just executed or
+    read back from the store (:class:`StoredVerdict`), which is what
+    makes a resumed campaign byte-identical to a fresh one.
+    """
 
     index: int
     run_seed: int
@@ -231,9 +238,19 @@ class RunVerdict:
         return not self.failures
 
     def replay_command(self, cfg: ChaosConfig) -> str:
-        return _replay_command(self.run_seed, cfg)
+        flags = cfg.cli_flags()
+        return ("python -m repro chaos --replay "
+                f"{self.run_seed}{' ' + flags if flags else ''}")
+
+    def _run_summary(self) -> Mapping[str, Any]:
+        return self.report.summary()
+
+    def _record(self) -> dict[str, Any]:
+        return run_record(self.report)
 
     def summary(self) -> dict[str, Any]:
+        run = self._run_summary()
+        wait = run["max_hungry_wait"]
         return {
             "index": self.index,
             "run_seed": self.run_seed,
@@ -241,7 +258,7 @@ class RunVerdict:
             "failures": list(self.failures),
             # Sink mode the verdict's trace was recorded under, so a
             # truncated-trace replay is never misread as missing events.
-            "trace_mode": self.report.trace_mode,
+            "trace_mode": run["trace_mode"],
             "graph": self.scenario.graph,
             "algorithm": self.scenario.algorithm,
             "client": self.scenario.client,
@@ -251,30 +268,24 @@ class RunVerdict:
                           if self.scenario.partition else None),
             "crashes": dict(self.scenario.crashes),
             "slow": dict(self.scenario.slow) if self.scenario.slow else None,
-            "messages_sent": self.report.metrics.messages_sent,
-            "messages_dropped": self.report.metrics.messages_dropped,
-            "messages_duplicated": self.report.metrics.messages_duplicated,
-            "retransmissions": self.report.metrics.retransmissions,
-            "exclusion_violations": (self.report.exclusion.count
-                                     if self.report.checked else None),
-            # End of the latest exclusion violation (None when the run was
-            # unchecked or violation-free): the ◇WX quiet-suffix evidence
-            # the lattice verdict reads.
-            "last_violation_end": (
-                self.report.exclusion.last_violation_end
-                if self.report.checked else None),
-            "max_hungry_wait": (round(self.report.wait_freedom.max_wait, 2)
-                                if self.report.checked else None),
-            # Detector-quality telemetry (None when the obs knob is off).
-            "convergence_time": self.report.convergence_time,
-            "wrongful_suspicions": self.report.wrongful_suspicions,
-            "suspicion_churn": self.report.suspicion_churn,
+            "messages_sent": run["messages_sent"],
+            "messages_dropped": run["messages_dropped"],
+            "messages_duplicated": run["messages_duplicated"],
+            "retransmissions": run["retransmissions"],
+            # The verdict fields below are None on an unchecked run, the
+            # telemetry ones when the obs knob is off.
+            "exclusion_violations": run["exclusion_violations"],
+            "last_violation_end": run["last_violation_end"],
+            "max_hungry_wait": None if wait is None else round(wait, 2),
+            "convergence_time": run["convergence_time"],
+            "wrongful_suspicions": run["wrongful_suspicions"],
+            "suspicion_churn": run["suspicion_churn"],
         }
 
     def run_record(self) -> dict[str, Any]:
         """The ``--metrics-out`` JSONL record: full metric snapshot plus
         the flat verdict summary."""
-        return run_record(self.report, verdict=self.summary())
+        return {**self._record(), "verdict": self.summary()}
 
     def span_records(self) -> list[dict[str, Any]]:
         """This run's ``repro.span.v1`` records (empty when the campaign's
@@ -290,20 +301,25 @@ def check_invariants(report: RunResult, cfg: ChaosConfig) -> list[str]:
     metrics-only by construction and report no failures; the verdict's
     ``trace_mode`` field keeps that visible downstream.
     """
-    if not report.checked:
+    return _failures(report.summary())
+
+
+def _failures(run: Mapping[str, Any]) -> list[str]:
+    """The invariant battery over one run ``summary``."""
+    if not run["checked"]:
         return []
     failures = []
-    if not report.wait_freedom.ok:
+    if not run["wait_free"]:
         failures.append(
             "wait-freedom: starving "
-            f"{', '.join(report.wait_freedom.starving)}")
-    if not report.violations_justified:
+            f"{', '.join(run['starving'])}")
+    if not run["violations_justified"]:
         failures.append(
             "eventual-weak-exclusion: unjustified violation — simultaneous "
             "eating without an oracle mistake at session start")
-    if not report.oracle_accuracy_ok:
+    if not run["oracle_accuracy_ok"]:
         failures.append("oracle-accuracy: correct process still suspected")
-    if not report.oracle_completeness_ok:
+    if not run["oracle_completeness_ok"]:
         failures.append("oracle-completeness: crashed process not suspected")
     return failures
 
@@ -316,66 +332,31 @@ def run_one(index: int, run_seed: int, cfg: ChaosConfig) -> RunVerdict:
                       report=report, failures=check_invariants(report, cfg))
 
 
-def _replay_command(run_seed: int, cfg: ChaosConfig) -> str:
-    flags = cfg.cli_flags()
-    return ("python -m repro chaos --replay "
-            f"{run_seed}{' ' + flags if flags else ''}")
-
-
-# -- checkpoint/resume --------------------------------------------------------
-
-
-def _verdict_payload(verdict: RunVerdict) -> dict[str, Any]:
-    """The store payload for one completed run: the flat verdict summary
-    plus the full ``--metrics-out`` record — everything campaign
-    aggregation reads, so a resumed campaign reproduces an uninterrupted
-    one byte for byte without re-simulating.  Span records ride along
-    only when the campaign collects them (the ``spans`` knob), so
-    spans-off stores don't grow."""
-    payload = {"run_seed": verdict.run_seed, "verdict": verdict.summary(),
-               "record": verdict.run_record()}
-    if verdict.report.spans is not None:
-        payload["spans"] = verdict.span_records()
-    return payload
-
-
-class StoredVerdict:
+class StoredVerdict(RunVerdict):
     """A chaos run served from the :class:`ResultStore` instead of
-    re-simulated: duck-types the slice of :class:`RunVerdict` campaign
-    aggregation uses, returning the stored summary and record verbatim
-    (key order preserved), so resumed aggregates are byte-identical."""
+    re-simulated: the same views, derived from the stored record's
+    ``summary`` instead of a live report."""
 
     def __init__(self, index: int, run_seed: int, scenario: RunSpec,
                  payload: Mapping[str, Any]) -> None:
-        self.index = index
-        self.run_seed = run_seed
-        self.scenario = scenario
-        self._summary = dict(payload["verdict"])
-        self._record = dict(payload["record"])
-        self._spans = list(payload.get("spans") or ())
-        self.failures = list(self._summary.get("failures", ()))
-        # No trace and no re-derived verdict objects — aggregation reads
-        # the stored dicts; the report carries the sink mode only.
-        self.report = RunResult(
-            trace_mode=str(self._summary.get("trace_mode", "full")))
+        self._payload = payload
+        run = self._run_summary()
+        # No trace and no verdict objects — the report carries the sink
+        # mode only.
+        super().__init__(index, run_seed, scenario,
+                         RunResult(trace_mode=run["trace_mode"]),
+                         _failures(run))
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    def _run_summary(self) -> Mapping[str, Any]:
+        return self._payload["record"]["summary"]
 
-    def replay_command(self, cfg: ChaosConfig) -> str:
-        return _replay_command(self.run_seed, cfg)
-
-    def summary(self) -> dict[str, Any]:
-        return dict(self._summary)
-
-    def run_record(self) -> dict[str, Any]:
-        return dict(self._record)
+    def _record(self) -> dict[str, Any]:
+        return self._payload["record"]
 
     def span_records(self) -> list[dict[str, Any]]:
-        """The stored ``repro.span.v1`` records, verbatim (empty for runs
-        stored by a spans-off campaign)."""
-        return [dict(r) for r in self._spans]
+        """The stored ``repro.span.v1`` records, verbatim (empty for a
+        spans-off run)."""
+        return [dict(r) for r in self._payload.get("spans", ())]
 
 
 @dataclass
@@ -474,15 +455,17 @@ def run_campaign(cfg: ChaosConfig, workers: int = 1,
     ``workers=4`` reproduces ``workers=1`` exactly, per seed (the
     determinism suite in ``tests/runtime/test_executor.py`` pins this).
 
-    With a ``store``, each run's verdict is checkpointed under its
-    content address — the :func:`spec_hash` of the scenario its run seed
-    expands to, so the key captures every campaign knob that shapes the
-    run — the moment it completes, so an
-    interrupted campaign keeps everything already computed; with
-    ``resume`` as well, stored runs are served from the store instead of
-    re-simulated, and the aggregates (tables, ``--json``, telemetry,
-    metrics records) are byte-identical to an uninterrupted campaign
-    (pinned by ``tests/runtime/test_resume.py``).
+    With a ``store``, each run's result envelope
+    (:func:`~repro.runtime.result.result_payload`, the one shape every
+    surface stores) is checkpointed under its content address — the
+    :func:`spec_hash` of the scenario its run seed expands to, so the key
+    captures every campaign knob that shapes the run — the moment it
+    completes, so an interrupted campaign keeps everything already
+    computed; with ``resume`` as well, stored runs — whichever of ``repro
+    chaos``, ``lattice``, ``sweep`` or ``serve`` computed them — are
+    served from the store instead of re-simulated, and the aggregates
+    (tables, ``--json``, telemetry, metrics records) are byte-identical to
+    an uninterrupted campaign (pinned by ``tests/runtime/test_resume.py``).
 
     Pass an ``executor`` to control supervision knobs (per-task timeout,
     retry policy, self-chaos fault hook); by default one is built from
@@ -503,18 +486,12 @@ def run_campaign(cfg: ChaosConfig, workers: int = 1,
         # the same RunSpec.
         scenarios = [build_run(run_seed, cfg) for run_seed in seeds]
 
-        def decode(payload, i, task):
-            # Another surface's entry (sweep / service) under a colliding
-            # key carries no verdict: a miss, recomputed and overwritten.
-            if "verdict" not in payload:
-                return None
-            return StoredVerdict(task[0], task[1], scenarios[i], payload)
-
         verdicts = resumable_map(
             _run_one_detached, tasks,
             keys=[spec_hash(scenario) for scenario in scenarios],
-            encode=_verdict_payload,
-            decode=decode,
+            encode=lambda verdict: result_payload(verdict.report),
+            decode=lambda payload, i, task: StoredVerdict(
+                task[0], task[1], scenarios[i], payload),
             store=store, resume=resume, executor=executor,
             on_result=on_result,
         )

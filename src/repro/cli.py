@@ -152,26 +152,24 @@ def cmd_scenario(path: str, metrics_out: str | None = None,
 
 def _sweep_one(spec) -> dict:
     """One sweep run (module-level so worker pools pickle it by reference)."""
-    from repro.obs import run_record
     from repro.runtime import execute
+    from repro.runtime.result import result_payload
 
-    report = execute(spec)
-    stats = {"messages": float(report.metrics.messages_sent)}
-    if report.checked:
+    return result_payload(execute(spec))
+
+
+def _sweep_stats(run: dict) -> dict:
+    """One run's sweep statistics, read off its record's ``summary``."""
+    stats = {"messages": float(run["messages_sent"])}
+    if run["checked"]:
         stats.update({
-            "wait_free": 1.0 if report.wait_freedom.ok else 0.0,
-            "max_wait": report.wait_freedom.max_wait,
-            "violations": float(report.exclusion.count),
-            "last_violation": report.exclusion.last_violation_end,
-            "worst_overtaking": float(report.fairness.worst_overall()),
+            "wait_free": 1.0 if run["wait_free"] else 0.0,
+            "max_wait": run["max_hungry_wait"],
+            "violations": float(run["exclusion_violations"]),
+            "last_violation": run["last_violation_end"],
+            "worst_overtaking": float(run["worst_overtaking"]),
         })
-    row = {
-        "stats": stats,
-        "record": run_record(report.detach_trace()),
-    }
-    if report.spans is not None:
-        row["spans"] = report.span_records()
-    return row
+    return stats
 
 
 def cmd_sweep(path: str, seeds: Sequence[int], workers: int = 1,
@@ -205,10 +203,7 @@ def cmd_sweep(path: str, seeds: Sequence[int], workers: int = 1,
             _sweep_one, shards,
             keys=[spec_hash(shard) for shard in shards],
             encode=lambda row: row,
-            # A stored payload without sweep stats is another surface's
-            # entry (the service's, say) under the same spec key: a miss.
-            decode=lambda payload, i, item: (
-                payload if "stats" in payload else None),
+            decode=lambda payload, i, item: payload,
             store=store, resume=resume,
             executor=SupervisedExecutor(workers=workers,
                                         timeout=task_timeout),
@@ -216,7 +211,8 @@ def cmd_sweep(path: str, seeds: Sequence[int], workers: int = 1,
     finally:
         if progress is not None:
             progress.finish()
-    by_seed = dict(zip(seeds, (row["stats"] for row in rows)))
+    by_seed = {seed: _sweep_stats(row["record"]["summary"])
+               for seed, row in zip(seeds, rows)}
     stats = sweep_many(lambda seed: by_seed[seed], seeds)
     table = Table(["metric", "mean ± std [min, max] (n)"],
                   title=f"sweep: {base.name} over {len(list(seeds))} seeds")
@@ -321,7 +317,7 @@ def cmd_chaos(args) -> int:
     import json
 
     from repro.chaos import replay, run_campaign
-    from repro.errors import ConfigurationError
+    from repro.errors import ConfigurationError, ExecutionError
     from repro.runtime import SupervisedExecutor
 
     try:
@@ -364,6 +360,8 @@ def cmd_chaos(args) -> int:
             on_result=(None if progress is None else progress.update))
     except KeyboardInterrupt:
         return _report_interrupt(args, store, "repro chaos")
+    except ExecutionError as exc:  # e.g. a stored body that fails to parse
+        return _fail_usage("repro chaos", str(exc))
     finally:
         if progress is not None:
             progress.finish()
@@ -701,9 +699,10 @@ def cmd_store(args) -> int:
 
 
 def _store_digest(payload) -> dict:
-    """Human row for one store payload: every writer (service runs, chaos
-    verdicts, sweep rows) embeds a ``record.summary`` block; degrade to
-    blanks on anything else rather than failing the listing."""
+    """Human row for one store payload: every writer stores the
+    ``repro.result.v1`` envelope, whose ``record.summary`` block this
+    reads; degrade to blanks on anything else rather than failing the
+    listing."""
     record = payload.get("record") if isinstance(payload, dict) else None
     summary = record.get("summary") if isinstance(record, dict) else None
     if not isinstance(summary, dict):
@@ -1072,6 +1071,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                                 trace_sink=args.trace_sink,
                                 spans_out=args.spans_out)
         if args.command == "sweep":
+            from repro.errors import ExecutionError
             from repro.runtime import fanout_seeds
 
             store, err = _open_store(args, "repro sweep")
@@ -1090,6 +1090,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                                      args, args.seeds, "sweep"))
             except KeyboardInterrupt:
                 return _report_interrupt(args, store, "repro sweep")
+            except ExecutionError as exc:
+                return _fail_usage("repro sweep", str(exc))
             _report_store(args, store, "repro sweep")
             return code
         if args.command == "chaos":

@@ -52,9 +52,10 @@ def progress_sample(value: Any) -> dict[str, Any]:
 
     Duck-types everything the campaign executors hand back: chaos
     ``RunVerdict`` / ``StoredVerdict`` (via ``run_record()``), bare
-    ``RunResult``-likes (via ``summary()``), and sweep row dicts (the
-    ``record`` block).  Unknown shapes degrade to an empty sample rather
-    than raising — progress reporting must never kill a campaign.
+    ``RunResult``-likes (via ``summary()``), and ``repro.result.v1``
+    envelopes from sweeps and the service (the ``record`` block).
+    Unknown shapes degrade to an empty sample rather than raising —
+    progress reporting must never kill a campaign.
     """
     rec: Any = None
     if isinstance(value, Mapping):

@@ -6,6 +6,11 @@ and a handle on the trace (plus the sink mode that produced it, so a
 truncated trace is never misread as a complete one).  Chaos
 ``RunVerdict`` carries one as its ``report``; :meth:`RunResult.render`
 is the table ``repro scenario`` prints.
+
+:func:`result_payload` is the one stored form of a run: what every
+surface (``repro sweep``, ``repro chaos`` / ``lattice``, ``repro serve``)
+puts in the :class:`~repro.runtime.store.ResultStore` under the run's
+spec key, and the only thing any of them reads back.
 """
 
 from __future__ import annotations
@@ -15,11 +20,15 @@ from typing import Any, Optional, TYPE_CHECKING
 
 from repro.dining.fairness import FairnessReport
 from repro.dining.spec import ExclusionReport, WaitFreedomReport
+from repro.obs.exporters import run_record
 from repro.obs.registry import MetricsSnapshot
 from repro.sim.metrics import RunMetrics
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.trace import Trace
+
+#: Schema tag on every stored / served result payload.
+RESULT_SCHEMA = "repro.result.v1"
 
 
 @dataclass
@@ -155,7 +164,10 @@ class RunResult:
         Every field is present in every mode: verdict fields are ``None``
         on unchecked runs, cost fields are ``None`` when no
         :class:`RunMetrics` was collected, convergence fields are ``None``
-        when the ``obs`` knob was off.
+        when the ``obs`` knob was off.  Every view a campaign surface
+        prints (sweep statistics, the chaos verdict, a lattice cell) is a
+        function of the spec and this dict, which is why the dict is all
+        the store keeps of a run's verdicts.
         """
         m = self.metrics
         return {
@@ -165,11 +177,20 @@ class RunResult:
             "checked": self.checked,
             "ok": self.ok if self.checked else None,
             "wait_free": self.wait_freedom.ok if self.checked else None,
+            "starving": (list(self.wait_freedom.starving)
+                         if self.checked else None),
             "max_hungry_wait": (round(self.wait_freedom.max_wait, 6)
                                 if self.checked else None),
             "exclusion_violations": (self.exclusion.count
                                      if self.checked else None),
+            # End of the latest exclusion violation (None when the run was
+            # unchecked or violation-free): the ◇WX quiet-suffix evidence
+            # the lattice verdict reads.
+            "last_violation_end": (self.exclusion.last_violation_end
+                                   if self.checked else None),
             "violations_justified": self.violations_justified,
+            "worst_overtaking": (self.fairness.worst_overall()
+                                 if self.checked else None),
             "oracle_accuracy_ok": self.oracle_accuracy_ok,
             "oracle_completeness_ok": self.oracle_completeness_ok,
             "messages_sent": None if m is None else m.messages_sent,
@@ -221,3 +242,17 @@ class RunResult:
                            ["virtual time", self.end_time]]:
             table.add_row(row)
         return table.render() + footer
+
+
+def result_payload(result: RunResult) -> dict[str, Any]:
+    """The ``repro.result.v1`` envelope for one executed run: its spec
+    key and its ``repro.run.v1`` record, plus its ``repro.span.v1``
+    records exactly when the spec's ``spans`` knob collected them."""
+    payload = {
+        "schema": RESULT_SCHEMA,
+        "spec_key": result.spec_key,
+        "record": run_record(result),
+    }
+    if result.spans is not None:
+        payload["spans"] = result.span_records()
+    return payload

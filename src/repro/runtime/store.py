@@ -70,7 +70,10 @@ STORE_SCHEMA = "repro.store.v1"
 #: change incompatibly, so stale stores miss instead of serving results
 #: computed under different rules.  The store is a cache — entries
 #: written under an older salt are never read again and simply re-run.
-SPEC_HASH_VERSION = "repro.spec.v5"  # v5: one salt, oracle knob removed
+#: v6: what a key *holds* changed — every surface stores the one
+#: ``repro.result.v1`` envelope, whose summary carries three more fields
+#: (``starving``, ``last_violation_end``, ``worst_overtaking``).
+SPEC_HASH_VERSION = "repro.spec.v6"
 
 
 def canonical_spec(spec: RunSpec) -> dict[str, Any]:
@@ -301,7 +304,7 @@ def resumable_map(
     keys: Sequence[str],
     *,
     encode: Callable[[R], Mapping[str, Any]],
-    decode: Callable[[dict[str, Any], int, T], Optional[R]],
+    decode: Callable[[dict[str, Any], int, T], R],
     store: Optional[ResultStore] = None,
     resume: bool = False,
     executor: Optional[SupervisedExecutor] = None,
@@ -311,15 +314,13 @@ def resumable_map(
 
     ``keys[i]`` is the content address of ``items[i]``.  With ``resume``,
     stored keys are served from ``store`` via ``decode(payload, i, item)``
-    without executing.  ``decode`` returns ``None`` for a payload its
-    surface did not write (the CLI and the service store different
-    shapes under the same spec key); such an entry is a miss — the item
-    executes and its result overwrites the entry, last write wins.
-    Fresh results are checkpointed via ``encode`` the moment they land
-    (completion order), so an interruption at any point loses at most the
-    tasks still in flight.  Results come back in item order either way —
-    and, because every task is a pure function of its item, a resumed map
-    returns exactly what an uninterrupted one would.
+    without executing; ``decode`` is total — whatever is stored under a
+    key is that item's result, so a hit is a hit.  Fresh results are
+    checkpointed via ``encode`` the moment they land (completion order),
+    so an interruption at any point loses at most the tasks still in
+    flight.  Results come back in item order either way — and, because
+    every task is a pure function of its item, a resumed map returns
+    exactly what an uninterrupted one would.
 
     ``on_result(index, value, cached)`` fires once per item as it lands:
     at load for cache hits (``cached=True``), in completion order for
@@ -334,11 +335,10 @@ def resumable_map(
     todo: list[int] = []
     for i, key in enumerate(keys):
         payload = store.get(key) if resume else None
-        value = None if payload is None else decode(payload, i, items[i])
-        if value is None:
+        if payload is None:
             todo.append(i)
             continue
-        results[i] = value
+        results[i] = value = decode(payload, i, items[i])
         if on_result is not None:
             on_result(i, value, True)
 

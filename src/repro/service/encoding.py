@@ -3,11 +3,12 @@
 The service's whole caching argument rests on one invariant: the bytes
 ``GET /v1/runs/<spec_key>`` serves are exactly the bytes a local
 ``repro.run()`` of the same spec would produce under the same encoding.
-That holds because both sides funnel through the two functions here:
+That holds because both sides funnel through the same two functions:
 
-* :func:`result_payload` — the plain-data envelope for one executed
-  :class:`~repro.runtime.result.RunResult` (spec key + the
-  ``repro.run.v1`` record the JSONL exporters already emit), and
+* :func:`~repro.runtime.result.result_payload` — the plain-data
+  envelope for one executed :class:`~repro.runtime.result.RunResult`
+  (spec key + the ``repro.run.v1`` record the JSONL exporters already
+  emit), the same one the CLI campaigns store, and
 * :func:`payload_bytes` — its deterministic JSON encoding (sorted keys,
   compact separators, via :func:`repro.obs.exporters.dumps_record`).
 
@@ -24,21 +25,12 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.obs.exporters import dumps_record, run_record
-from repro.runtime.result import RunResult
+from repro.obs.exporters import dumps_record
+from repro.runtime.result import RESULT_SCHEMA, result_payload
 from repro.runtime.spec import RunSpec
 
-#: Schema tag on every service result payload.
-RESULT_SCHEMA = "repro.result.v1"
-
-
-def result_payload(result: RunResult) -> dict[str, Any]:
-    """The service's canonical plain-data envelope for one run result."""
-    return {
-        "schema": RESULT_SCHEMA,
-        "spec_key": result.spec_key,
-        "record": run_record(result),
-    }
+__all__ = ["RESULT_SCHEMA", "execute_spec_payload", "payload_bytes",
+           "result_payload"]
 
 
 def payload_bytes(payload: Mapping[str, Any]) -> bytes:

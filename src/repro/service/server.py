@@ -65,11 +65,7 @@ from repro.runtime.store import (
     spec_hash,
 )
 from repro.service import jobs as jobstates
-from repro.service.encoding import (
-    RESULT_SCHEMA,
-    execute_spec_payload,
-    payload_bytes,
-)
+from repro.service.encoding import execute_spec_payload, payload_bytes
 from repro.service.jobs import Job, next_job_id
 from repro.service.journal import JobJournal
 
@@ -113,15 +109,6 @@ class ServiceConfig:
     @property
     def journal(self) -> str:
         return self.journal_path or self.store_path + ".jobs"
-
-
-def _own_payload(payload: Optional[dict]) -> Optional[dict]:
-    """The stored payload when the service wrote it (served verbatim),
-    else None: the CLI stores other shapes under the same spec keys, and
-    such an entry is a miss here — re-executed and overwritten."""
-    if payload is not None and payload.get("schema") == RESULT_SCHEMA:
-        return payload
-    return None
 
 
 class CampaignService:
@@ -242,7 +229,8 @@ class CampaignService:
     def _execute_job(self, job: Job, loop: asyncio.AbstractEventLoop) -> None:
         """Executor-thread body: run the job's specs with per-seed cache
         hits served from the store and fresh results checkpointed into
-        it (exactly the CLI's ``--store --resume`` machinery)."""
+        it (exactly the CLI's ``--store --resume`` machinery, and the
+        same stored envelope: either side's entries are hits here)."""
         def on_result(index: int, payload: dict, cached: bool) -> None:
             loop.call_soon_threadsafe(
                 self._record_result, job, index, payload, cached)
@@ -250,7 +238,7 @@ class CampaignService:
         resumable_map(
             execute_spec_payload, job.specs, keys=job.spec_keys,
             encode=lambda payload: payload,
-            decode=lambda payload, i, item: _own_payload(payload),
+            decode=lambda payload, i, item: payload,
             store=self.store, resume=True,
             executor=SupervisedExecutor(workers=self.config.workers,
                                         timeout=self.config.task_timeout),
@@ -357,8 +345,7 @@ class CampaignService:
         # Cache hit: served synchronously, no job scheduled.  The counted
         # get keeps /metrics hit accounting exact; a miss is counted when
         # the job's resumable_map looks the key up.
-        payload = (_own_payload(self.store.get(key))
-                   if key in self.store else None)
+        payload = self.store.get(key) if key in self.store else None
         if payload is not None:
             self.registry.counter("service.cache_served").inc()
             await self._respond(writer, 200, {
@@ -401,7 +388,7 @@ class CampaignService:
             "spec_keys": keys})
 
     async def _get_run(self, writer, key: str) -> None:
-        payload = _own_payload(self.store.get(key))
+        payload = self.store.get(key)
         if payload is None:
             await self._respond(writer, 404, {
                 "error": "result not cached", "spec_key": key})

@@ -29,8 +29,31 @@ def _truncate_store(path, keep: int) -> None:
     path.write_text("".join(lines[:keep]))
 
 
+def _resume_over_a_damaged_body(argv, tmp_path, capsys) -> None:
+    """Damage inside a well-framed line passes the open and is refused at
+    that key's first get: ``--resume`` must say so in one line and exit 2,
+    as ``repro store ls`` does, not die in a traceback."""
+    store = tmp_path / "s.jsonl"
+    assert main(argv + ["--store", str(store)]) == 0
+    lines = store.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b'"summary":{', b'"summary":{{', 1)
+    store.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(argv + ["--store", str(store), "--resume"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"repro {argv[0]}: error: {store}:2: corrupt store line (not a "
+        "repro.store.v1 record); move the file aside or restart without "
+        "--store\n")
+
+
 CHAOS = ["chaos", "--campaigns", "4", "--seed", "11",
          "--max-time", "400.0", "--json"]
+
+#: Three chaos runs (seed 11, max-time 400) stored by the commit before
+#: the one-shape store: salt repro.spec.v5, {run_seed, verdict, record}.
+FIXTURE = pathlib.Path(__file__).parent / "data" / "store_pr15.jsonl"
 
 
 class TestChaosResume:
@@ -115,24 +138,48 @@ class TestChaosResume:
         assert ([v.scenario for v in resumed.verdicts]
                 == [v.scenario for v in fresh.verdicts])
 
-    def test_a_store_written_before_the_index_resumes_unchanged(
+    def test_a_pre_v6_store_reruns_and_pins_the_derived_verdict(
             self, tmp_path, capsys):
-        # data/store_pr15.jsonl was written by the commit before the store
-        # opened by index (same line format, same salt): it must open,
-        # serve every run, and reproduce a fresh campaign byte for byte.
+        # data/store_pr15.jsonl was written under salt repro.spec.v5 in
+        # the old chaos shape {run_seed, verdict, record}.  The line
+        # format is unchanged, so the file still opens; its keys are never
+        # looked up again, so every run re-executes and is appended after
+        # the old lines.  Its three stored verdict blocks were computed by
+        # the old RunVerdict.summary() from live reports: the view now
+        # derived from the run summary must equal them exactly.
         argv = ["chaos", "--campaigns", "3", "--seed", "11",
                 "--max-time", "400.0", "--json"]
         store = tmp_path / "old.jsonl"
-        shutil.copy(pathlib.Path(__file__).parent / "data" /
-                    "store_pr15.jsonl", store)
+        shutil.copy(FIXTURE, store)
         before = store.read_bytes()
         assert main(argv) == 0
         reference = capsys.readouterr().out
         assert main(argv + ["--store", str(store), "--resume"]) == 0
         resumed = capsys.readouterr()
         assert resumed.out == reference
-        assert "3 cache hit(s), 0 new result(s), 3 total" in resumed.err
-        assert store.read_bytes() == before
+        assert "0 cache hit(s), 3 new result(s), 6 total" in resumed.err
+        after = store.read_bytes()
+        assert after[:len(before)] == before
+        old_lines = before.splitlines()
+        new_lines = after[len(before):].splitlines()
+        assert len(new_lines) == 3
+        old = [json.loads(line)["payload"]["verdict"] for line in old_lines]
+        # dumps, not ==: key order and float repr are part of "exactly"
+        assert (json.dumps(json.loads(resumed.out)["runs"])
+                == json.dumps(old))
+        # One envelope per key, the verdict stored nowhere: each line sheds
+        # two verdict blocks (-21..-24 % by the fixture's byte counts).
+        for old_line, new_line in zip(old_lines, new_lines):
+            payload = json.loads(new_line)["payload"]
+            assert sorted(payload) == ["record", "schema", "spec_key"]
+            assert "verdict" not in payload["record"]
+            assert (payload["record"]["summary"]["seed"]
+                    == json.loads(old_line)["payload"]["run_seed"])
+            assert len(new_line) <= 0.85 * len(old_line)
+
+    def test_resume_reports_a_damaged_body_as_one_line(self, tmp_path,
+                                                       capsys):
+        _resume_over_a_damaged_body(CHAOS, tmp_path, capsys)
 
     def test_resume_over_a_torn_tail_then_resume_again(self, tmp_path,
                                                        capsys):
@@ -174,6 +221,12 @@ class TestSweepResume:
         resumed = capsys.readouterr()
         assert resumed.out == reference
         assert "2 cache hit(s)" in resumed.err
+
+    def test_resume_reports_a_damaged_body_as_one_line(self, tmp_path,
+                                                       capsys):
+        _resume_over_a_damaged_body(
+            ["sweep", self._scenario(tmp_path), "--seeds", "4"],
+            tmp_path, capsys)
 
 
 @pytest.mark.slow

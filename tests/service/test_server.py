@@ -212,62 +212,130 @@ def test_restart_reenqueues_incomplete_journaled_jobs(tmp_path):
         assert embedded.shutdown() is True
 
 
-# The CLI and the service key their payloads by the same spec_hash but store
-# different shapes; an entry another surface wrote is a miss, never a crash.
+# The CLI and the service store the same repro.result.v1 envelope under the
+# same spec_hash, so what either surface computed is a hit for the other.
 SWEPT = {"name": "svc", "graph": "ring:3", "seed": 7, "max_time": 200.0}
 
+#: Knobs that change what an envelope holds, spelled the same on RunSpec
+#: and ChaosConfig: spans ride along iff ``spans``; a ``counters`` run is
+#: unchecked, so every verdict field in its summary is None.
+CONFIGS = {"default": {}, "spans": {"spans": True},
+           "counters": {"trace": "counters"}}
+cross_surface = pytest.mark.parametrize("knobs", CONFIGS.values(),
+                                        ids=CONFIGS)
 
-def _sweep(tmp_path, capsys, *extra) -> str:
+
+def _sweep(tmp_path, capsys, spec, *extra):
+    """``repro sweep`` over two seeds: (stdout, stderr, metrics, spans)."""
     from repro.cli import main
 
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(SWEPT))
+    path, metrics, spans = (tmp_path / name for name in
+                            ("spec.json", "metrics.jsonl", "spans.jsonl"))
+    path.write_text(json.dumps(spec))
+    if spec.get("spans"):
+        extra += ("--spans-out", str(spans))
     capsys.readouterr()
     assert main(["sweep", str(path), "--seed", "7", "--seeds", "2",
-                 *extra]) == 0
-    return capsys.readouterr().out
+                 "--metrics-out", str(metrics), *extra]) == 0
+    captured = capsys.readouterr()
+    return (captured.out, captured.err, metrics.read_text(),
+            spans.read_text() if spec.get("spans") else None)
 
 
-def test_service_written_entries_are_misses_for_cli_resume(tmp_path, capsys):
-    from repro.chaos import ChaosConfig, build_run, fanout_seeds, run_campaign
+def _chaos_cfg(knobs):
+    from repro.chaos import ChaosConfig
+
+    return ChaosConfig(campaigns=2, seed=3, max_time=200.0, **knobs)
+
+
+def _chaos_specs(cfg) -> list:
+    from repro.chaos import build_run, fanout_seeds
+
+    return [canonical_spec(build_run(seed, cfg))
+            for seed in fanout_seeds(cfg.seed, cfg.campaigns)]
+
+
+def _assert_one_shape(store_path, knobs) -> int:
+    """Every entry is the one envelope; returns how many there are."""
+    from repro.runtime.store import ResultStore
+
+    keys = {"record", "schema", "spec_key"}
+    if knobs.get("spans"):
+        keys.add("spans")
+    items = ResultStore(store_path).items()
+    for key, payload in items:
+        assert set(payload) == keys
+        assert payload["schema"] == "repro.result.v1"
+        assert payload["spec_key"] == key
+        assert "verdict" not in payload["record"]
+    return len(items)
+
+
+@cross_surface
+def test_service_written_entries_are_hits_for_cli_resume(tmp_path, capsys,
+                                                         knobs):
+    from repro.chaos import run_campaign
     from repro.runtime.store import ResultStore
 
     store_path = str(tmp_path / "store.jsonl")
-    cfg = ChaosConfig(campaigns=2, seed=3, max_time=200.0)
+    spec, cfg = dict(SWEPT, **knobs), _chaos_cfg(knobs)
     with EmbeddedService(ServiceConfig(store_path=store_path,
                                        port=0)) as (host, port):
         client = Client(host, port)
-        jobs = [client.submit_campaign(SWEPT, runs=2)["job"]]
-        jobs += [client.submit_run(canonical_spec(build_run(seed, cfg)))["job"]
-                 for seed in fanout_seeds(cfg.seed, cfg.campaigns)]
+        jobs = [client.submit_campaign(spec, runs=2)["job"]]
+        jobs += [client.submit_run(s)["job"] for s in _chaos_specs(cfg)]
         for job in jobs:
             assert client.wait(job, timeout=120)["state"] == "done"
+    assert _assert_one_shape(store_path, knobs) == 4
 
-    fresh = _sweep(tmp_path, capsys)
-    assert _sweep(tmp_path, capsys, "--store", store_path,
-                  "--resume") == fresh
-    resumed = run_campaign(cfg, store=ResultStore(store_path), resume=True)
-    assert resumed.to_json() == run_campaign(cfg).to_json()
+    out, _, metrics, spans = _sweep(tmp_path, capsys, spec)
+    resumed = _sweep(tmp_path, capsys, spec, "--store", store_path,
+                     "--resume")
+    assert (resumed[0], resumed[2], resumed[3]) == (out, metrics, spans)
+    assert "2 cache hit(s), 0 new result(s), 4 total" in resumed[1]
+
+    store = ResultStore(store_path)
+    campaign = run_campaign(cfg, store=store, resume=True)
+    fresh = run_campaign(cfg)
+    # dumps: `chaos --json` prints it unsorted, so key order is output too
+    assert json.dumps(campaign.to_json()) == json.dumps(fresh.to_json())
+    assert campaign.run_records() == fresh.run_records()
+    assert campaign.span_records() == fresh.span_records()
+    assert bool(fresh.span_records()) == ("spans" in knobs)
+    stats = store.stats()
+    assert stats["store.hits"] == 2 and "store.puts" not in stats
+    if knobs.get("trace") == "counters":  # unchecked: nothing to derive from
+        for run in campaign.to_json()["runs"]:
+            assert run["ok"] is True and run["failures"] == []
+            assert (run["exclusion_violations"], run["last_violation_end"],
+                    run["max_hungry_wait"]) == (None, None, None)
 
 
-def test_cli_written_entries_are_misses_for_the_service(tmp_path, capsys):
+@cross_surface
+def test_cli_written_entries_are_hits_for_the_service(tmp_path, capsys,
+                                                      knobs):
+    from repro.chaos import run_campaign
+    from repro.runtime.store import ResultStore
+
     store_path = str(tmp_path / "store.jsonl")
-    _sweep(tmp_path, capsys, "--store", store_path)
-    shard = dict(SWEPT, seed=int(repro.fanout_seeds(7, 2)[0]))
-    key = spec_hash(RunSpec.from_dict(shard))
+    spec, cfg = dict(SWEPT, **knobs), _chaos_cfg(knobs)
+    _sweep(tmp_path, capsys, spec, "--store", store_path)
+    run_campaign(cfg, store=ResultStore(store_path))
+    assert _assert_one_shape(store_path, knobs) == 4
+    shards = [dict(spec, seed=int(seed)) for seed in repro.fanout_seeds(7, 2)]
 
     with EmbeddedService(ServiceConfig(store_path=store_path,
                                        port=0)) as (host, port):
         client = Client(host, port)
-        with pytest.raises(ServiceError) as err:
-            client.result_bytes(key)
-        assert err.value.status == 404
-        sub = client.submit_run(shard)
-        assert sub["cached"] is False and sub["spec_key"] == key
-        final = client.wait(sub["job"], timeout=120)
-        assert final["state"] == "done" and final["cached"] == 0
-        assert client.result_bytes(key) == \
-            payload_bytes(result_payload(repro.run(shard)))
+        for shard in shards + _chaos_specs(cfg):
+            key = spec_hash(RunSpec.from_dict(shard))
+            assert client.result_bytes(key) == \
+                payload_bytes(result_payload(repro.run(shard)))
+            sub = client.submit_run(shard)
+            assert sub["cached"] is True and sub["job"] is None
+            assert sub["spec_key"] == key
+        assert client.jobs() == []
+        assert _metric(client, "repro_store_misses") == 0
 
 
 def _metric(client: Client, name: str) -> float:
