@@ -1,4 +1,4 @@
-"""Programmatic client for the campaign service (stdlib ``http.client``).
+"""Programmatic client for the campaign service (stdlib sockets).
 
 :class:`Client` wraps the service's HTTP protocol one method per
 endpoint, raising :class:`ServiceError` (with the HTTP status) on error
@@ -13,19 +13,31 @@ and notebooks use it directly::
         client.wait(sub["job"])
     payload = client.result(sub["spec_key"])
 
-Each call opens one connection (the server closes after every
-response), so a client object is cheap, stateless, and safe to share.
+A client keeps one persistent HTTP/1.1 connection to its service and
+sends every call down it (request head and body in one write, behind a
+lock, so an object shared by threads stays correct).  The service idles
+connections out: a *reused* connection that dies before the first
+response byte is re-dialled and the request re-sent once — submissions
+are content-addressed, so a duplicated ``POST`` is at worst a second job
+made of cache hits — while a *fresh* connection that fails raises
+:class:`ServiceError`.  :meth:`Client.events` dials a connection of its
+own, because the SSE stream is close-delimited and long-lived.
 """
 
 from __future__ import annotations
 
-import http.client
+import io
 import json
+import socket
+import threading
 import time
 from typing import Any, Iterator, Mapping, Optional
 
 from repro.errors import ReproError
 from repro.service.jobs import TERMINAL
+
+#: Longest status or header line accepted from the service.
+_MAX_LINE = 65536
 
 
 class ServiceError(ReproError):
@@ -36,6 +48,19 @@ class ServiceError(ReproError):
         self.status = status
 
 
+class _Connection:
+    """One dialled socket and its buffered read side."""
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self.sock = socket.create_connection((host, port), timeout=timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile: io.BufferedReader = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
 class Client:
     """One campaign service, as Python methods."""
 
@@ -44,29 +69,78 @@ class Client:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._lock = threading.Lock()
+        self._conn: Optional[_Connection] = None
+
+    def close(self) -> None:
+        """Close the persistent connection (the next call re-dials)."""
+        with self._lock:
+            self._drop()
 
     # -- transport -----------------------------------------------------------
+
+    def _encode(self, method: str, path: str,
+                body: "Mapping[str, Any] | None" = None) -> bytes:
+        """One request as the bytes of a single write."""
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self.host}:{self.port}\r\n"
+        if body is None:
+            return (head + "\r\n").encode("latin-1")
+        payload = json.dumps(body).encode("utf-8")
+        return (f"{head}Content-Type: application/json\r\n"
+                f"Content-Length: {len(payload)}\r\n\r\n"
+                ).encode("latin-1") + payload
+
+    def _unreachable(self, exc: Exception) -> ServiceError:
+        return ServiceError(
+            f"service at {self.host}:{self.port} unreachable: {exc}")
+
+    def _drop(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def _exchange(self, request: bytes) -> "tuple[int, bytes]":
+        """Send one request down the persistent connection and read its
+        response (caller holds the lock)."""
+        reused = self._conn is not None
+        while True:
+            try:
+                if self._conn is None:
+                    self._conn = _Connection(self.host, self.port,
+                                             self.timeout)
+                conn = self._conn
+                conn.sock.sendall(request)
+                if not conn.rfile.peek(1):
+                    raise ConnectionResetError(
+                        "connection closed before any response byte")
+            except OSError as exc:
+                self._drop()
+                # The service idled the connection out (or restarted)
+                # since the last call; a timeout is a slow service, not
+                # a stale socket, and is never re-sent.
+                if reused and not isinstance(exc, TimeoutError):
+                    reused = False
+                    continue
+                raise self._unreachable(exc) from exc
+            try:
+                status, headers = _read_head(conn.rfile)
+                length = int(headers["content-length"])
+                data = conn.rfile.read(length)
+                if len(data) != length:
+                    raise ValueError("response body truncated")
+            except (OSError, ValueError, KeyError) as exc:
+                self._drop()
+                raise self._unreachable(exc) from exc
+            if headers.get("connection", "").lower() == "close":
+                self._drop()
+            return status, data
 
     def _request(self, method: str, path: str,
                  body: "Mapping[str, Any] | None" = None,
                  expect: "tuple[int, ...]" = (200, 202)) -> "tuple[int, bytes]":
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        try:
-            payload = (None if body is None
-                       else json.dumps(body).encode("utf-8"))
-            headers = {"Content-Type": "application/json"} if payload else {}
-            try:
-                conn.request(method, path, body=payload, headers=headers)
-                resp = conn.getresponse()
-                data = resp.read()
-                status = resp.status
-            except (OSError, http.client.HTTPException) as exc:
-                raise ServiceError(
-                    f"service at {self.host}:{self.port} unreachable: "
-                    f"{exc}") from exc
-        finally:
-            conn.close()
+        request = self._encode(method, path, body)
+        with self._lock:
+            status, data = self._exchange(request)
         if status not in expect:
             raise ServiceError(
                 f"{method} {path} -> {status}: {_error_text(data)}",
@@ -144,17 +218,23 @@ class Client:
         """Stream the job's SSE feed: yields each ``repro.progress.v1``
         heartbeat as a dict, then the terminal job snapshot (tagged
         ``"event": "end"``), then returns."""
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=timeout)
+        path = f"/v1/jobs/{job_id}/events"
+        conn = None
         try:
-            conn.request("GET", f"/v1/jobs/{job_id}/events")
-            resp = conn.getresponse()
-            if resp.status != 200:
-                raise ServiceError(
-                    f"GET /v1/jobs/{job_id}/events -> {resp.status}: "
-                    f"{_error_text(resp.read())}", status=resp.status)
+            try:
+                conn = _Connection(self.host, self.port, timeout)
+                conn.sock.sendall(self._encode("GET", path))
+                status, headers = _read_head(conn.rfile)
+                if status != 200:
+                    data = conn.rfile.read(
+                        int(headers.get("content-length", 0)))
+                    raise ServiceError(
+                        f"GET {path} -> {status}: {_error_text(data)}",
+                        status=status)
+            except (OSError, ValueError) as exc:
+                raise self._unreachable(exc) from exc
             event_name = None
-            for raw in resp:
+            for raw in conn.rfile:
                 line = raw.decode("utf-8").rstrip("\n").rstrip("\r")
                 if line.startswith("event:"):
                     event_name = line.split(":", 1)[1].strip()
@@ -168,7 +248,25 @@ class Client:
                 elif not line:
                     event_name = None
         finally:
-            conn.close()
+            if conn is not None:
+                conn.close()
+
+
+def _read_head(rfile: io.BufferedReader) -> "tuple[int, dict[str, str]]":
+    """``(status, headers)`` of one response head — the mirror of the
+    server's ``_parse_head``; ``ValueError`` when it is not HTTP."""
+    parts = rfile.readline(_MAX_LINE).decode("latin-1").split(None, 2)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/"):
+        raise ValueError(f"malformed status line {parts!r}")
+    headers: dict[str, str] = {}
+    while True:
+        line = rfile.readline(_MAX_LINE)
+        if line in (b"\r\n", b"\n"):
+            return int(parts[1]), headers
+        name, sep, value = line.decode("latin-1").partition(":")
+        if not sep:
+            raise ValueError(f"malformed header line {line!r}")
+        headers[name.strip().lower()] = value.strip()
 
 
 def _error_text(data: bytes) -> str:

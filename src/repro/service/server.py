@@ -31,7 +31,13 @@ into a long-running daemon:
   jobs on restart.
 
 Everything is stdlib: ``asyncio.start_server`` plus a minimal
-HTTP/1.1 reader (one request per connection, ``Connection: close``).
+HTTP/1.1 reader.  The connection, not the request, is the unit of the
+wire protocol: one handler answers request after request on the same
+socket (``Connection: keep-alive``) until the peer closes or asks
+``Connection: close``, speaks HTTP/1.0, sends a request that cannot be
+framed, takes the SSE stream (close-delimited), idles past
+``REQUEST_TIMEOUT``, or the service drains — a drain closes the idle
+connections itself and answers the ones in flight ``Connection: close``.
 All job state lives on the event-loop thread; the executor thread
 marshals results in with ``call_soon_threadsafe``, so handlers never
 see a half-updated job.  See docs/service.md for the protocol.
@@ -72,7 +78,8 @@ from repro.service.journal import JobJournal
 #: Hard cap on one HTTP request (start line + headers + body).
 MAX_REQUEST_BYTES = 4 * 1024 * 1024
 
-#: Seconds an idle client connection may take to deliver its request.
+#: Seconds a connection may sit idle, or take to deliver one request,
+#: before the service closes it.
 REQUEST_TIMEOUT = 30.0
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -111,6 +118,18 @@ class ServiceConfig:
         return self.journal_path or self.store_path + ".jobs"
 
 
+@dataclass(eq=False)
+class _Connection:
+    """One accepted socket and where its handler stands."""
+
+    writer: asyncio.StreamWriter
+    task: asyncio.Task
+    #: Parked waiting for a request head: a drain may close it.
+    idle: bool = False
+    #: The response being built may leave the connection open.
+    keep: bool = False
+
+
 class CampaignService:
     """One service instance: HTTP server + job queue + dispatcher."""
 
@@ -122,6 +141,7 @@ class CampaignService:
         self.jobs: dict[str, Job] = {}
         self.draining = False
         self._running: Optional[Job] = None
+        self._connections: set[_Connection] = set()
         self._t0 = time.monotonic()
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatcher: Optional[asyncio.Task] = None
@@ -180,6 +200,7 @@ class CampaignService:
         self.draining = True
         if self._server is not None:
             self._server.close()
+        self._close_idle_connections()
         drained = await self._wait_idle(self.config.drain_grace)
         if drained:
             self.queue.put_nowait(None)
@@ -189,10 +210,25 @@ class CampaignService:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._dispatcher
         self._pool.shutdown(wait=drained)
+        # again: a connection accepted just before the listener closed,
+        # or mid-write when the drain began, parked after the first sweep
+        self._close_idle_connections()
+        if self._connections:
+            await asyncio.wait([conn.task for conn in self._connections],
+                               timeout=1.0)
         if self._server is not None:
             with contextlib.suppress(Exception):
                 await asyncio.wait_for(self._server.wait_closed(), 1.0)
         return drained
+
+    def _close_idle_connections(self) -> None:
+        """Hang up on every connection parked between requests.  Left
+        alone they would sit out the drain and be cancelled mid-read
+        when the loop exits; the ones in flight end themselves, because
+        a draining response says ``Connection: close``."""
+        for conn in self._connections:
+            if conn.idle:
+                conn.writer.close()
 
     async def _wait_idle(self, grace: float) -> bool:
         deadline = time.monotonic() + grace
@@ -258,74 +294,95 @@ class CampaignService:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        """One connection: answer request after request until the peer
+        or the protocol ends it (the closed list is in docs/service.md)."""
+        self.registry.counter("service.connections_accepted").inc()
+        conn = _Connection(writer, asyncio.current_task())
+        self._connections.add(conn)
         try:
-            try:
-                head = await asyncio.wait_for(
-                    reader.readuntil(b"\r\n\r\n"), timeout=REQUEST_TIMEOUT)
-            except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-                    asyncio.TimeoutError, ConnectionError):
-                return
-            try:
-                method, target, headers = _parse_head(head)
-            except ValueError:
-                await self._respond(writer, 400,
-                                    {"error": "malformed HTTP request"})
-                return
-            length = int(headers.get("content-length", "0") or 0)
-            if length > MAX_REQUEST_BYTES:
-                await self._respond(writer, 400,
-                                    {"error": "request body too large"})
-                return
-            body = await reader.readexactly(length) if length else b""
-            path = target.split("?", 1)[0]
-            await self._route(writer, method, path, body)
+            while True:
+                request = await self._read_request(reader, conn)
+                if request is None:
+                    break
+                await self._route(conn, *request)
+                if not conn.keep:
+                    break
         except ConnectionError:
             pass
         except Exception as exc:  # no request may kill the service
             self.registry.counter("service.errors").inc()
+            conn.keep = False  # the response may be half-written
             with contextlib.suppress(Exception):
                 await self._respond(
-                    writer, 500, {"error": f"{type(exc).__name__}: {exc}"})
+                    conn, 500, {"error": f"{type(exc).__name__}: {exc}"})
         finally:
+            self._connections.discard(conn)
             with contextlib.suppress(Exception):
                 writer.close()
 
-    async def _route(self, writer, method: str, path: str,
+    async def _read_request(self, reader: asyncio.StreamReader,
+                            conn: _Connection
+                            ) -> "Optional[tuple[str, str, bytes]]":
+        """The next ``(method, path, body)`` on this connection, or None
+        when it ended: the peer closed, ``REQUEST_TIMEOUT`` passed, a
+        drain closed it idle, or the request could not be framed (that
+        one is answered 400 first — the next request's start is lost)."""
+        timer = asyncio.get_running_loop().call_later(
+            REQUEST_TIMEOUT, conn.writer.close)
+        conn.idle = True
+        try:
+            try:
+                head = await reader.readuntil(b"\r\n\r\n")
+            finally:
+                conn.idle = False
+            method, target, conn.keep, length = _parse_head(head)
+            body = await reader.readexactly(length) if length else b""
+        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+            return None
+        except ValueError as exc:
+            conn.keep = False
+            await self._respond(conn, 400, {"error": str(exc)})
+            return None
+        finally:
+            timer.cancel()
+        return method, target.split("?", 1)[0], body
+
+    async def _route(self, conn, method: str, path: str,
                      body: bytes) -> None:
         self.registry.counter("service.requests",
                               route=f"{method} {_route_label(path)}").inc()
         if path == "/healthz" and method == "GET":
-            await self._respond(writer, 200, self._health())
+            await self._respond(conn, 200, self._health())
         elif path == "/metrics" and method == "GET":
             await self._respond_raw(
-                writer, 200, self._metrics_text().encode("utf-8"),
+                conn, 200, self._metrics_text().encode("utf-8"),
                 "text/plain; version=0.0.4")
         elif path == "/v1/runs" and method == "POST":
-            await self._post_run(writer, body)
+            await self._post_run(conn, body)
         elif path == "/v1/campaigns" and method == "POST":
-            await self._post_campaign(writer, body)
+            await self._post_campaign(conn, body)
         elif path.startswith("/v1/runs/") and method == "GET":
-            await self._get_run(writer, path[len("/v1/runs/"):])
+            await self._get_run(conn, path[len("/v1/runs/"):])
         elif path == "/v1/jobs" and method == "GET":
-            await self._respond(writer, 200, {
+            await self._respond(conn, 200, {
                 "jobs": [job.snapshot() for job in self.jobs.values()]})
         elif path.startswith("/v1/jobs/") and method == "GET":
             rest = path[len("/v1/jobs/"):]
             if rest.endswith("/events"):
-                await self._stream_events(writer, rest[:-len("/events")])
+                await self._stream_events(conn, rest[:-len("/events")])
             else:
                 job = self.jobs.get(rest)
                 if job is None:
-                    await self._respond(writer, 404,
+                    await self._respond(conn, 404,
                                         {"error": f"no such job {rest!r}"})
                 else:
-                    await self._respond(writer, 200, job.snapshot())
+                    await self._respond(conn, 200, job.snapshot())
         elif path in ("/v1/runs", "/v1/campaigns", "/v1/jobs", "/metrics",
                       "/healthz"):
-            await self._respond(writer, 405,
+            await self._respond(conn, 405,
                                 {"error": f"{method} not allowed on {path}"})
         else:
-            await self._respond(writer, 404,
+            await self._respond(conn, 404,
                                 {"error": f"no such endpoint {path!r}"})
 
     # -- endpoints -----------------------------------------------------------
@@ -335,11 +392,11 @@ class CampaignService:
                 "jobs": len(self.jobs),
                 "queue_depth": 0 if self.queue is None else self.queue.qsize()}
 
-    async def _post_run(self, writer, body: bytes) -> None:
+    async def _post_run(self, conn, body: bytes) -> None:
         try:
             spec = RunSpec.from_dict(_json_object(body))
         except (ReproError, ValueError, TypeError) as exc:
-            await self._respond(writer, 400, {"error": str(exc)})
+            await self._respond(conn, 400, {"error": str(exc)})
             return
         key = spec_hash(spec)
         # Cache hit: served synchronously, no job scheduled.  The counted
@@ -348,18 +405,18 @@ class CampaignService:
         payload = self.store.get(key) if key in self.store else None
         if payload is not None:
             self.registry.counter("service.cache_served").inc()
-            await self._respond(writer, 200, {
+            await self._respond(conn, 200, {
                 "cached": True, "spec_key": key, "job": None,
                 "result": payload})
             return
         job = self._make_job("run", [canonical_spec(spec)], [key])
         if job is None:
-            await self._respond_busy(writer)
+            await self._respond_busy(conn)
             return
-        await self._respond(writer, 202, {
+        await self._respond(conn, 202, {
             "cached": False, "spec_key": key, "job": job.id})
 
-    async def _post_campaign(self, writer, body: bytes) -> None:
+    async def _post_campaign(self, conn, body: bytes) -> None:
         try:
             data = _json_object(body)
             base = RunSpec.from_dict(dict(data.get("spec") or {}))
@@ -373,7 +430,7 @@ class CampaignService:
                     raise ConfigurationError(f"runs must be >= 1, got {runs}")
                 seeds = fanout_seeds(base.seed, runs)
         except (ReproError, ValueError, TypeError) as exc:
-            await self._respond(writer, 400, {"error": str(exc)})
+            await self._respond(conn, 400, {"error": str(exc)})
             return
         shards = [dataclasses.replace(base, seed=int(s)) for s in seeds]
         keys = [spec_hash(s) for s in shards]
@@ -381,19 +438,19 @@ class CampaignService:
         job = self._make_job("campaign",
                              [canonical_spec(s) for s in shards], keys)
         if job is None:
-            await self._respond_busy(writer)
+            await self._respond_busy(conn)
             return
-        await self._respond(writer, 202, {
+        await self._respond(conn, 202, {
             "job": job.id, "total": len(shards), "cached_hint": cached_hint,
             "spec_keys": keys})
 
-    async def _get_run(self, writer, key: str) -> None:
+    async def _get_run(self, conn, key: str) -> None:
         payload = self.store.get(key)
         if payload is None:
-            await self._respond(writer, 404, {
+            await self._respond(conn, 404, {
                 "error": "result not cached", "spec_key": key})
             return
-        await self._respond_raw(writer, 200, payload_bytes(payload),
+        await self._respond_raw(conn, 200, payload_bytes(payload),
                                 "application/json")
 
     def _make_job(self, kind: str, specs: list, keys: list) -> Optional[Job]:
@@ -407,18 +464,20 @@ class CampaignService:
         self.registry.counter("service.jobs_submitted").inc()
         return job
 
-    async def _respond_busy(self, writer) -> None:
+    async def _respond_busy(self, conn) -> None:
         reason = "draining" if self.draining else "job queue full"
-        await self._respond(writer, 503, {"error": reason})
+        await self._respond(conn, 503, {"error": reason})
 
-    async def _stream_events(self, writer, job_id: str) -> None:
+    async def _stream_events(self, conn, job_id: str) -> None:
         """SSE: replay this job's heartbeats, then follow it live until
         it reaches a terminal state."""
         job = self.jobs.get(job_id)
         if job is None:
-            await self._respond(writer, 404,
+            await self._respond(conn, 404,
                                 {"error": f"no such job {job_id!r}"})
             return
+        conn.keep = False  # the stream has no length: EOF delimits it
+        writer = conn.writer
         writer.write(b"HTTP/1.1 200 OK\r\n"
                      b"Content-Type: text/event-stream\r\n"
                      b"Cache-Control: no-store\r\n"
@@ -448,6 +507,7 @@ class CampaignService:
         reg = self.registry
         reg.gauge("service.queue_depth").set(
             0 if self.queue is None else self.queue.qsize())
+        reg.gauge("service.connections_open").set(len(self._connections))
         by_state = {state: 0 for state in jobstates.STATES}
         for job in self.jobs.values():
             by_state[job.state] = by_state.get(job.state, 0) + 1
@@ -467,34 +527,50 @@ class CampaignService:
 
     # -- response helpers ----------------------------------------------------
 
-    async def _respond(self, writer, status: int, payload: dict) -> None:
+    async def _respond(self, conn, status: int, payload: dict) -> None:
         body = (json.dumps(payload, sort_keys=True, separators=(",", ":"))
                 + "\n").encode("utf-8")
-        await self._respond_raw(writer, status, body, "application/json")
+        await self._respond_raw(conn, status, body, "application/json")
 
-    async def _respond_raw(self, writer, status: int, body: bytes,
+    async def _respond_raw(self, conn, status: int, body: bytes,
                            content_type: str) -> None:
         self.registry.counter("service.responses", code=str(status)).inc()
+        conn.keep = conn.keep and not self.draining
         head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
                 f"Content-Type: {content_type}\r\n"
                 f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n\r\n")
-        writer.write(head.encode("utf-8") + body)
-        await writer.drain()
+                f"Connection: {'keep-alive' if conn.keep else 'close'}"
+                "\r\n\r\n")
+        conn.writer.write(head.encode("utf-8") + body)
+        await conn.writer.drain()
 
 
-def _parse_head(head: bytes) -> "tuple[str, str, dict[str, str]]":
+def _parse_head(head: bytes) -> "tuple[str, str, bool, int]":
+    """``(method, target, keep_alive, content_length)`` of one request
+    head; ``ValueError(<the 400's error text>)`` when the request
+    cannot be framed."""
     request_line, *header_lines = head.decode("latin-1").split("\r\n")
-    method, target, _version = request_line.split(" ", 2)
+    parts = request_line.split(" ", 2)
+    if len(parts) != 3:
+        raise ValueError("malformed HTTP request")
+    method, target, version = parts
     headers: dict[str, str] = {}
     for line in header_lines:
         if not line:
             continue
         name, sep, value = line.partition(":")
         if not sep:
-            raise ValueError(f"malformed header line {line!r}")
+            raise ValueError("malformed HTTP request")
         headers[name.strip().lower()] = value.strip()
-    return method.upper(), target, headers
+    digits = headers.get("content-length") or "0"
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("malformed HTTP request")
+    length = int(digits)
+    if length > MAX_REQUEST_BYTES:
+        raise ValueError("request body too large")
+    keep_alive = (version == "HTTP/1.1"
+                  and headers.get("connection", "").lower() != "close")
+    return method.upper(), target, keep_alive, length
 
 
 def _route_label(path: str) -> str:

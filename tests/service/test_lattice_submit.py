@@ -21,9 +21,11 @@ BASE = {"graph": "ring:3", "seed": 23, "max_time": 200.0}
 def service(tmp_path):
     config = ServiceConfig(store_path=str(tmp_path / "store.jsonl"), port=0)
     embedded = EmbeddedService(config)
-    host, port = embedded.start()
-    yield Client(host, port), embedded
+    client = Client(*embedded.start())
+    yield client, embedded
+    # the client's keep-alive connection is still open and idle here
     assert embedded.shutdown() is True, "service must drain clean"
+    client.close()
 
 
 def test_detector_spec_executes_byte_identically(service):

@@ -35,9 +35,11 @@ SPEC = {"graph": "ring:3", "seed": 23, "max_time": 200.0}
 def service(tmp_path):
     config = ServiceConfig(store_path=str(tmp_path / "store.jsonl"), port=0)
     embedded = EmbeddedService(config)
-    host, port = embedded.start()
-    yield Client(host, port), embedded
+    client = Client(*embedded.start())
+    yield client, embedded
+    # the client's keep-alive connection is still open and idle here
     assert embedded.shutdown() is True, "service must drain clean"
+    client.close()
 
 
 def test_submit_wait_fetch_byte_identical(service):
@@ -185,9 +187,8 @@ def test_restart_reenqueues_incomplete_journaled_jobs(tmp_path):
         Job("j7", "run", [canonical_spec(spec)], [spec_hash(spec)]))
 
     embedded = EmbeddedService(config)
-    host, port = embedded.start()
+    client = Client(*embedded.start())
     try:
-        client = Client(host, port)
         failed = client.wait("j3", timeout=60)
         assert failed["state"] == "failed" and "\n" not in failed["error"]
         assert "unknown scenario keys: ['oracle']" in failed["error"]
@@ -196,12 +197,12 @@ def test_restart_reenqueues_incomplete_journaled_jobs(tmp_path):
         assert "repro_service_jobs_recovered 2" in client.metrics()
     finally:
         assert embedded.shutdown() is True
+        client.close()
 
     # Second restart: j7 is terminal in the journal now — history, not work.
     embedded = EmbeddedService(config)
-    host, port = embedded.start()
+    client = Client(*embedded.start())
     try:
-        client = Client(host, port)
         snap = client.job("j7")
         assert snap["state"] == "done" and snap["done"] == 1
         # and new ids continue past recovered ones
@@ -210,6 +211,7 @@ def test_restart_reenqueues_incomplete_journaled_jobs(tmp_path):
         client.wait(sub["job"], timeout=60)
     finally:
         assert embedded.shutdown() is True
+        client.close()
 
 
 # The CLI and the service store the same repro.result.v1 envelope under the
@@ -286,6 +288,7 @@ def test_service_written_entries_are_hits_for_cli_resume(tmp_path, capsys,
         jobs += [client.submit_run(s)["job"] for s in _chaos_specs(cfg)]
         for job in jobs:
             assert client.wait(job, timeout=120)["state"] == "done"
+        client.close()
     assert _assert_one_shape(store_path, knobs) == 4
 
     out, _, metrics, spans = _sweep(tmp_path, capsys, spec)
@@ -336,6 +339,7 @@ def test_cli_written_entries_are_hits_for_the_service(tmp_path, capsys,
             assert sub["spec_key"] == key
         assert client.jobs() == []
         assert _metric(client, "repro_store_misses") == 0
+        client.close()
 
 
 def _metric(client: Client, name: str) -> float:
