@@ -17,6 +17,14 @@ plus one direct-engine run under a step *policy* and the non-batchable
 :class:`~repro.sim.network.AsynchronousDelays` model (lognormal draws
 must stay scalar — batching them would silently shift the stream).
 
+State and suspicion rows see transport timing only indirectly, so three
+further pins hold the wire and the campaign surfaces still:
+
+* the chaos scenario rerun with ``record_messages`` — every send,
+  deliver and drop row plus the transport counters;
+* a seed-7 chaos campaign's ``to_json()`` and ``run_records()``;
+* a two-seed lattice matrix's ``to_records()``.
+
 ``Message.uid`` values are excluded from digests: the uid counter is
 process-global, so absolute uids depend on how many messages earlier
 tests created; everything else about a record is seed-determined.
@@ -32,17 +40,22 @@ same commit as the change, stating in the commit message why the event
 stream moved.
 """
 
+import dataclasses
 import hashlib
+import json
 
 from repro.runtime.builder import instantiate
 from repro.runtime.seeds import fanout_seeds
 from repro.runtime.spec import RunSpec
 
 
-def trace_digest(trace) -> str:
-    """sha256 over the full retained history, uid fields excluded."""
+def trace_digest(trace, kinds=None) -> str:
+    """sha256 over the full retained history (or its ``kinds`` rows), uid
+    fields excluded."""
     h = hashlib.sha256()
     for rec in trace:
+        if kinds is not None and rec.kind not in kinds:
+            continue
         row = (repr(rec.time), rec.kind, rec.pid,
                tuple(sorted((k, repr(v)) for k, v in rec.data.items()
                             if k != "uid")))
@@ -77,6 +90,66 @@ class TestChaosScenarioGolden:
         built.engine.run()
         assert built.engine.events_processed == self.GOLDEN_EVENTS
         assert trace_digest(built.engine.trace) == self.GOLDEN
+
+
+class TestChaosWireGolden:
+    """The chaos scenario's wire: every send, deliver and drop row, with
+    the transport's own counters."""
+
+    GOLDEN = "d41346eb25b4b8e12ef151d82cc0fc40f9bcf8098410d8904e36e4b46ea54726"
+    GOLDEN_EVENTS = 5444
+    GOLDEN_TRANSPORT = {
+        "transport.abandoned": 0.0,
+        "transport.acks_sent": 1150.0,
+        "transport.data_sent": 696.0,
+        "transport.delivered_unique": 695.0,
+        "transport.duplicates_suppressed": 455.0,
+        "transport.retransmissions": 591.0,
+    }
+
+    def test_digest_unchanged(self):
+        from repro.chaos import ChaosConfig, build_run
+
+        spec = build_run(2885616951, ChaosConfig(max_time=400.0))
+        built = instantiate(dataclasses.replace(spec, record_messages=True))
+        built.engine.run()
+        counters = built.engine.registry.snapshot().counters
+        assert built.engine.events_processed == self.GOLDEN_EVENTS
+        assert {k: v for k, v in counters.items()
+                if k.startswith("transport.")} == self.GOLDEN_TRANSPORT
+        assert trace_digest(built.engine.trace,
+                            kinds={"send", "deliver", "drop"}) == self.GOLDEN
+
+
+def json_digest(obj) -> str:
+    return hashlib.sha256(
+        json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+class TestCampaignPins:
+    """Whole-surface pins: what ``repro chaos`` and ``repro lattice``
+    print is a function of these payloads."""
+
+    CHAOS_JSON = \
+        "958a5043e8cac453e876b38a0cf1fe1aaa014f51d4d97f830a2a183b890c98a1"
+    CHAOS_RECORDS = \
+        "c0232a2a0569b9a147fb8b755dd4db2bf1f4677e77071a51f34e4dc620fd9e19"
+    LATTICE_RECORDS = \
+        "93916bbe09ac2de093a779f31258f05d6aa15e79a8793afbefb37f6244505cb1"
+
+    def test_chaos_campaign_unchanged(self):
+        from repro.chaos import ChaosConfig, run_campaign
+
+        result = run_campaign(ChaosConfig(campaigns=8, seed=7))
+        assert result.ok
+        assert json_digest(result.to_json()) == self.CHAOS_JSON
+        assert json_digest(result.run_records()) == self.CHAOS_RECORDS
+
+    def test_lattice_matrix_unchanged(self):
+        import repro
+
+        matrix = repro.compare(graphs=("ring:4",), seeds=2, seed=7)
+        assert json_digest(matrix.to_records()) == self.LATTICE_RECORDS
 
 
 class TestSweepShardGolden:
