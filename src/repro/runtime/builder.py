@@ -234,7 +234,8 @@ def build_delay_model(spec: RunSpec) -> DelayModel:
             "slow needs a kind/endpoint/tag_prefix selector")
     until = slow.pop("until", None)
     rule = adversary.DelayRule(
-        predicate=lambda m: all(p(m) for p in preds),
+        predicate=(preds[0] if len(preds) == 1
+                   else lambda m: all(p(m) for p in preds)),
         factor=float(slow.pop("factor", 1.0)),
         extra_max=float(slow.pop("extra_max", 0.0)),
         until=None if until is None else float(until),

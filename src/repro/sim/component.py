@@ -27,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
+from repro import types as _types
 from repro.errors import ConfigurationError, SimulationError
-from repro.types import Message, ProcessId
+from repro.types import Message, ProcessId, make_message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import Process
@@ -143,7 +144,8 @@ class Component:
     def send(self, to: ProcessId, tag: str, kind: str, **payload: Any) -> None:
         """Send a message; delivery is reliable, delayed, non-FIFO."""
         proc = self._process()
-        proc.send(Message(proc.pid, to, tag, kind, payload))
+        proc.send(make_message((proc.pid, to, tag, kind, payload,
+                                next(_types._msg_counter))))
 
     def send_all(self, receivers: Sequence[ProcessId], tag: str, kind: str,
                  **payload: Any) -> None:

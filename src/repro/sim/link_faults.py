@@ -177,10 +177,6 @@ class LinkFaultModel:
             p = max(p, self.drop_by_link.get((msg.sender, msg.receiver), 0.0))
         return p
 
-    def partitioned(self, msg: Message, now: Time) -> bool:
-        """Is the message's link severed by an active partition window?"""
-        return any(part.severs(msg, now) for part in self.partitions)
-
     # -- the verdict -----------------------------------------------------------
 
     def fate(self, msg: Message, now: Time, rng: np.random.Generator) -> Fate:
@@ -190,16 +186,21 @@ class LinkFaultModel:
         fair-lossy streak (a forced delivery would breach the partition);
         random drops do, and the streak cap forces delivery once reached.
         """
-        if self.partitions and self.partitioned(msg, now):
-            return _FATE_PARTITION
-        # Inlined drop_probability(): this runs once per wire transmission.
+        # Partition.severs and drop_probability() inlined: this runs once
+        # per wire transmission.
+        sender = msg.sender
+        receiver = msg.receiver
+        for part in self.partitions:
+            if (part.start <= now < part.end
+                    and (sender in part.side) != (receiver in part.side)):
+                return _FATE_PARTITION
         p = self.drop
         if self.drop_by_kind:
             p = max(p, self.drop_by_kind.get(msg.kind, 0.0))
         if self.drop_by_link:
-            p = max(p, self.drop_by_link.get((msg.sender, msg.receiver), 0.0))
+            p = max(p, self.drop_by_link.get((sender, receiver), 0.0))
         if p > 0.0:
-            link = (msg.sender, msg.receiver)
+            link = (sender, receiver)
             streak = self._drop_streak.get(link, 0)
             forced = (self.max_consecutive_drops is not None
                       and streak >= self.max_consecutive_drops)

@@ -37,9 +37,10 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro import types as _types
 from repro.obs.registry import Counter, MetricsRegistry
 from repro.sim.transport import TRANSPORT_TAG
-from repro.types import Message, ProcessId, Time
+from repro.types import Message, ProcessId, Time, make_message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -246,9 +247,10 @@ class Network:
         """
         engine = self._engine
         assert engine is not None, "network not bound to an engine"
-        self._c_sent.inc()
+        self._c_sent.value += 1.0
         kind = msg.kind
-        (self._c_sent_kind.get(kind) or self._sent_kind_counter(kind)).inc()
+        c_kind = self._c_sent_kind.get(kind) or self._sent_kind_counter(kind)
+        c_kind.value += 1.0
         if self.on_send is not None:
             self.on_send(msg)
         if engine.config.record_messages:
@@ -285,7 +287,8 @@ class Network:
         if (self.transport is not None or self.fault_model is not None
                 or self.on_send is not None or engine.config.record_messages):
             for to in receivers:
-                self.send(Message(sender, to, tag, kind, payload))
+                self.send(make_message((sender, to, tag, kind, payload,
+                                        next(_types._msg_counter))))
             return
         n = len(receivers)
         if n == 0:
@@ -300,10 +303,12 @@ class Network:
         now = engine.clock._now
         heap = engine._heap
         seq = engine._seq
+        on_deliver = engine._on_deliver
         for to in receivers:
-            msg = Message(sender, to, tag, kind, payload)
+            msg = make_message((sender, to, tag, kind, payload,
+                                next(_types._msg_counter)))
             heappush(heap, (now + delay(msg, now, rng), next(seq),
-                            "deliver", msg))
+                            on_deliver, msg))
 
     def transmit(self, msg: Message) -> None:
         """Put ``msg`` on the raw wire: fault verdict, then delay per copy."""
@@ -314,7 +319,7 @@ class Network:
         if self.fault_model is not None:
             fate = self.fault_model.fate(msg, now, self._rng_faults)
             if fate.copies == 0:
-                self._c_dropped.inc()
+                self._c_dropped.value += 1.0
                 kind = msg.kind
                 c_kind = self._c_dropped_kind.get(kind)
                 if c_kind is None:
@@ -322,7 +327,7 @@ class Network:
                         "net.messages_dropped", kind=kind)
                     self._c_dropped_kind[kind] = c_kind
                     self._kinds_dropped.add(kind)
-                c_kind.inc()
+                c_kind.value += 1.0
                 if engine.config.record_messages:
                     engine.trace.record(
                         "drop", pid=msg.sender, to=msg.receiver, tag=msg.tag,
@@ -330,22 +335,24 @@ class Network:
                     )
                 return
             if fate.copies > 1:
-                self._c_duplicated.inc()
+                self._c_duplicated.value += 1.0
             copies = fate.copies
         delay_model = self.delay_model
         if delay_model is not self._wire_model:
             self._rebind_wire_rng()
         rng = self._rng_wire
+        heap = engine._heap
+        on_deliver = engine._on_deliver
         if copies == 1:
-            d = delay_model.delay(msg, now, rng)
-            engine._push(now + d, "deliver", msg)
+            heappush(heap, (now + delay_model.delay(msg, now, rng),
+                            next(engine._seq), on_deliver, msg))
         else:
             for _ in range(copies):
-                d = delay_model.delay(msg, now, rng)
-                engine._push(now + d, "deliver", msg)
+                heappush(heap, (now + delay_model.delay(msg, now, rng),
+                                next(engine._seq), on_deliver, msg))
 
     def note_delivered(self, msg: Message) -> None:
-        self._c_delivered.inc()
+        self._c_delivered.value += 1.0
 
 
 def mean_delay_estimate(model: DelayModel, now: Time, samples: int = 256,

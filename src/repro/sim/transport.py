@@ -27,16 +27,25 @@ event budget.
 The transport is infrastructure, not algorithm code: it lives on the
 engine's wire path (no process steps are consumed) and draws all timing
 jitter from the seeded ``"transport"`` stream, keeping runs reproducible.
+
+A retransmission timer is an ordinary engine heap entry (see
+:mod:`repro.sim.engine`): ``(t, seq, transport._on_timer, pending)``,
+where ``pending`` is the :class:`_Pending` record of the unacked message
+and carries its own ``(link, seq)`` key.  An ack removes the record from
+the pending table and leaves the timer in the heap; when it fires it
+finds the record gone and returns without a draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush
 from typing import TYPE_CHECKING
 
+from repro import types as _types
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.registry import MetricsRegistry
-from repro.types import Message, Time
+from repro.types import Message, Time, make_message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -72,10 +81,11 @@ class RetransmitPolicy:
             raise ConfigurationError("jitter must be in [0, 1)")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
-    """One unacknowledged application message."""
+    """One unacknowledged application message, keyed by ``(link, seq)``."""
 
+    key: "tuple[Link, int]"
     inner: Message
     rto: Time
     attempts: int = 0
@@ -110,6 +120,8 @@ class ReliableTransport:
         self._pending: dict[tuple[Link, int], _Pending] = {}
         # Per-link dedup state: [highest contiguous seq seen, sparse seqs above].
         self._seen: dict[Link, list] = {}
+        # The timer handler, bound once so every timer entry shares it.
+        self._timer = self._on_timer
         self._bind_registry(MetricsRegistry())
 
     def _bind_registry(self, registry: MetricsRegistry) -> None:
@@ -174,83 +186,77 @@ class ReliableTransport:
 
     def wrap_and_send(self, msg: Message) -> None:
         """Carry application message ``msg`` reliably to its receiver."""
-        engine = self._require_engine()
+        self._require_engine()
         link: Link = (msg.sender, msg.receiver)
         seq = self._next_seq.get(link, 0) + 1
         self._next_seq[link] = seq
-        self._pending[(link, seq)] = _Pending(inner=msg,
-                                              rto=self.policy.rto_initial)
-        self._c_data_sent.inc()
+        key = (link, seq)
+        entry = _Pending(key, msg, self.policy.rto_initial)
+        self._pending[key] = entry
+        self._c_data_sent.value += 1.0
         self._transmit_data(link, seq, msg)
-        self._arm_timer(link, seq)
+        self._arm_timer(entry)
 
     # -- receive path (called by Engine._do_deliver) -----------------------------
 
     def on_wire_deliver(self, envelope: Message) -> None:
         """Handle a wire envelope reaching a live process."""
-        engine = self._engine  # delivery implies installed
-        seq = int(envelope.payload["seq"])
-        if envelope.kind == DATA_KIND:
-            link: Link = (envelope.sender, envelope.receiver)
+        sender, receiver, _, kind, payload, _ = envelope
+        seq = payload["seq"]
+        if kind == DATA_KIND:
+            engine = self._engine  # delivery implies installed
             # Ack unconditionally — re-received duplicates mean the previous
             # ack was (or may have been) lost.
-            ack = Message(sender=envelope.receiver, receiver=envelope.sender,
-                          tag=TRANSPORT_TAG, kind=ACK_KIND,
-                          payload={"seq": seq})
-            self._c_acks_sent.inc()
+            ack = make_message((receiver, sender, TRANSPORT_TAG, ACK_KIND,
+                                {"seq": seq}, next(_types._msg_counter)))
+            self._c_acks_sent.value += 1.0
             engine.network.transmit(ack)
-            if self._mark_seen(link, seq):
-                inner: Message = envelope.payload["inner"]
-                self._c_delivered_unique.inc()
-                engine.deliver_payload(inner)
+            if self._mark_seen((sender, receiver), seq):
+                self._c_delivered_unique.value += 1.0
+                engine.deliver_payload(payload["inner"])
             else:
-                self._c_dup_suppressed.inc()
-        elif envelope.kind == ACK_KIND:
-            link = (envelope.receiver, envelope.sender)
-            self._pending.pop((link, seq), None)
+                self._c_dup_suppressed.value += 1.0
+        elif kind == ACK_KIND:
+            self._pending.pop(((receiver, sender), seq), None)
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unknown transport envelope {envelope!r}")
 
     # -- internals --------------------------------------------------------------
 
     def _transmit_data(self, link: Link, seq: int, inner: Message) -> None:
-        engine = self._engine
-        envelope = Message(sender=link[0], receiver=link[1],
-                           tag=TRANSPORT_TAG, kind=DATA_KIND,
-                           payload={"seq": seq, "inner": inner})
-        engine.network.transmit(envelope)
+        self._engine.network.transmit(make_message((
+            link[0], link[1], TRANSPORT_TAG, DATA_KIND,
+            {"seq": seq, "inner": inner}, next(_types._msg_counter))))
 
-    def _arm_timer(self, link: Link, seq: int) -> None:
+    def _arm_timer(self, entry: _Pending) -> None:
         engine = self._engine
-        entry = self._pending.get((link, seq))
-        if entry is None:  # pragma: no cover - defensive
-            return
-        spread = self.policy.jitter * entry.rto
-        delay = entry.rto + (self._rng.uniform(-spread, spread) if spread
-                             else 0.0)
-        engine.schedule_call(engine.clock._now + max(delay, 1e-9),
-                             lambda: self._on_timer(link, seq))
+        rto = entry.rto
+        spread = self.policy.jitter * rto
+        delay = rto + (self._rng.uniform(-spread, spread) if spread else 0.0)
+        heappush(engine._heap, (engine.clock._now + max(delay, 1e-9),
+                                next(engine._seq), self._timer, entry))
 
-    def _on_timer(self, link: Link, seq: int) -> None:
-        engine = self._engine
-        entry = self._pending.get((link, seq))
-        if entry is None:
+    def _on_timer(self, entry: _Pending) -> None:
+        key = entry.key
+        if key not in self._pending:
             return  # acked in the meantime
-        sender, receiver = link
-        sender_proc = engine.processes.get(sender)
-        receiver_proc = engine.processes.get(receiver)
+        engine = self._engine
+        link, seq = key
+        sender_proc = engine.processes.get(link[0])
+        receiver_proc = engine.processes.get(link[1])
         if (sender_proc is None or sender_proc.crashed
                 or receiver_proc is None or receiver_proc.crashed):
             # A crashed sender stops (crash-stop); a crashed receiver will
             # never ack and is owed no delivery — drop the retry chain.
-            del self._pending[(link, seq)]
-            self._c_abandoned.inc()
+            del self._pending[key]
+            self._c_abandoned.value += 1.0
             return
+        policy = self.policy
         entry.attempts += 1
-        entry.rto = min(entry.rto * self.policy.backoff, self.policy.rto_max)
-        self._c_retransmissions.inc()
+        entry.rto = min(entry.rto * policy.backoff, policy.rto_max)
+        self._c_retransmissions.value += 1.0
         self._transmit_data(link, seq, entry.inner)
-        self._arm_timer(link, seq)
+        self._arm_timer(entry)
 
     def _mark_seen(self, link: Link, seq: int) -> bool:
         """Record ``seq`` on ``link``; False if it was already delivered.
@@ -259,11 +265,17 @@ class ReliableTransport:
         set of out-of-order seqs, so memory stays proportional to the
         reordering window rather than the run length.
         """
-        state = self._seen.setdefault(link, [0, set()])
+        state = self._seen.get(link)
+        if state is None:
+            state = self._seen[link] = [0, set()]
         watermark, sparse = state
         if seq <= watermark or seq in sparse:
             return False
-        sparse.add(seq)
+        if seq != watermark + 1:
+            sparse.add(seq)
+            return True
+        # In order: advance the watermark over any seqs buffered above it.
+        watermark = seq
         while watermark + 1 in sparse:
             watermark += 1
             sparse.discard(watermark)

@@ -14,6 +14,7 @@ concrete Python representations used everywhere else:
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from collections import namedtuple
 from typing import Any, Mapping
@@ -96,3 +97,11 @@ class Message(
             f"Message({self.sender}->{self.receiver} {self.tag}/{self.kind}"
             f" #{self.uid})"
         )
+
+
+#: The hot-path envelope constructor, frame-free (one C-level call):
+#: ``make_message((sender, receiver, tag, kind, payload, uid))`` with every
+#: field given — ``payload`` a mapping, ``uid`` drawn by the caller as
+#: ``next(repro.types._msg_counter)``, the module attribute looked up at
+#: call time (tests swap the counter, so never bind its ``__next__``).
+make_message = functools.partial(tuple.__new__, Message)

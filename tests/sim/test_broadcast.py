@@ -90,7 +90,7 @@ def run_twin(monkeypatch, broadcast, wire="plain", receivers=RECEIVERS):
     eng.run(until=3.0)
     in_flight = sorted(
         (t, seq, msg.receiver, msg.tag, msg.uid)
-        for t, seq, kind, msg in eng._heap if kind == "deliver")
+        for t, seq, handler, msg in eng._heap if handler == eng._on_deliver)
     eng.run()
     return {
         "in_flight": in_flight,
@@ -153,7 +153,8 @@ def test_envelopes_of_one_fan_out_share_the_payload(engine):
     for q in RECEIVERS:
         engine.add_process(q)
     fan.send_all(RECEIVERS, "sink", "data", n=3)
-    msgs = [m for _, _, kind, m in engine._heap if kind == "deliver"]
+    msgs = [m for _, _, handler, m in engine._heap
+            if handler == engine._on_deliver]
     assert [m.receiver for m in sorted(msgs, key=lambda m: m.uid)] \
         == list(RECEIVERS)
     assert all(m.payload is msgs[0].payload for m in msgs)

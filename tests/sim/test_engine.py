@@ -81,6 +81,36 @@ def test_schedule_call_runs_at_time():
     assert seen == [42.0]
 
 
+def test_inject_crash_of_unknown_process_fails_at_the_call():
+    eng = make_engine(max_time=100.0)
+    eng.add_process("p")
+    with pytest.raises(ConfigurationError, match="'nope'"):
+        eng.inject_crash("nope", at=5.0)
+    eng.run()  # nothing was queued
+    assert not eng.process("p").crashed
+
+
+def test_inject_crash_in_the_past_fails_at_the_call():
+    eng = make_engine(max_time=100.0)
+    eng.add_process("p")
+    eng.run(until=10.0)
+    with pytest.raises(ConfigurationError, match="5.0 is before now"):
+        eng.inject_crash("p", at=5.0)
+    eng.inject_crash("p", at=10.0)  # now itself is fine
+    eng.run()
+    assert eng.trace.crash_times() == {"p": 10.0}
+
+
+def test_schedule_call_in_the_past_fails_at_the_call():
+    eng = make_engine(max_time=100.0)
+    eng.add_process("p")
+    eng.run(until=10.0)
+    with pytest.raises(ConfigurationError, match="9.5 is before now"):
+        eng.schedule_call(9.5, lambda: None)
+    eng.run()
+    assert eng.now == 100.0
+
+
 def test_stop_when_halts_early():
     eng = make_engine(max_time=1000.0)
     s = eng.add_process("p").add_component(Stepper())
