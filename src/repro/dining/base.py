@@ -18,6 +18,7 @@ material for every checker in :mod:`repro.dining.spec`.
 from __future__ import annotations
 
 import abc
+import operator
 from typing import TYPE_CHECKING, Callable, Mapping
 
 import networkx as nx
@@ -58,9 +59,9 @@ class DinerComponent(Component):
 
     # -- client surface ------------------------------------------------------
 
-    @property
-    def state(self) -> DinerState:
-        return self._state
+    #: The current :class:`~repro.types.DinerState`.  A C-level getter:
+    #: guards read it on every scheduler probe.
+    state = property(operator.attrgetter("_state"))
 
     def become_hungry(self) -> None:
         """Client transition thinking → hungry."""
@@ -88,7 +89,8 @@ class DinerComponent(Component):
         if new is DinerState.EATING:
             self.sessions_eaten += 1
         self._state = new
-        self.record("state", instance=self.instance_id, state=new.value)
+        # ``_value_`` is ``.value`` without the enum descriptor's frames.
+        self.record("state", instance=self.instance_id, state=new._value_)
 
     def _client_transition(self, new: DinerState) -> None:
         if (self._state, new) not in _LEGAL_CLIENT_TRANSITIONS:

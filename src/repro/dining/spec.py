@@ -17,23 +17,29 @@ Perpetual weak exclusion (WX, Section 9) and eventual k-fairness
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import networkx as nx
 
 from repro.sim.faults import CrashSchedule
-from repro.sim.trace import Trace, intervals_overlap, state_intervals
+from repro.sim.trace import Trace, state_intervals
 from repro.types import DinerState, ProcessId, Time
 
 Interval = tuple[Time, Time]
 
+# The phase strings "state" rows carry, read once: ``DinerState.X.value``
+# runs the enum descriptor on every access.
+EATING = DinerState.EATING.value
+HUNGRY = DinerState.HUNGRY.value
+
 
 def state_series(trace: Trace, instance: str, pid: ProcessId) -> list[tuple[Time, str]]:
     """The diner's ``(time, state)`` series for one instance."""
-    return trace.series(
-        "state", "state", pid=pid, where=lambda r: r.get("instance") == instance
-    )
+    return [(r.time, r.data["state"])
+            for r in trace.records(kind="state", pid=pid)
+            if r.data.get("instance") == instance]
 
 
 def _clip(intervals: Sequence[Interval], cutoff: Optional[Time]) -> list[Interval]:
@@ -57,7 +63,7 @@ def eating_intervals(
 ) -> list[Interval]:
     """Closed eating sessions of one diner; clipped at its crash if any."""
     series = state_series(trace, instance, pid)
-    ivs = state_intervals(series, DinerState.EATING.value, end_time)
+    ivs = state_intervals(series, EATING, end_time)
     cutoff = schedule.crash_time(pid) if schedule is not None else None
     return _clip(ivs, cutoff)
 
@@ -70,7 +76,7 @@ def hungry_intervals(
 ) -> list[Interval]:
     """Closed hungry sessions of one diner (not crash-clipped)."""
     series = state_series(trace, instance, pid)
-    return state_intervals(series, DinerState.HUNGRY.value, end_time)
+    return state_intervals(series, HUNGRY, end_time)
 
 
 @dataclass(frozen=True)
@@ -132,23 +138,33 @@ def check_exclusion(
     schedule: CrashSchedule,
     end_time: Time,
 ) -> ExclusionReport:
-    """Find every interval during which two live neighbors ate together."""
+    """Find every interval during which two live neighbors ate together.
+
+    Each diner's eating intervals are time-ordered and disjoint, so one
+    two-pointer sweep per edge finds every genuinely overlapping pair:
+    the interval that ends first can overlap nothing later in the other
+    list.
+    """
     report = ExclusionReport(instance=instance, end_time=end_time)
     ivs = {
         pid: eating_intervals(trace, instance, pid, end_time, schedule)
         for pid in graph.nodes
     }
+    violations = report.violations
     for u, v in sorted(tuple(sorted(e)) for e in graph.edges):
-        for a in ivs[u]:
-            for b in ivs[v]:
-                if intervals_overlap(a, b):
-                    report.violations.append(
-                        ExclusionViolation(
-                            u=u, v=v,
-                            start=max(a[0], b[0]), end=min(a[1], b[1]),
-                        )
-                    )
-    report.violations.sort(key=lambda x: (x.start, x.end, x.u, x.v))
+        xs, ys = ivs[u], ivs[v]
+        i = j = 0
+        while i < len(xs) and j < len(ys):
+            a0, a1 = xs[i]
+            b0, b1 = ys[j]
+            if a0 < b1 and b0 < a1:
+                violations.append(ExclusionViolation(
+                    u=u, v=v, start=max(a0, b0), end=min(a1, b1)))
+            if a1 <= b1:
+                i += 1
+            else:
+                j += 1
+    violations.sort(key=lambda x: (x.start, x.end, x.u, x.v))
     return report
 
 
@@ -195,16 +211,13 @@ def check_wait_freedom(
     sessions: dict[ProcessId, int] = {}
     for pid in sorted(graph.nodes):
         series = state_series(trace, instance, pid)
-        sessions[pid] = sum(
-            1 for _, s in series if s == DinerState.EATING.value
-        )
+        sessions[pid] = sum(1 for _, s in series if s == EATING)
         if schedule.is_faulty(pid):
             continue
-        for start, end in state_intervals(series, DinerState.HUNGRY.value, end_time):
+        for start, end in state_intervals(series, HUNGRY, end_time):
             max_wait = max(max_wait, end - start)
             closed = end < end_time or (
-                series and series[-1][1] != DinerState.HUNGRY.value
-            )
+                series and series[-1][1] != HUNGRY)
             if not closed and start < end_time - grace:
                 starving.append(pid)
     return WaitFreedomReport(
@@ -233,18 +246,23 @@ def overtake_samples(
     end_time: Time,
 ) -> list[OvertakeSample]:
     """For every hungry interval of every diner, count each neighbor's
-    eating-session onsets inside it (the k-fairness statistic, Section 8)."""
+    eating-session onsets inside it (the k-fairness statistic, Section 8).
+
+    Onsets are time-ordered, so the count in ``(start, end]`` is a
+    difference of two bisections."""
     onsets: dict[ProcessId, list[Time]] = {}
     hungry: dict[ProcessId, list[Interval]] = {}
     for pid in graph.nodes:
         series = state_series(trace, instance, pid)
-        onsets[pid] = [t for t, s in series if s == DinerState.EATING.value]
-        hungry[pid] = state_intervals(series, DinerState.HUNGRY.value, end_time)
+        onsets[pid] = [t for t, s in series if s == EATING]
+        hungry[pid] = state_intervals(series, HUNGRY, end_time)
     samples: list[OvertakeSample] = []
     for pid in sorted(graph.nodes):
+        nbrs = sorted(graph.neighbors(pid))
         for start, end in hungry[pid]:
-            for nbr in sorted(graph.neighbors(pid)):
-                n = sum(1 for t in onsets[nbr] if start < t <= end)
+            for nbr in nbrs:
+                times = onsets[nbr]
+                n = bisect_right(times, end) - bisect_right(times, start)
                 samples.append(OvertakeSample(pid, nbr, start, n))
     return samples
 

@@ -26,6 +26,7 @@ from repro.experiments import (
     e17_replication,
     e18_dstm,
     e19_asynchrony,
+    e20_preliminary,
 )
 from repro.experiments.common import ExperimentResult
 
@@ -49,6 +50,7 @@ REGISTRY = {
     "e17": e17_replication,
     "e18": e18_dstm,
     "e19": e19_asynchrony,
+    "e20": e20_preliminary,
 }
 
 __all__ = ["ExperimentResult", "REGISTRY"]

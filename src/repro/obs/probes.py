@@ -124,10 +124,11 @@ class RunProbes:
 
     def _on_suspect(self, rec: "TraceRecord") -> None:
         owner = rec.pid
-        label = rec.get("detector")
-        key = (owner, rec.get("target"), label)
-        suspected = bool(rec.get("suspected"))
-        if not rec.get("initial"):
+        data = rec.data
+        label = data.get("detector")
+        key = (owner, data.get("target"), label)
+        suspected = bool(data.get("suspected"))
+        if not data.get("initial"):
             self._c_churn.inc()
             self._label_counter(self._c_churn_by, "oracle.suspicion_churn",
                                 label).inc()
@@ -171,8 +172,9 @@ class RunProbes:
     # -- dining --------------------------------------------------------------
 
     def _on_state(self, rec: "TraceRecord") -> None:
-        state = rec.get("state")
-        key = (rec.pid, rec.get("instance"))
+        data = rec.data
+        state = data.get("state")
+        key = (rec.pid, data.get("instance"))
         if state == _HUNGRY:
             self._hungry_since[key] = rec.time
             self._c_hungry.inc()

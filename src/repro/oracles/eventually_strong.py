@@ -50,6 +50,7 @@ class EventuallyStrongDetector(OracleModule):
         if schedule.is_faulty(anchor):
             raise ConfigurationError(f"anchor {anchor!r} must be correct")
         self.schedule = schedule
+        self._crash_at = {q: schedule.crash_time(q) for q in self.monitored}
         self.anchor = anchor
         self.anchor_trust_time = float(anchor_trust_time)
         self.flap_prob = float(flap_prob)
@@ -59,12 +60,15 @@ class EventuallyStrongDetector(OracleModule):
     @action(guard=lambda self: True)
     def refresh(self) -> None:
         now = self.process.env_now()  # substrate privilege
+        current = self._suspected
         for q in self.monitored:
-            ct = self.schedule.crash_time(q)
+            ct = self._crash_at[q]
             if ct is not None and now >= ct + self.latency:
-                self.set_suspected(q, True)
+                flag = True
             elif q == self.anchor:
-                self.set_suspected(q, now < self.anchor_trust_time)
+                flag = now < self.anchor_trust_time
             else:
                 # Permanent flapping: the accuracy ◇S does NOT promise.
-                self.set_suspected(q, bool(self._rng.random() < self.flap_prob))
+                flag = self._rng.random() < self.flap_prob
+            if current[q] != flag:
+                self.set_suspected(q, flag)

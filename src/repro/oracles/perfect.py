@@ -36,11 +36,15 @@ class PerfectDetector(OracleModule):
         if latency < 0:
             raise ConfigurationError("latency must be non-negative")
         self.schedule = schedule
+        self._crash_at = {q: schedule.crash_time(q) for q in self.monitored}
         self.latency = float(latency)
 
     @action(guard=lambda self: True)
     def refresh(self) -> None:
         now = self.process.env_now()  # substrate privilege: reads the clock
+        current = self._suspected
         for q in self.monitored:
-            ct = self.schedule.crash_time(q)
-            self.set_suspected(q, ct is not None and now >= ct + self.latency)
+            ct = self._crash_at[q]
+            flag = ct is not None and now >= ct + self.latency
+            if current[q] != flag:
+                self.set_suspected(q, flag)

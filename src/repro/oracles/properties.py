@@ -26,16 +26,15 @@ def suspicion_series(
     detector: str | None = None,
 ) -> list[tuple[Time, bool]]:
     """Time-ordered ``(time, suspected)`` output of ``owner``'s module about
-    ``target`` (optionally restricted to one named detector)."""
+    ``target`` (optionally restricted to one named detector).
 
-    def match(r) -> bool:
-        if r.get("target") != target:
-            return False
-        return detector is None or r.get("detector") == detector
-
+    Read from the owner's bucket of the trace's query index, so judging
+    every monitored pair costs no scan of the whole trace per pair."""
     return [
-        (r.time, bool(r["suspected"]))
-        for r in trace.records(kind="suspect", pid=owner, where=match)
+        (r.time, bool(r.data["suspected"]))
+        for r in trace.records(kind="suspect", pid=owner)
+        if r.data.get("target") == target
+        and (detector is None or r.data.get("detector") == detector)
     ]
 
 
@@ -168,7 +167,7 @@ def check_eventual_strong_accuracy(
             series = suspicion_series(trace, owner, target, detector)
             conv = convergence_time(series, lambda s: not s)
             ok = conv is not None
-            mistakes = false_positive_count(trace, owner, target, schedule, detector)
+            mistakes = _wrongful_onsets(series, schedule.crash_time(target))
             report.pairs.append(
                 PairVerdict(owner, target, ok, conv, f"{mistakes} mistakes")
             )
@@ -482,8 +481,13 @@ def false_positive_count(
     target's crash (or ever, for a correct target) — the oracle's "mistakes"
     in the paper's sense, which ◇P must keep finite.
     """
-    series = suspicion_series(trace, owner, target, detector)
-    ct = schedule.crash_time(target)
+    return _wrongful_onsets(suspicion_series(trace, owner, target, detector),
+                            schedule.crash_time(target))
+
+
+def _wrongful_onsets(series: Sequence[tuple[Time, bool]],
+                     ct: Optional[Time]) -> int:
+    """:func:`false_positive_count` over an already-read series."""
     count = 0
     prev = None
     for t, s in series:

@@ -58,6 +58,7 @@ from repro.oracles.strong import StrongDetector, default_anchor
 from repro.oracles.trusting import TrustingDetector
 from repro.sim.engine import Engine
 from repro.sim.faults import CrashSchedule
+from repro.sim.rng import BatchedDoubles
 from repro.types import ProcessId
 
 #: The registry name of the default oracle: the heartbeat ◇P.
@@ -119,14 +120,17 @@ class InstallContext:
             return [q for q in self.pids if q != pid]
         return list(self.peers_of.get(pid, ()))
 
-    def rng_for(self, pid: ProcessId, salt: int = 0) -> np.random.Generator:
+    def rng_for(self, pid: ProcessId, salt: int = 0) -> BatchedDoubles:
         """Deterministic per-owner noise stream: a function of the spec
         seed and the owner's sorted index only, so substrate randomness is
-        independent of construction order and worker count."""
+        independent of construction order and worker count.
+
+        A batched view: the S and ◇S noise only ever calls ``.random()``,
+        which it serves with the raw generator's doubles."""
         index = sorted(self.pids).index(pid)
-        return np.random.default_rng(
+        return BatchedDoubles(np.random.default_rng(
             np.random.SeedSequence(entropy=abs(int(self.seed)),
-                                   spawn_key=(index, salt)))
+                                   spawn_key=(index, salt))))
 
 
 @dataclass(frozen=True)

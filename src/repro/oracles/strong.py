@@ -54,6 +54,7 @@ class StrongDetector(OracleModule):
     ) -> None:
         super().__init__(name, monitored, initially_suspect=False)
         self.schedule = schedule
+        self._crash_at = {q: schedule.crash_time(q) for q in self.monitored}
         self.anchor = anchor
         self.latency = float(latency)
         self.noise_until = float(noise_until)
@@ -67,15 +68,17 @@ class StrongDetector(OracleModule):
     @action(guard=lambda self: True)
     def refresh(self) -> None:
         now = self.process.env_now()  # substrate privilege
+        current = self._suspected
         for q in self.monitored:
             if q == self.anchor:
                 # Perpetual weak accuracy: the anchor is never suspected.
-                self.set_suspected(q, False)
-                continue
-            ct = self.schedule.crash_time(q)
-            if ct is not None and now >= ct + self.latency:
-                self.set_suspected(q, True)
-            elif now < self.noise_until and self._rng.random() < self.noise_prob:
-                self.set_suspected(q, True)  # finite wrongful suspicion
+                flag = False
             else:
-                self.set_suspected(q, False)
+                ct = self._crash_at[q]
+                # A noise draw is taken only where it always was: a live
+                # (or not yet detected) peer inside the noise window.
+                flag = ((ct is not None and now >= ct + self.latency)
+                        or (now < self.noise_until
+                            and self._rng.random() < self.noise_prob))
+            if current[q] != flag:
+                self.set_suspected(q, flag)

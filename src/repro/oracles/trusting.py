@@ -47,6 +47,7 @@ class TrustingDetector(OracleModule):
         if latency < 0:
             raise ConfigurationError("latency must be non-negative")
         self.schedule = schedule
+        self._crash_at = {q: schedule.crash_time(q) for q in self.monitored}
         self.latency = float(latency)
         if isinstance(registration_delay, Mapping):
             self._reg = {q: float(registration_delay.get(q, 10.0))
@@ -58,17 +59,20 @@ class TrustingDetector(OracleModule):
     @action(guard=lambda self: True)
     def refresh(self) -> None:
         now = self.process.env_now()  # substrate privilege
+        current = self._suspected
         for q in self.monitored:
-            ct = self.schedule.crash_time(q)
+            ct = self._crash_at[q]
             if q in self._ever_trusted:
                 # Trust already granted: revoke only on a real crash.
-                if ct is not None and now >= ct + self.latency:
+                if (ct is not None and now >= ct + self.latency
+                        and not current[q]):
                     self.set_suspected(q, True)
             else:
                 # Not yet trusted: grant only while q is verifiably live.
                 if (ct is None or now < ct) and now >= self._reg[q]:
                     self._ever_trusted.add(q)
-                    self.set_suspected(q, False)
+                    if current[q]:
+                        self.set_suspected(q, False)
 
     def has_trusted(self, q: ProcessId) -> bool:
         """Has this module ever trusted ``q``? (diagnostic aid)."""

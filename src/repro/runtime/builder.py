@@ -30,7 +30,12 @@ from repro.dining.fair_wrapper import FairDining
 from repro.dining.fairness import measure_fairness
 from repro.dining.hygienic import HygienicDining
 from repro.dining.manager import ManagerDining
-from repro.dining.spec import check_exclusion, check_wait_freedom, state_series
+from repro.dining.spec import (
+    EATING,
+    check_exclusion,
+    check_wait_freedom,
+    state_series,
+)
 from repro.dining.wf_ewx import WaitFreeEWXDining
 from repro.errors import ConfigurationError, SimulationError
 from repro.graphs import validate_conflict_graph
@@ -55,7 +60,7 @@ from repro.sim.link_faults import LinkFaultModel, Partition
 from repro.sim.metrics import collect_metrics
 from repro.sim.network import DelayModel, PartialSynchronyDelays
 from repro.sim.transport import ReliableTransport, RetransmitPolicy
-from repro.types import DinerState, ProcessId, Time
+from repro.types import ProcessId, Time
 
 #: Dining-instance id used by every declarative run (trace checkers key
 #: state rows by it).
@@ -141,8 +146,7 @@ def build_system(
         peers_of=peers_of, seed=seed))
 
     def provider(pid: ProcessId):
-        module = modules[pid]
-        return lambda q: module.suspected(q)
+        return modules[pid].suspected
 
     entry = spec.entry
     return System(engine=engine, pids=list(pids), schedule=schedule,
@@ -322,7 +326,7 @@ def _violation_justified(trace, violation, detector: str = BOX_LABEL) -> bool:
     """
     for eater, peer in ((violation.u, violation.v), (violation.v, violation.u)):
         begins = [t for t, s in state_series(trace, INSTANCE, eater)
-                  if s == DinerState.EATING.value and t <= violation.start]
+                  if s == EATING and t <= violation.start]
         if begins and suspected_at(trace, eater, peer, max(begins),
                                    detector=detector):
             return True

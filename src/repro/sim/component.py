@@ -143,7 +143,9 @@ class Component:
 
     def send(self, to: ProcessId, tag: str, kind: str, **payload: Any) -> None:
         """Send a message; delivery is reliable, delayed, non-FIFO."""
-        proc = self._process()
+        proc = self.process
+        if proc is None:
+            proc = self._process()  # raises
         proc.send(make_message((proc.pid, to, tag, kind, payload,
                                 next(_types._msg_counter))))
 
@@ -160,9 +162,11 @@ class Component:
 
     def record(self, kind: str, **data: Any) -> None:
         """Append a structured record to the run trace."""
-        proc = self._process()
-        proc._require_engine().trace.record(
-            kind, proc.pid, component=self.name, **data)
+        proc = self.process
+        engine = None if proc is None else proc._engine
+        if engine is None:
+            engine = self._process()._require_engine()  # raises
+        engine.trace.record(kind, proc.pid, component=self.name, **data)
 
     def other_component(self, name: str) -> "Component":
         """Access a sibling component on the same process.

@@ -38,8 +38,10 @@ Typical usage::
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
@@ -114,7 +116,9 @@ class Engine:
         #: ``config.obs``) the convergence probes all report here.
         self.registry = MetricsRegistry()
         self.trace = Trace(sink=self.config.trace_sink)
-        self.trace.bind_clock(lambda: self.clock.now)
+        # A C-level reader of the clock slot: no Python frame per record.
+        self.trace.bind_clock(
+            functools.partial(operator.attrgetter("_now"), self.clock))
         self.probes: Optional[RunProbes] = None
         if self.config.obs:
             self.probes = RunProbes(self.registry)
@@ -139,11 +143,13 @@ class Engine:
         self._on_crash = self._do_crash
         self.events_processed = 0
         self._stopped = False
-        # Per-process step-scheduling cache: process -> (rng, speed).  The
-        # rng is a BatchedDoubles view of its step stream when the step
-        # policy draws only uniform doubles (or there is no policy), else
-        # the raw generator.  Populated lazily on first step.
-        self._step_cache: dict[Process, tuple[object, float]] = {}
+        # Per-process step-scheduling cache, populated lazily on first step:
+        # process -> (random, lo, span, speed) with no step policy, where
+        # ``random`` draws from a BatchedDoubles view of the step stream;
+        # process -> (rng, None, None, speed) under a policy, ``rng`` being
+        # that view when the policy draws only uniform doubles, else the
+        # raw generator.
+        self._step_cache: dict[Process, tuple] = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -279,17 +285,23 @@ class Engine:
               arg: object) -> None:
         heapq.heappush(self._heap, (t, next(self._seq), handler, arg))
 
-    def _step_state(self, proc: Process) -> tuple[object, float]:
+    def _step_state(self, proc: Process) -> tuple:
         """Build (and cache) the per-process step-scheduling entry."""
         pid = proc.pid
-        policy = self.config.step_policy
+        config = self.config
+        policy = config.step_policy
+        speed = float(config.speeds.get(pid, 1.0))
         if policy is None or policy.uniform_only:
             # All draws on this stream are single uniform doubles, so a
             # batched view reproduces the raw stream bit-for-bit.
             rng: object = self.rng.batched(f"step:{pid}")
         else:
             rng = self.rng.stream(f"step:{pid}")
-        entry = (rng, float(self.config.speeds.get(pid, 1.0)))
+        if policy is None:
+            entry: tuple = (rng.random, config.step_min,
+                            config.step_max - config.step_min, speed)
+        else:
+            entry = (rng, None, None, speed)
         self._step_cache[proc] = entry
         return entry
 
@@ -300,14 +312,13 @@ class Engine:
         entry = self._step_cache.get(proc)
         if entry is None:
             entry = self._step_state(proc)
-        rng, speed = entry
+        draw, lo, span, speed = entry
         now = self.clock._now
-        config = self.config
-        policy = config.step_policy
-        if policy is not None:
-            delay = policy.next_delay(proc.pid, now, rng)
+        if span is None:
+            delay = self.config.step_policy.next_delay(proc.pid, now, draw)
         else:
-            delay = rng.uniform(config.step_min, config.step_max)
+            # numpy's scalar uniform(lo, hi), on the batched stream.
+            delay = lo + span * draw()
         heapq.heappush(self._heap, (now + delay * speed, next(self._seq),
                                     self._on_step, proc))
 
@@ -352,7 +363,7 @@ class Engine:
         if proc is None or proc.crashed:
             return
         proc.deliver(msg)
-        self.network.note_delivered(msg)
+        self.network._c_delivered.value += 1.0
         if self.config.record_messages:
             self.trace.record(
                 "deliver", pid=msg.receiver, frm=msg.sender, tag=msg.tag,

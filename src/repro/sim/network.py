@@ -128,16 +128,19 @@ class PartialSynchronyDelays(DelayModel):
         self.pre_gst_max = float(pre_gst_max)
 
     def delay(self, msg: Message, now: Time, rng: np.random.Generator) -> Time:
-        # ``uniform`` already returns a Python float on both the raw and
-        # the batched stream.
+        # Each ``lo + (hi - lo) * rng.random()`` is numpy's scalar
+        # ``uniform(lo, hi)`` spelled out, so a raw generator and a batched
+        # view give the same Python float.
+        delta = self.delta
+        lo = 0.1 * delta
         if now >= self.gst:
-            return rng.uniform(0.1 * self.delta, self.delta)
+            return lo + (delta - lo) * rng.random()
         # Chaotic period: the draw may be long, but every message sent
         # before GST is delivered by gst + delta, so that post-GST the
         # channel bound delta holds for all in-flight traffic (standard
         # GST semantics, needed for heartbeat timeouts to converge).
-        deliver_at = now + rng.uniform(1e-9, self.pre_gst_max)
-        cap = self.gst + rng.uniform(0.1 * self.delta, self.delta)
+        deliver_at = now + (1e-9 + (self.pre_gst_max - 1e-9) * rng.random())
+        cap = self.gst + (lo + (delta - lo) * rng.random())
         d = (cap if cap < deliver_at else deliver_at) - now
         return d if d > 1e-9 else 1e-9
 
@@ -350,9 +353,6 @@ class Network:
             for _ in range(copies):
                 heappush(heap, (now + delay_model.delay(msg, now, rng),
                                 next(engine._seq), on_deliver, msg))
-
-    def note_delivered(self, msg: Message) -> None:
-        self._c_delivered.value += 1.0
 
 
 def mean_delay_estimate(model: DelayModel, now: Time, samples: int = 256,

@@ -80,7 +80,10 @@ class Process:
     def send(self, msg: Message) -> None:
         if self.crashed:
             raise CrashedProcessError(f"crashed process {self.pid} cannot send")
-        self._require_engine().network.send(msg)
+        engine = self._engine
+        if engine is None:
+            engine = self._require_engine()  # raises
+        engine.network.send(msg)
 
     def send_all(self, receivers: Sequence[ProcessId], tag: str, kind: str,
                  payload: Mapping[str, Any]) -> None:
@@ -97,7 +100,10 @@ class Process:
         *environment* components (client drivers, workload models) may call
         this; algorithm components must not.
         """
-        return self._require_engine().clock.now
+        engine = self._engine
+        if engine is None:
+            engine = self._require_engine()  # raises
+        return engine.clock._now
 
     # -- engine-facing API ----------------------------------------------------
 

@@ -9,7 +9,9 @@ perturbs existing ones — essential for comparing runs across code versions.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 
 import numpy as np
 
@@ -27,10 +29,19 @@ class BatchedDoubles:
     consume exactly one underlying double, and scalar ``uniform(lo, hi)``
     equals ``lo + (hi - lo) * random()`` bit-for-bit.  This wrapper
     therefore prefetches ``random(size=batch)`` blocks and serves them one
-    at a time: any interleaving of :meth:`random` and :meth:`uniform`
+    at a time: any interleaving of :attr:`random` and :meth:`uniform`
     calls yields exactly the values the raw generator would have produced
     for the same call sequence — which is what lets the engine batch its
-    hot streams without perturbing seeded runs.
+    hot streams without perturbing seeded runs.  Hot call sites write
+    ``lo + (hi - lo) * random()`` themselves, which gives the same double
+    on a raw generator and on this view.
+
+    :attr:`random` is not a method but ``functools.partial(next, it)``
+    over one C iterator that flattens ``gen.random(batch).tolist()``
+    blocks, pulled lazily one block at a time: neither a draw nor a block
+    refill runs a Python frame.  The view holds that live iterator, so it
+    is run-local and must not be pickled (a copy would fork the stream,
+    and itertools iterators stop pickling in Python 3.14).
 
     The contract is all-or-nothing per stream: once a stream is wrapped,
     every subsequent draw must go through the wrapper (a direct draw on
@@ -40,41 +51,22 @@ class BatchedDoubles:
     ``uniform_only`` flags on delay models and step policies.
     """
 
-    __slots__ = ("_gen", "_batch", "_buf", "_idx", "_len")
+    __slots__ = ("random",)
 
     def __init__(self, gen: np.random.Generator, batch: int = 256) -> None:
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        self._gen = gen
-        self._batch = int(batch)
-        self._buf: list[float] = []
-        self._idx = 0
-        self._len = 0
-
-    def _refill(self) -> None:
-        # tolist() converts the whole block to Python floats in one C call,
-        # so per-draw service is a plain list index (no np.float64 boxing).
-        self._buf = self._gen.random(size=self._batch).tolist()
-        self._idx = 0
-        self._len = self._batch
-
-    def random(self) -> float:
-        """Next double in [0, 1) — identical to ``gen.random()``."""
-        i = self._idx
-        if i >= self._len:
-            self._refill()
-            i = 0
-        self._idx = i + 1
-        return self._buf[i]
+        # tolist() converts a whole block to Python floats in one C call,
+        # so the stream serves plain floats (no np.float64 boxing).
+        blocks = map(np.ndarray.tolist,
+                     map(gen.random, itertools.repeat(int(batch))))
+        #: Next double in [0, 1) — identical to ``gen.random()``.
+        self.random = functools.partial(
+            next, itertools.chain.from_iterable(blocks))
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         """Next uniform in [low, high) — identical to ``gen.uniform``."""
-        i = self._idx
-        if i >= self._len:
-            self._refill()
-            i = 0
-        self._idx = i + 1
-        return low + (high - low) * self._buf[i]
+        return low + (high - low) * self.random()
 
 
 class RngRegistry:

@@ -86,6 +86,9 @@ class Trace:
         # wants everything.  Against a non-retaining sink, records whose
         # kind is outside this set are never constructed (lazy fast path).
         self._needed_kinds: Optional[set[str]] = set()
+        # The query index over the retained rows (see records()): None
+        # until a kind-filtered query builds it, dropped by every append.
+        self._index: Optional[dict[Any, list[TraceRecord]]] = None
 
     def bind_clock(self, now_fn: Callable[[], Time]) -> None:
         self._now_fn = now_fn
@@ -140,6 +143,7 @@ class Trace:
         state["_now_fn"] = None   # bound clock closures don't pickle
         state["_observers"] = []  # run-local; may close over live objects
         state["_needed_kinds"] = set()
+        state["_index"] = None    # rebuilt on the first query
         return state
 
     # -- writing ------------------------------------------------------------
@@ -173,6 +177,7 @@ class Trace:
     def _append(self, rec: TraceRecord) -> None:
         """Sink a prebuilt record and maintain the exact aggregate views."""
         self._sink.append(rec)
+        self._index = None
         self._total += 1
         self._last_time = rec.time
         kind = rec.kind
@@ -197,17 +202,44 @@ class Trace:
         pid: ProcessId | None = None,
         where: Callable[[TraceRecord], bool] | None = None,
     ) -> list[TraceRecord]:
-        """All retained records matching the given filters, in time order."""
-        out = []
-        for r in self._sink.retained():
-            if kind is not None and r.kind != kind:
-                continue
-            if pid is not None and r.pid != pid:
-                continue
-            if where is not None and not where(r):
-                continue
-            out.append(r)
-        return out
+        """All retained records matching the given filters, in time order.
+
+        A query naming ``kind`` is served from an index ``{kind: rows,
+        (kind, pid): rows}`` instead of a scan of the whole trace.  The
+        first such query for a kind after an append builds that kind's
+        entries in one pass over the retained rows; the next append drops
+        the index, so a mid-run query sees exactly what a scan would.  The
+        index is never pickled.  The returned list is the caller's own.
+        """
+        if kind is None:
+            rows: Sequence[TraceRecord] = self._sink.retained()
+            if pid is not None:
+                rows = [r for r in rows if r.pid == pid]
+        else:
+            index = self._index
+            if index is None:
+                index = self._index = {}
+            rows = index.get(kind)
+            if rows is None:
+                rows = self._index_kind(index, kind)
+            if pid is not None:
+                rows = index.get((kind, pid), ())
+        if where is None:
+            return list(rows)
+        return [r for r in rows if where(r)]
+
+    def _index_kind(self, index: dict[Any, list[TraceRecord]],
+                    kind: str) -> list[TraceRecord]:
+        """Add ``kind``'s rows, whole and per pid, to ``index``."""
+        rows = [r for r in self._sink.retained() if r.kind == kind]
+        index[kind] = rows
+        for r in rows:
+            bucket = index.get((kind, r.pid))
+            if bucket is None:
+                index[(kind, r.pid)] = [r]
+            else:
+                bucket.append(r)
+        return rows
 
     def series(
         self,

@@ -118,8 +118,10 @@ class ReliableTransport:
         self._rng = None  # batched "transport" stream, set at install()
         self._next_seq: dict[Link, int] = {}
         self._pending: dict[tuple[Link, int], _Pending] = {}
-        # Per-link dedup state: [highest contiguous seq seen, sparse seqs above].
-        self._seen: dict[Link, list] = {}
+        # Per-link dedup state: the highest contiguous seq delivered, and
+        # the out-of-order seqs delivered above it (made on first need).
+        self._watermark: dict[Link, int] = {}
+        self._sparse: dict[Link, set[int]] = {}
         # The timer handler, bound once so every timer entry shares it.
         self._timer = self._on_timer
         self._bind_registry(MetricsRegistry())
@@ -184,18 +186,33 @@ class ReliableTransport:
 
     # -- send path (called by Network.send) ------------------------------------
 
+    # Both send paths below transmit the data envelope and arm its timer
+    # inline.  The timer's delay is ``rto`` plus numpy's scalar
+    # ``uniform(-spread, spread)`` spelled out, drawn after the transmit.
+
     def wrap_and_send(self, msg: Message) -> None:
         """Carry application message ``msg`` reliably to its receiver."""
-        self._require_engine()
-        link: Link = (msg.sender, msg.receiver)
+        engine = self._engine
+        if engine is None:
+            engine = self._require_engine()
+        sender, receiver = msg.sender, msg.receiver
+        link: Link = (sender, receiver)
         seq = self._next_seq.get(link, 0) + 1
         self._next_seq[link] = seq
         key = (link, seq)
-        entry = _Pending(key, msg, self.policy.rto_initial)
+        policy = self.policy
+        rto = policy.rto_initial
+        entry = _Pending(key, msg, rto)
         self._pending[key] = entry
         self._c_data_sent.value += 1.0
-        self._transmit_data(link, seq, msg)
-        self._arm_timer(entry)
+        engine.network.transmit(make_message((
+            sender, receiver, TRANSPORT_TAG, DATA_KIND,
+            {"seq": seq, "inner": msg}, next(_types._msg_counter))))
+        spread = policy.jitter * rto
+        delay = rto + (-spread + 2.0 * spread * self._rng.random()
+                       if spread else 0.0)
+        heappush(engine._heap, (engine.clock._now + max(delay, 1e-9),
+                                next(engine._seq), self._timer, entry))
 
     # -- receive path (called by Engine._do_deliver) -----------------------------
 
@@ -207,15 +224,32 @@ class ReliableTransport:
             engine = self._engine  # delivery implies installed
             # Ack unconditionally — re-received duplicates mean the previous
             # ack was (or may have been) lost.
-            ack = make_message((receiver, sender, TRANSPORT_TAG, ACK_KIND,
-                                {"seq": seq}, next(_types._msg_counter)))
             self._c_acks_sent.value += 1.0
-            engine.network.transmit(ack)
-            if self._mark_seen((sender, receiver), seq):
-                self._c_delivered_unique.value += 1.0
-                engine.deliver_payload(payload["inner"])
-            else:
+            engine.network.transmit(make_message((
+                receiver, sender, TRANSPORT_TAG, ACK_KIND, {"seq": seq},
+                next(_types._msg_counter))))
+            # Dedup: per link, a contiguous watermark plus a sparse set of
+            # out-of-order seqs above it, so memory stays proportional to
+            # the reordering window rather than the run length.
+            link = (sender, receiver)
+            watermark = self._watermark.get(link, 0)
+            sparse = self._sparse.get(link)
+            if seq <= watermark or (sparse is not None and seq in sparse):
                 self._c_dup_suppressed.value += 1.0
+                return
+            if seq == watermark + 1:
+                # In order: advance over any seqs buffered above it.
+                if sparse:
+                    while seq + 1 in sparse:
+                        seq += 1
+                        sparse.discard(seq)
+                self._watermark[link] = seq
+            elif sparse is None:
+                self._sparse[link] = {seq}
+            else:
+                sparse.add(seq)
+            self._c_delivered_unique.value += 1.0
+            engine.deliver_payload(payload["inner"])
         elif kind == ACK_KIND:
             self._pending.pop(((receiver, sender), seq), None)
         else:  # pragma: no cover - defensive
@@ -223,27 +257,16 @@ class ReliableTransport:
 
     # -- internals --------------------------------------------------------------
 
-    def _transmit_data(self, link: Link, seq: int, inner: Message) -> None:
-        self._engine.network.transmit(make_message((
-            link[0], link[1], TRANSPORT_TAG, DATA_KIND,
-            {"seq": seq, "inner": inner}, next(_types._msg_counter))))
-
-    def _arm_timer(self, entry: _Pending) -> None:
-        engine = self._engine
-        rto = entry.rto
-        spread = self.policy.jitter * rto
-        delay = rto + (self._rng.uniform(-spread, spread) if spread else 0.0)
-        heappush(engine._heap, (engine.clock._now + max(delay, 1e-9),
-                                next(engine._seq), self._timer, entry))
-
     def _on_timer(self, entry: _Pending) -> None:
         key = entry.key
         if key not in self._pending:
             return  # acked in the meantime
         engine = self._engine
         link, seq = key
-        sender_proc = engine.processes.get(link[0])
-        receiver_proc = engine.processes.get(link[1])
+        sender, receiver = link
+        processes = engine.processes
+        sender_proc = processes.get(sender)
+        receiver_proc = processes.get(receiver)
         if (sender_proc is None or sender_proc.crashed
                 or receiver_proc is None or receiver_proc.crashed):
             # A crashed sender stops (crash-stop); a crashed receiver will
@@ -253,34 +276,16 @@ class ReliableTransport:
             return
         policy = self.policy
         entry.attempts += 1
-        entry.rto = min(entry.rto * policy.backoff, policy.rto_max)
+        entry.rto = rto = min(entry.rto * policy.backoff, policy.rto_max)
         self._c_retransmissions.value += 1.0
-        self._transmit_data(link, seq, entry.inner)
-        self._arm_timer(entry)
-
-    def _mark_seen(self, link: Link, seq: int) -> bool:
-        """Record ``seq`` on ``link``; False if it was already delivered.
-
-        Dedup state is compacted to a contiguous watermark plus a sparse
-        set of out-of-order seqs, so memory stays proportional to the
-        reordering window rather than the run length.
-        """
-        state = self._seen.get(link)
-        if state is None:
-            state = self._seen[link] = [0, set()]
-        watermark, sparse = state
-        if seq <= watermark or seq in sparse:
-            return False
-        if seq != watermark + 1:
-            sparse.add(seq)
-            return True
-        # In order: advance the watermark over any seqs buffered above it.
-        watermark = seq
-        while watermark + 1 in sparse:
-            watermark += 1
-            sparse.discard(watermark)
-        state[0] = watermark
-        return True
+        engine.network.transmit(make_message((
+            sender, receiver, TRANSPORT_TAG, DATA_KIND,
+            {"seq": seq, "inner": entry.inner}, next(_types._msg_counter))))
+        spread = policy.jitter * rto
+        delay = rto + (-spread + 2.0 * spread * self._rng.random()
+                       if spread else 0.0)
+        heappush(engine._heap, (engine.clock._now + max(delay, 1e-9),
+                                next(engine._seq), self._timer, entry))
 
     def in_flight(self) -> int:
         """Number of not-yet-acknowledged application messages."""

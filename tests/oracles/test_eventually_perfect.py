@@ -12,6 +12,8 @@ from repro.oracles.properties import (
     check_eventual_strong_accuracy,
     check_strong_completeness,
 )
+from repro.runtime.builder import execute
+from repro.runtime.spec import RunSpec
 from repro.sim import Engine, PartialSynchronyDelays, SimConfig
 from repro.sim.faults import CrashSchedule
 from repro.types import Message
@@ -200,3 +202,31 @@ def test_retrusted_peer_lowers_a_gate_left_open(backoff):
 def test_no_peers_never_scans():
     mod, rows, _ = drive(EventuallyPerfectDetector, [], [None] * 50, 2, 1.1)
     assert rows == [] and mod.ticks == 50 and mod._next_due == math.inf
+
+
+# -- finding: the heartbeat ◇P falls behind when degree > heartbeat_period ----
+#
+# A step consumes at most one message, so round-robin fires on_heartbeat at
+# most once per rotation — the rate of tick — while degree / period
+# heartbeats arrive per tick.  Above degree == period the inbox backlog
+# grows without bound, a crashed peer's stale heartbeats keep refreshing
+# its last-seen tick, and detection lags ever further behind the crash.
+# clique:6 (degree 5, period 4) is the smallest clique that fails; clique:5
+# (degree 4) on the same schedule is the control.
+
+
+def _completeness(graph: str) -> bool:
+    return execute(RunSpec(graph=graph, seed=7, pairs="neighbors",
+                           max_time=7000.0, crashes={"p3": 6000.0})
+                   ).oracle_completeness_ok
+
+
+def test_completeness_holds_when_degree_equals_heartbeat_period():
+    assert _completeness("clique:5")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "heartbeat ◇P falls behind when degree > heartbeat_period: one message "
+    "per step leaves a growing heartbeat backlog (ROADMAP, open item)"))
+def test_completeness_holds_when_degree_exceeds_heartbeat_period():
+    assert _completeness("clique:6")

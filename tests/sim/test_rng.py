@@ -1,8 +1,15 @@
 """Unit tests for deterministic RNG streams."""
 
-import numpy as np
+import functools
 
-from repro.sim.rng import RngRegistry, _stream_key
+import numpy as np
+import pytest
+
+from repro.sim.engine import Engine, SimConfig
+from repro.sim.network import FixedDelays, PartialSynchronyDelays
+from repro.sim.rng import BatchedDoubles, RngRegistry, _stream_key
+from repro.sim.transport import ReliableTransport, RetransmitPolicy
+from repro.types import Message
 
 
 def test_same_name_returns_cached_stream():
@@ -56,3 +63,108 @@ def test_fork_is_deterministic():
 def test_stream_key_is_stable():
     assert _stream_key("network") == _stream_key("network")
     assert _stream_key("network") != _stream_key("networl")
+
+
+# -- BatchedDoubles: a batched view serves the raw generator's doubles --------
+
+
+def _draws(rng, n):
+    """Interleave random() with uniform() over mixed bounds."""
+    out = []
+    for i in range(n):
+        if i % 3 == 0:
+            out.append(rng.uniform(-2.5, 7.25))
+        elif i % 3 == 1:
+            out.append(rng.random())
+        else:
+            out.append(rng.uniform(0.4, 1.2))
+    return out
+
+
+@pytest.mark.parametrize("batch", [1, 3, 256])
+def test_batched_interleaving_matches_raw_generator(batch):
+    raw = np.random.default_rng(11)
+    view = BatchedDoubles(np.random.default_rng(11), batch=batch)
+    got = _draws(view, 700)  # crosses many block boundaries at every batch
+    assert got == _draws(raw, 700)
+    assert all(type(x) is float for x in got)
+
+
+def test_batched_view_continues_a_consumed_stream():
+    reg = RngRegistry(seed=4)
+    raw_prefix = reg.stream("s").random(5).tolist()
+    view = reg.batched("s", batch=3)
+    ref = np.random.default_rng(np.random.SeedSequence(
+        entropy=4, spawn_key=(_stream_key("s"),)))
+    assert raw_prefix == ref.random(5).tolist()
+    assert [view.random() for _ in range(10)] == [ref.random()
+                                                 for _ in range(10)]
+    assert reg.batched("s") is view
+
+
+def test_batched_random_is_a_c_callable():
+    # No Python frame per draw: the attribute is a partial over next().
+    view = BatchedDoubles(np.random.default_rng(0))
+    assert isinstance(view.random, functools.partial)
+    assert view.random.func is next
+
+
+def test_batched_rejects_empty_blocks():
+    with pytest.raises(ValueError):
+        BatchedDoubles(np.random.default_rng(0), batch=0)
+
+
+def _parent_partial_synchrony_delay(model, now, rng):
+    """The delay model as written with ``rng.uniform`` (the reference)."""
+    if now >= model.gst:
+        return rng.uniform(0.1 * model.delta, model.delta)
+    deliver_at = now + rng.uniform(1e-9, model.pre_gst_max)
+    cap = model.gst + rng.uniform(0.1 * model.delta, model.delta)
+    d = (cap if cap < deliver_at else deliver_at) - now
+    return d if d > 1e-9 else 1e-9
+
+
+@pytest.mark.parametrize("now", [0.0, 37.5, 119.9, 120.0, 500.0])
+def test_partial_synchrony_delay_same_on_raw_and_batched(now):
+    model = PartialSynchronyDelays(gst=120.0, delta=1.5, pre_gst_max=30.0)
+    msg = Message("a", "b", "t", "k")
+    ref = np.random.default_rng(3)
+    raw = np.random.default_rng(3)
+    view = BatchedDoubles(np.random.default_rng(3), batch=7)
+    for _ in range(50):
+        want = _parent_partial_synchrony_delay(model, now, ref)
+        assert model.delay(msg, now, raw) == want
+        assert model.delay(msg, now, view) == want
+
+
+def _timer_times(engine, transport):
+    return sorted(t for t, _, handler, _ in engine._heap
+                  if handler == transport._timer)
+
+
+@pytest.mark.parametrize("now", [0.0, 300.0])
+def test_transport_jitter_same_on_raw_and_batched(now):
+    policy = RetransmitPolicy(rto_initial=8.0, rto_max=120.0, jitter=0.25)
+    ref = RngRegistry(seed=9).stream("transport")
+    runs = []
+    for raw in (False, True):
+        eng = Engine(SimConfig(seed=9), delay_model=FixedDelays(1.0))
+        transport = ReliableTransport(policy).install(eng)
+        if raw:
+            transport._rng = RngRegistry(seed=9).stream("transport")
+        eng.add_process("a")
+        eng.add_process("b")
+        eng.clock.advance_to(now)
+        for i in range(40):
+            transport.wrap_and_send(Message("a", "b", "rx", "data", {"n": i}))
+        # One retransmission round: every timer fires once, rto doubles.
+        for entry in list(transport._pending.values()):
+            transport._on_timer(entry)
+        runs.append(_timer_times(eng, transport))
+    spread = policy.jitter * policy.rto_initial
+    want = [now + max(8.0 + ref.uniform(-spread, spread), 1e-9)
+            for _ in range(40)]
+    spread = policy.jitter * 16.0
+    want += [now + max(16.0 + ref.uniform(-spread, spread), 1e-9)
+             for _ in range(40)]
+    assert runs[0] == runs[1] == sorted(want)

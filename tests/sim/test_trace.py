@@ -88,6 +88,27 @@ def test_records_filter_by_kind_and_pid():
     assert len(t.records(kind="a", pid="q")) == 1
 
 
+@pytest.mark.parametrize("sink", ["full", "ring:3"])
+def test_indexed_queries_follow_appends_and_eviction(sink):
+    t = Trace(sink=sink)
+    clock = {"now": 0.0}
+    t.bind_clock(lambda: clock["now"])
+
+    def scan(kind, pid=None):
+        return [r for r in t if r.kind == kind and pid in (None, r.pid)]
+
+    for i, (kind, pid) in enumerate([("a", "p"), ("b", "p"), ("a", "q"),
+                                     ("a", "p"), ("b", "q")]):
+        clock["now"] = float(i)
+        t.record(kind, pid)
+        for k, p in [("a", None), ("a", "p"), ("b", "q"), ("c", "p")]:
+            assert t.records(kind=k, pid=p) == scan(k, p)
+    # The caller owns the list; the index behind it is not pickled.
+    t.records(kind="a").clear()
+    assert t.records(kind="a") == scan("a")
+    assert pickle.loads(pickle.dumps(t))._index is None
+
+
 def test_records_filter_by_predicate():
     t = make_trace([(1.0, "a", "p", {"v": 1}), (2.0, "a", "p", {"v": 2})])
     assert len(t.records(where=lambda r: r["v"] > 1)) == 1

@@ -32,7 +32,7 @@ from repro.experiments import (
 
 
 def test_registry_is_complete():
-    assert list(REGISTRY) == [f"e{i}" for i in range(1, 20)]
+    assert list(REGISTRY) == [f"e{i}" for i in range(1, 21)]
     for mod in REGISTRY.values():
         assert hasattr(mod, "run") and hasattr(mod, "TITLE")
 
