@@ -25,6 +25,10 @@ further pins hold the wire and the campaign surfaces still:
 * a seed-7 chaos campaign's ``to_json()`` and ``run_records()``;
 * a two-seed lattice matrix's ``to_records()``.
 
+and the judged side of a run is pinned too: the ``repro.span.v1`` rows
+and the probe snapshot of two runs, and every stored verdict plus the
+detector battery of two more.
+
 ``Message.uid`` values are excluded from digests: the uid counter is
 process-global, so absolute uids depend on how many messages earlier
 tests created; everything else about a record is seed-determined.
@@ -150,6 +154,99 @@ class TestCampaignPins:
 
         matrix = repro.compare(graphs=("ring:4",), seeds=2, seed=7)
         assert json_digest(matrix.to_records()) == self.LATTICE_RECORDS
+
+
+def repr_digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode("utf-8")).hexdigest()
+
+
+CHAOS_GOLDEN_SEED = 2885616951
+
+
+def chaos_golden_spec():
+    from repro.chaos import ChaosConfig, build_run
+
+    return build_run(CHAOS_GOLDEN_SEED, ChaosConfig(max_time=400.0))
+
+
+def sweep_golden_spec():
+    return RunSpec(name="golden-sweep", graph="ring:4",
+                   seed=fanout_seeds(0, 3)[2], max_time=400.0,
+                   crashes={"p1": 180.0})
+
+
+def omega_golden_spec():
+    return RunSpec(name="golden-omega", graph="ring:4", detector="omega",
+                   seed=7, max_time=600.0, crashes={"p1": 200.0})
+
+
+class TestSpanAndProbePins:
+    """The span export and the probe snapshot, byte for byte: the chaos
+    golden scenario, and an Ω run (two suspicion labels, a leader
+    series) on ``ring:4`` with a crash."""
+
+    PINS = {
+        "chaos": (
+            "2e1566795db36ae47a18b02e7c63c745d3a91e7b97d8e4ca681373928a7929c6",
+            "89d275fa8f4b7c0989050d9a0f65cf2cd24f8498a8252a619b953b58040433d6"),
+        "omega": (
+            "77527ef0b875f87a5520d5afbb0df14bae8e76745708d9ec0a2e0c704726b695",
+            "a24a674d83d21ea676b093785947189050adb2da61db07c64876f6c7ce41ada8"),
+    }
+
+    def check(self, name, spec):
+        from repro.runtime.builder import execute
+
+        result = execute(dataclasses.replace(spec, spans=True))
+        spans, obs = self.PINS[name]
+        assert json_digest(result.span_records()) == spans
+        assert json_digest(result.obs.to_dict()) == obs
+
+    def test_chaos_spans_and_obs_unchanged(self):
+        self.check("chaos", chaos_golden_spec())
+
+    def test_omega_spans_and_obs_unchanged(self):
+        self.check("omega", omega_golden_spec())
+
+
+class TestVerdictPins:
+    """Every verdict ``execute`` stores, plus the detector battery with
+    its details, for the chaos and sweep golden specs."""
+
+    PINS = {
+        "chaos": (
+            "6c4ba3dc3c196abb6062732cf6b00624d142107cb824cf2654c855c209bbb163",
+            "0463da25e0cae159d902f9addbe35b73ab4930fc375887c76d110ac188629da9",
+            "5f8a2a2918c0c03f3d2ba120155cb13d7a000c4a191b7b10afa468e5b05dbaa8",
+            "eb946fe9a76a8627d4c4fac9e61867225c5263027620d61c1734cef5d213362a"),
+        "sweep": (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+            "60a6fd79a93019433ac0379f75c09dff84ceed1ae103dd7a78fb190940846118",
+            "258b2904d1ad871e40cfa25bd11d1e141db28c3b7b1034b093aed34b8eaf97c0",
+            "eb946fe9a76a8627d4c4fac9e61867225c5263027620d61c1734cef5d213362a"),
+    }
+
+    def check(self, name, spec):
+        from repro.oracles.properties import check_detector_properties
+        from repro.runtime.builder import execute
+
+        result = execute(spec)
+        built = instantiate(spec)
+        built.engine.run()
+        system = built.system
+        verdicts = check_detector_properties(
+            built.engine.trace, system.pids, system.schedule,
+            system.assumptions, pairs=built.monitors)
+        assert (repr_digest(result.exclusion.violations),
+                repr_digest(result.wait_freedom),
+                repr_digest(result.fairness.samples),
+                repr_digest(verdicts)) == self.PINS[name]
+
+    def test_chaos_verdicts_unchanged(self):
+        self.check("chaos", chaos_golden_spec())
+
+    def test_sweep_verdicts_unchanged(self):
+        self.check("sweep", sweep_golden_spec())
 
 
 class TestSweepShardGolden:
