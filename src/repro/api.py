@@ -68,9 +68,10 @@ def run(spec: Union[RunSpec, Mapping],
         check: Optional[bool] = None) -> RunResult:
     """Execute one :class:`RunSpec` (or spec dict) and judge the run.
 
-    ``check=None`` (default) runs the invariant battery exactly when the
-    trace sink retains rows; ``counters`` runs come back metrics-only
-    with ``result.checked`` False.
+    The verdicts are judged online, so they are the same under every
+    trace sink.  ``check=None`` (default) judges exactly when the sink
+    retains rows; ``counters`` runs come back metrics-only with
+    ``result.checked`` False unless ``check=True``.
     """
     return execute(_coerce_spec(spec), check=check)
 

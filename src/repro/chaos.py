@@ -86,9 +86,10 @@ class ChaosConfig:
     #: Per-detector parameter overrides (see the registry entry defaults).
     detector_params: Mapping[str, Any] = field(default_factory=dict)
     #: Trace-sink mode for every run (``full`` | ``ring:N`` | ``counters``).
-    #: ``counters`` retains no rows, so runs execute *unchecked* (metrics
-    #: only — the mode long perf campaigns use); :func:`check_invariants`
-    #: then has nothing to judge and reports no failures.
+    #: Verdicts are judged online, identically under every mode, but
+    #: ``counters`` runs execute *unchecked* (metrics only — the mode long
+    #: perf campaigns use); :func:`check_invariants` then has nothing to
+    #: judge and reports no failures.
     trace: str = "full"
     #: Pair-selection policy threaded into every built scenario (``all`` |
     #: ``neighbors`` | ``neighbors:<k>``).  ``neighbors`` is what makes
@@ -296,8 +297,8 @@ class RunVerdict:
 def check_invariants(report: RunResult, cfg: ChaosConfig) -> list[str]:
     """The per-run invariant battery; empty list = all good.
 
-    An *unchecked* report (``counters`` trace sink: no rows retained, so
-    the checkers never ran) has nothing to judge — such runs are
+    An *unchecked* report (a ``counters`` trace sink run, which ``execute``
+    leaves unjudged by default) has nothing to judge — such runs are
     metrics-only by construction and report no failures; the verdict's
     ``trace_mode`` field keeps that visible downstream.
     """

@@ -19,7 +19,13 @@ from typing import Optional, Sequence
 
 import networkx as nx
 
-from repro.dining.spec import OvertakeSample, eventual_k_fairness, overtake_samples
+from repro.dining.spec import (
+    OvertakeSample,
+    eventual_k_fairness,
+    judged,
+    overtakes_of,
+)
+from repro.obs.intervals import IntervalMachine
 from repro.sim.faults import CrashSchedule
 from repro.sim.trace import Trace
 from repro.types import ProcessId, Time
@@ -75,19 +81,21 @@ class FairnessReport:
         return "\n".join(lines)
 
 
-def measure_fairness(
-    trace: Trace,
-    graph: nx.Graph,
-    instance: str,
-    end_time: Time,
-    schedule: CrashSchedule | None = None,
-) -> FairnessReport:
-    """Collect overtaking samples for correct waiters.
+def fairness_of(machine: IntervalMachine) -> FairnessReport:
+    """Overtaking samples of correct waiters, from the diner intervals
+    ``machine`` folded.
 
     Crashed waiters are excluded (fairness protects *correct* hungry
     processes); crashed eaters still count as overtakers while live.
     """
-    samples = overtake_samples(trace, graph, instance, end_time)
-    if schedule is not None:
-        samples = [s for s in samples if not schedule.is_faulty(s.waiter)]
-    return FairnessReport(instance=instance, samples=list(samples))
+    return FairnessReport(instance=machine.instance, samples=[
+        s for s in overtakes_of(machine)
+        if s.waiter not in machine.crashed])
+
+
+def measure_fairness(trace: Trace, graph: nx.Graph, instance: str,
+                     end_time: Time, schedule: CrashSchedule | None = None
+                     ) -> FairnessReport:
+    """Collect overtaking samples for correct waiters
+    (:func:`fairness_of` over a replay of ``trace``)."""
+    return fairness_of(judged(trace, graph, instance, schedule, end_time))

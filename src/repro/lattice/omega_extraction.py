@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from repro.core.extraction import ExtractedDetector, build_full_extraction
 from repro.oracles.omega import OmegaElector
-from repro.oracles.properties import check_leader_agreement, leader_series
+from repro.oracles.properties import check_leader_agreement
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pair import DiningBoxFactory
@@ -114,7 +114,7 @@ def leader_stability_spans(
     same correct leader, while a flapping extraction shows many short
     spans all the way to the horizon.
     """
-    series = leader_series(trace, owner)
+    series = trace.series("leader", "leader", pid=owner)
     spans: list[tuple["ProcessId", float, float]] = []
     for i, (t, leader) in enumerate(series):
         end = series[i + 1][0] if i + 1 < len(series) else float(end_time)
@@ -125,5 +125,5 @@ def leader_stability_spans(
 def final_leader(trace: "Trace", owner: "ProcessId",
                  ) -> Optional["ProcessId"]:
     """The owner's last recorded leader estimate (None if never set)."""
-    series = leader_series(trace, owner)
+    series = trace.series("leader", "leader", pid=owner)
     return series[-1][1] if series else None

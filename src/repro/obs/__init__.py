@@ -4,13 +4,14 @@ See ``docs/observability.md`` for the full tour.  The public surface:
 
 * :class:`MetricsRegistry` / :class:`MetricsSnapshot` — collect and
   freeze per-run metrics (``repro.obs.registry``);
-* :class:`RunProbes` — convergence / latency probes fed by the trace
-  record stream (``repro.obs.probes``);
+* :class:`IntervalMachine` — the one fold of the trace record stream
+  (suspicion and phase intervals) that the probes' metrics, the spans
+  and the verdict battery all read (``repro.obs.intervals``);
 * :func:`run_record` / :func:`write_jsonl` / :func:`prometheus_text` —
   stable on-disk forms (``repro.obs.exporters``);
 * :class:`CampaignTelemetry` — cross-seed aggregation behind
   ``repro report`` (``repro.obs.report``);
-* :class:`SpanProbe` / :func:`span_records` — typed span tracing
+* :func:`span_records` — typed span tracing
   (suspicion intervals, dining phases, crash points, convergence
   markers) with the ``repro.span.v1`` export behind ``--spans-out``
   and ``repro timeline`` (``repro.obs.spans`` / ``repro.obs.timeline``).
@@ -29,7 +30,7 @@ from repro.obs.exporters import (
     write_jsonl,
     write_prometheus,
 )
-from repro.obs.probes import RunProbes
+from repro.obs.intervals import IntervalMachine
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -42,7 +43,7 @@ from repro.obs.registry import (
     percentile,
 )
 from repro.obs.report import CampaignTelemetry
-from repro.obs.spans import SPAN_SCHEMA, Span, SpanProbe, span_records
+from repro.obs.spans import SPAN_SCHEMA, span_records
 
 __all__ = [
     "Counter",
@@ -53,13 +54,11 @@ __all__ = [
     "MetricsSnapshot",
     "DEFAULT_BUCKETS",
     "percentile",
-    "RunProbes",
+    "IntervalMachine",
     "CampaignTelemetry",
     "RUN_SCHEMA",
     "EXPERIMENT_SCHEMA",
     "SPAN_SCHEMA",
-    "Span",
-    "SpanProbe",
     "span_records",
     "run_record",
     "experiment_record",

@@ -6,7 +6,9 @@ extraction wrongfully suspects infinitely often while the corrected ◇P
 construction's mistakes are finite — so the interesting evidence is the
 interval structure itself: when each pair's suspicion opened and closed,
 when each dining instance was hungry vs. eating, and where convergence
-landed.  :class:`SpanProbe` materializes exactly that.
+landed.  The run's :class:`~repro.obs.intervals.IntervalMachine` keeps
+exactly those intervals; with the ``spans`` knob on it also keeps them
+as rows, and :func:`span_dicts` turns its end state into the span list.
 
 Span kinds
 ----------
@@ -17,8 +19,7 @@ Span kinds
     crashed at onset — the oracle's "mistakes" in the paper's sense.
     A target crash *splits* an open wrongful interval: the wrongful
     span closes at the crash and a justified (``wrongful=False``) span
-    opens from it, mirroring the accounting in
-    :class:`~repro.obs.probes.RunProbes`.
+    opens from it.
 ``phase``
     One dining phase interval (``thinking`` / ``hungry`` / ``eating``)
     of ``pid`` in dining ``instance``, from ``"state"`` trace rows.
@@ -37,11 +38,11 @@ A span still open when the run ends is closed at the horizon with
 A run that never converged therefore exports truncated wrongful
 suspicion spans and *no* ``convergence`` span.
 
-Like :class:`~repro.obs.probes.RunProbes`, the probe subscribes to the
-trace *record stream* (:meth:`repro.sim.trace.Trace.subscribe`) ahead of
-sink retention, so spans are exact under ``ring:N`` and ``counters``
-sinks and — being pure arithmetic over the deterministic event stream —
-bit-identical between serial and parallel campaign execution.
+The machine folds the trace *record stream*
+(:meth:`repro.sim.trace.Trace.subscribe`) ahead of sink retention, so
+spans are exact under ``ring:N`` and ``counters`` sinks and — being pure
+arithmetic over the deterministic event stream — bit-identical between
+serial and parallel campaign execution.
 
 The stable on-disk form is the ``repro.span.v1`` JSONL record
 (:func:`span_records` + :func:`repro.obs.exporters.write_jsonl`); see
@@ -51,12 +52,11 @@ renderer that consumes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.trace import TraceRecord
-    from repro.types import ProcessId, Time
+    from repro.obs.intervals import IntervalMachine
+    from repro.types import Time
 
 #: Schema tag stamped on every span JSONL record.
 SPAN_SCHEMA = "repro.span.v1"
@@ -65,48 +65,15 @@ SPAN_SCHEMA = "repro.span.v1"
 _KIND_ORDER = {"suspicion": 0, "phase": 1, "crash": 2, "convergence": 3}
 
 
-@dataclass(frozen=True)
-class Span:
-    """One typed interval of a run.  Plain data: pickles and JSONs."""
-
-    kind: str
-    start: float
-    end: float
-    pid: str
-    #: Suspicion spans only: suspected process / detector name / whether
-    #: the onset was a mistake (target still live at onset).
-    target: Optional[str] = None
-    detector: Optional[str] = None
-    wrongful: Optional[bool] = None
-    #: Phase spans only: dining instance and phase name.
-    instance: Optional[str] = None
-    phase: Optional[str] = None
-    #: True when the span was still open at the end of the run and was
-    #: closed at the horizon rather than by an observed transition.
-    truncated: bool = False
-
-    def to_dict(self) -> dict[str, Any]:
-        """Every field, fixed key set — the ``span`` block of the JSONL
-        record (absent facts are explicit ``None``s, so consumers never
-        need key-existence checks)."""
-        return {
-            "kind": self.kind,
-            "start": self.start,
-            "end": self.end,
-            "pid": self.pid,
-            "target": self.target,
-            "detector": self.detector,
-            "wrongful": self.wrongful,
-            "instance": self.instance,
-            "phase": self.phase,
-            "truncated": self.truncated,
-        }
-
-
-#: Field order of the internal row tuples (matches :meth:`Span.to_dict`).
-#: The probe accumulates plain tuples on the hot path — constructing a
-#: frozen dataclass per trace record is measurable at campaign rates —
-#: and converts to dicts once, at :meth:`SpanProbe.finalize`.
+#: The fixed key set of a span dict — the ``span`` block of the JSONL
+#: record; absent facts are explicit ``None``s, so consumers never need
+#: key-existence checks.  ``target`` / ``detector`` / ``wrongful`` (the
+#: onset was a mistake: target still live) belong to suspicion spans,
+#: ``instance`` / ``phase`` to phase spans; ``truncated`` marks a span
+#: closed at the horizon rather than by an observed transition.  The
+#: machine accumulates rows as plain tuples in this order — constructing
+#: an object per trace record is measurable at campaign rates — and they
+#: become dicts once, in :func:`span_dicts`.
 _KEYS = ("kind", "start", "end", "pid", "target", "detector", "wrongful",
          "instance", "phase", "truncated")
 
@@ -118,125 +85,26 @@ def _sort_key(row: tuple) -> tuple:
             str(row[7] or ""), str(row[8] or ""))
 
 
-class SpanProbe:
-    """Materialize typed spans from the trace record stream.
-
-    Subscribe :meth:`on_record` to the engine trace (the builder does
-    this when ``RunSpec.spans`` is on); call :meth:`finalize` once after
-    the run to close still-open spans at the horizon and obtain the
-    deterministic span list (plain dicts, sorted by start time).
-    """
-
-    #: Record kinds :meth:`on_record` dispatches on — the subscription
-    #: filter, so unrelated kinds can still be elided by the lazy trace
-    #: fast path under non-retaining sinks.
-    KINDS = frozenset({"suspect", "state", "crash"})
-
-    def __init__(self) -> None:
-        self._spans: list[tuple] = []  # rows in _KEYS order
-        self._crashed: dict["ProcessId", "Time"] = {}
-        #: (owner, target, detector) -> (start, wrongful) of the open
-        #: suspicion interval.
-        self._susp_open: dict[tuple, tuple[float, bool]] = {}
-        #: (pid, instance) -> (start, phase) of the open dining phase.
-        self._phase_open: dict[tuple, tuple[float, str]] = {}
-        self._converged_at: float = 0.0
-        self._finalized: Optional[list[dict[str, Any]]] = None
-
-    # -- the stream hook -----------------------------------------------------
-
-    def on_record(self, rec: "TraceRecord") -> None:
-        kind = rec.kind
-        if kind == "suspect":
-            self._on_suspect(rec)
-        elif kind == "state":
-            self._on_state(rec)
-        elif kind == "crash":
-            self._on_crash(rec.pid, rec.time)
-
-    def _on_suspect(self, rec: "TraceRecord") -> None:
-        data = rec.data
-        key = (rec.pid, data.get("target"), data.get("detector"))
-        if data.get("suspected"):
-            if key not in self._susp_open:
-                # Wrongful exactly when the target has not crashed yet at
-                # onset (matching RunProbes / false_positive_count).
-                self._susp_open[key] = (rec.time, key[1] not in self._crashed)
-        else:
-            self._close_suspicion(key, rec.time)
-
-    def _close_suspicion(self, key: tuple, t: float,
-                         truncated: bool = False) -> None:
-        opened = self._susp_open.pop(key, None)
-        if opened is None:
-            return
-        start, wrongful = opened
-        if wrongful and not truncated:
-            self._converged_at = max(self._converged_at, float(t))
-        self._spans.append(("suspicion", start, float(t), key[0],
-                            key[1], key[2], wrongful, None, None, truncated))
-
-    def _on_crash(self, pid: "ProcessId", t: "Time") -> None:
-        self._crashed[pid] = t
-        self._spans.append(("crash", float(t), float(t), pid,
-                            None, None, None, None, None, False))
-        # A crash ends every suspicion interval it is part of: suspecting
-        # the now-crashed target becomes rightful (the wrongful span ends
-        # and a justified continuation opens), and a crashed owner's
-        # frozen output stops producing intervals.
-        for key in [k for k in self._susp_open if k[0] == pid or k[1] == pid]:
-            self._close_suspicion(key, t)
-            if key[1] == pid and key[0] not in self._crashed:
-                self._susp_open[key] = (float(t), False)
-        for pkey in [k for k in self._phase_open if k[0] == pid]:
-            start, phase = self._phase_open.pop(pkey)
-            self._spans.append(("phase", start, float(t), pid,
-                                None, None, None, pkey[1], phase, False))
-
-    def _on_state(self, rec: "TraceRecord") -> None:
-        data = rec.data
-        key = (rec.pid, data.get("instance"))
-        opened = self._phase_open.pop(key, None)
-        if opened is not None:
-            self._spans.append(("phase", opened[0], rec.time, rec.pid,
-                                None, None, None, key[1], opened[1], False))
-        state = data.get("state")
-        if state is not None:
-            self._phase_open[key] = (rec.time, str(state))
-
-    # -- end of run ----------------------------------------------------------
-
-    @property
-    def converged(self) -> bool:
-        """No wrongful suspicion currently open."""
-        return not any(w for _, w in self._susp_open.values())
-
-    def convergence_time(self) -> Optional[float]:
-        """End of the last wrongful-suspicion interval (0.0 when the
-        oracle was never wrong); None while a wrongful suspicion is open."""
-        return self._converged_at if self.converged else None
-
-    def finalize(self, end_time: "Time") -> list[dict[str, Any]]:
-        """Close still-open spans at the horizon (``truncated=True``) and
-        return the run's spans as plain dicts, sorted by start time.
-        Idempotent: later calls return the same list."""
-        if self._finalized is not None:
-            return self._finalized
-        converged = self.converged
-        for key in list(self._susp_open):
-            self._close_suspicion(key, end_time, truncated=True)
-        for pkey, (start, phase) in sorted(self._phase_open.items(),
-                                           key=lambda kv: str(kv[0])):
-            self._spans.append(("phase", start, float(end_time), pkey[0],
-                                None, None, None, pkey[1], phase, True))
-        self._phase_open.clear()
-        if converged:
-            self._spans.append(("convergence", self._converged_at,
-                                self._converged_at, "*",
-                                None, None, None, None, None, False))
-        self._spans.sort(key=_sort_key)
-        self._finalized = [dict(zip(_KEYS, row)) for row in self._spans]
-        return self._finalized
+def span_dicts(machine: "IntervalMachine",
+               end_time: "Time") -> list[dict[str, Any]]:
+    """The run's spans as plain dicts, sorted by start time: the rows
+    ``machine`` closed, then its still-open intervals closed at the
+    horizon (``truncated=True``) and the convergence marker."""
+    rows = machine.span_rows
+    end = float(end_time)
+    for key, (start, wrongful) in machine.open.items():
+        rows.append(("suspicion", start, end, key[0], key[1], key[2],
+                     wrongful, None, None, True))
+    for pkey, (start, phase) in sorted(machine.phases.items(),
+                                       key=lambda kv: str(kv[0])):
+        rows.append(("phase", start, end, pkey[0], None, None, None,
+                     pkey[1], phase, True))
+    if machine.converged:
+        rows.append(("convergence", machine.converged_at,
+                     machine.converged_at, "*", None, None, None, None,
+                     None, False))
+    rows.sort(key=_sort_key)
+    return [dict(zip(_KEYS, row)) for row in rows]
 
 
 def span_records(name: str, seed: int, end_time: float,

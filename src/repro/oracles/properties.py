@@ -1,11 +1,16 @@
 """Trace checkers for failure-detector completeness and accuracy.
 
-Each checker consumes a run :class:`~repro.sim.trace.Trace` (the ``"suspect"``
-rows emitted by :class:`~repro.oracles.base.OracleModule`) plus the ground
-truth :class:`~repro.sim.faults.CrashSchedule`, and produces a structured
-report.  Eventual properties are verified as converged-suffix queries that
-also return the convergence time, so experiments can show *when* the oracle
-stabilized, not just that it did.
+Each verdict is a read of the per-pair suspicion folds an
+:class:`~repro.obs.intervals.IntervalMachine` keeps: the output a pair
+last showed, when its final run of equal outputs began (its convergence)
+and its wrongful onsets (suspicions of a live target).  A run's own
+machine judges online (:func:`detector_verdicts`); each trace-taking
+checker replays the ``"suspect"`` rows of a
+:class:`~repro.sim.trace.Trace` through a fresh machine seeded with the
+ground-truth :class:`~repro.sim.faults.CrashSchedule`.  Eventual
+properties are converged-suffix queries that also return the convergence
+time, so experiments can show *when* the oracle stabilized, not just
+that it did.
 """
 
 from __future__ import annotations
@@ -13,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from repro.errors import ConfigurationError
+from repro.obs.intervals import IntervalMachine
 from repro.sim.faults import CrashSchedule
-from repro.sim.temporal import convergence_time
-from repro.sim.trace import Trace
+from repro.sim.trace import Trace, TraceRecord
 from repro.types import ProcessId, Time
 
 
@@ -36,26 +42,6 @@ def suspicion_series(
         if r.data.get("target") == target
         and (detector is None or r.data.get("detector") == detector)
     ]
-
-
-def suspected_at(
-    trace: Trace,
-    owner: ProcessId,
-    target: ProcessId,
-    t: Time,
-    detector: str | None = None,
-) -> bool:
-    """Was ``target`` suspected by ``owner``'s module at time ``t``?
-
-    Replays the suspicion transitions up to and including ``t``; before the
-    first transition the module's initial state (not suspected) applies.
-    """
-    value = False
-    for when, suspected in suspicion_series(trace, owner, target, detector):
-        if when > t:
-            break
-        value = suspected
-    return value
 
 
 @dataclass(frozen=True)
@@ -119,76 +105,90 @@ def _monitoring_pairs(
     return [(o, t) for o, t in pairs if o != t]
 
 
-def check_strong_completeness(
-    trace: Trace,
-    owners: Iterable[ProcessId],
-    targets: Iterable[ProcessId],
-    schedule: CrashSchedule,
-    detector: str | None = None,
-    pairs: Iterable[tuple[ProcessId, ProcessId]] | None = None,
-) -> OracleReport:
+def replay(trace: Trace, schedule: CrashSchedule | None,
+           detector: str | None,
+           owner: ProcessId | None = None) -> IntervalMachine:
+    """``trace``'s retained ``"suspect"`` and ``"leader"`` rows
+    (``owner``'s only, when given) folded by a fresh machine seeded with
+    ``schedule``.
+
+    Suspicion rows of other detectors are skipped; ``detector=None``
+    folds every label into one series per pair, keyed under ``None``."""
+    machine = IntervalMachine(schedule)
+    for rec in trace.records(kind="suspect", pid=owner):
+        label = rec.data.get("detector")
+        if detector is None:
+            if label is not None:
+                rec = TraceRecord(rec.time, rec.kind, rec.pid,
+                                  {**rec.data, "detector": None})
+        elif label != detector:
+            continue
+        machine.on_record(rec)
+    return machine.replay(trace.records(kind="leader", pid=owner))
+
+
+def _on_trace(judge):
+    """The trace-taking form of a machine-level check: ``judge`` over a
+    :func:`replay` of the trace's rows, with ``schedule`` the crash
+    ground truth and ``pairs`` restricting the monitoring relation under
+    local pair selection."""
+    def check(trace: Trace, owners: Iterable[ProcessId],
+              targets: Iterable[ProcessId], schedule: CrashSchedule,
+              detector: str | None = None,
+              pairs: Iterable[tuple[ProcessId, ProcessId]] | None = None):
+        return judge(replay(trace, schedule, detector), owners, targets,
+                     detector, pairs)
+
+    check.__name__ = check.__qualname__ = f"check_{judge.__name__}"
+    check.__doc__ = judge.__doc__
+    return check
+
+
+def strong_completeness(machine: IntervalMachine, owners, targets, label,
+                        pairs=None) -> OracleReport:
     """Every crashed target is eventually permanently suspected by every
-    correct owner that monitors it (paper: Strong Completeness; ``pairs``
-    restricts the monitoring relation under local pair selection)."""
+    correct owner that monitors it (paper: Strong Completeness)."""
     report = OracleReport("strong completeness")
+    crashed = machine.crashed
     for owner, target in _monitoring_pairs(owners, targets, pairs):
-        if not schedule.is_faulty(owner):
-            ct = schedule.crash_time(target)
-            if ct is None:
-                continue  # completeness constrains only crashed targets
-            series = suspicion_series(trace, owner, target, detector)
-            conv = convergence_time(series, lambda s: s)
-            ok = conv is not None
-            detail = "" if ok else "not permanently suspected"
-            if ok and conv < ct:
-                # Converged before the crash: legal (completeness does not
-                # restrict false positives) but worth surfacing.
-                detail = f"suspected since {conv:.1f}, before crash at {ct:.1f}"
-            report.pairs.append(PairVerdict(owner, target, ok, conv, detail))
+        ct = crashed.get(target)
+        if owner in crashed or ct is None:
+            continue  # completeness constrains only crashed targets
+        conv = machine.settled(owner, target, label, True)
+        ok = conv is not None
+        detail = "" if ok else "not permanently suspected"
+        if ok and conv < ct:
+            # Converged before the crash: legal (completeness does not
+            # restrict false positives) but worth surfacing.
+            detail = f"suspected since {conv:.1f}, before crash at {ct:.1f}"
+        report.pairs.append(PairVerdict(owner, target, ok, conv, detail))
     return report
 
 
-def check_eventual_strong_accuracy(
-    trace: Trace,
-    owners: Iterable[ProcessId],
-    targets: Iterable[ProcessId],
-    schedule: CrashSchedule,
-    detector: str | None = None,
-    pairs: Iterable[tuple[ProcessId, ProcessId]] | None = None,
-) -> OracleReport:
+def eventual_strong_accuracy(machine: IntervalMachine, owners, targets,
+                             label, pairs=None) -> OracleReport:
     """Eventually no correct owner suspects any correct target it monitors
-    (paper: Eventual Strong Accuracy; ``pairs`` restricts the monitoring
-    relation under local pair selection)."""
+    (paper: Eventual Strong Accuracy)."""
     report = OracleReport("eventual strong accuracy")
+    crashed = machine.crashed
     for owner, target in _monitoring_pairs(owners, targets, pairs):
-        if not schedule.is_faulty(owner):
-            if schedule.is_faulty(target):
-                continue
-            series = suspicion_series(trace, owner, target, detector)
-            conv = convergence_time(series, lambda s: not s)
-            ok = conv is not None
-            mistakes = _wrongful_onsets(series, schedule.crash_time(target))
-            report.pairs.append(
-                PairVerdict(owner, target, ok, conv, f"{mistakes} mistakes")
-            )
+        if owner in crashed or target in crashed:
+            continue
+        conv = machine.settled(owner, target, label, False)
+        mistakes = machine.mistakes(owner, target, label)
+        report.pairs.append(PairVerdict(owner, target, conv is not None,
+                                        conv, f"{mistakes} mistakes"))
     return report
 
 
-def check_perpetual_strong_accuracy(
-    trace: Trace,
-    owners: Iterable[ProcessId],
-    targets: Iterable[ProcessId],
-    schedule: CrashSchedule,
-    detector: str | None = None,
-    pairs: Iterable[tuple[ProcessId, ProcessId]] | None = None,
-) -> OracleReport:
-    """No target is ever suspected before it crashes (the P accuracy;
-    ``pairs`` restricts the monitoring relation under local selection)."""
+def perpetual_strong_accuracy(machine: IntervalMachine, owners, targets,
+                              label, pairs=None) -> OracleReport:
+    """No target is ever suspected before it crashes (the P accuracy)."""
     report = OracleReport("perpetual strong accuracy")
     for owner, target in _monitoring_pairs(owners, targets, pairs):
-        if schedule.is_faulty(owner):
+        if owner in machine.crashed:
             continue
-        mistakes = false_positive_count(trace, owner, target, schedule, detector)
+        mistakes = machine.mistakes(owner, target, label)
         ok = mistakes == 0
         report.pairs.append(
             PairVerdict(owner, target, ok, 0.0 if ok else None,
@@ -197,38 +197,27 @@ def check_perpetual_strong_accuracy(
     return report
 
 
-def check_trusting_accuracy(
-    trace: Trace,
-    owners: Iterable[ProcessId],
-    targets: Iterable[ProcessId],
-    schedule: CrashSchedule,
-    detector: str | None = None,
-    pairs: Iterable[tuple[ProcessId, ProcessId]] | None = None,
-) -> OracleReport:
+def trusting_accuracy(machine: IntervalMachine, owners, targets, label,
+                      pairs=None) -> OracleReport:
     """The T accuracy (paper Section 9): (a) every correct target eventually
     permanently trusted; (b) any trust revocation implies a real crash."""
     report = OracleReport("trusting accuracy")
+    crashed = machine.crashed
     for owner, target in _monitoring_pairs(owners, targets, pairs):
-        if not schedule.is_faulty(owner):
-            series = suspicion_series(trace, owner, target, detector)
-            ok = True
-            conv: Optional[Time] = None
-            detail = ""
-            if not schedule.is_faulty(target):
-                conv = convergence_time(series, lambda s: not s)
-                if conv is None:
-                    ok, detail = False, "correct target not permanently trusted"
-            # (b): scan for trusted -> suspected transitions.
-            prev = True  # T starts suspecting (never trusted yet)
-            for t, s in series:
-                if s and not prev:  # trust revoked at time t
-                    ct = schedule.crash_time(target)
-                    if ct is None or t < ct:
-                        ok = False
-                        detail = f"trust of live {target} revoked at {t:.1f}"
-                        break
-                prev = s
-            report.pairs.append(PairVerdict(owner, target, ok, conv, detail))
+        if owner in crashed:
+            continue
+        ok = True
+        conv: Optional[Time] = None
+        detail = ""
+        if target not in crashed:
+            conv = machine.settled(owner, target, label, False)
+            if conv is None:
+                ok, detail = False, "correct target not permanently trusted"
+        pair = machine.pairs.get((owner, target, label))
+        if pair is not None and pair.revoked is not None:
+            ok = False
+            detail = f"trust of live {target} revoked at {pair.revoked:.1f}"
+        report.pairs.append(PairVerdict(owner, target, ok, conv, detail))
     return report
 
 
@@ -243,72 +232,46 @@ def _owners_of(
     return [o for o, t in pairs if t == target and o != target]
 
 
-def check_perpetual_weak_accuracy(
-    trace: Trace,
-    owners: Sequence[ProcessId],
-    targets: Sequence[ProcessId],
-    schedule: CrashSchedule,
-    detector: str | None = None,
-    pairs: Iterable[tuple[ProcessId, ProcessId]] | None = None,
-) -> tuple[bool, Optional[ProcessId]]:
-    """The S accuracy: some correct target is never suspected by any owner.
-
-    Returns ``(ok, witness_target)``.
-    """
-    live_owners = [o for o in owners if not schedule.is_faulty(o)]
+def _weak_witness(machine, owners, targets, pairs, trusted_by):
+    """``(ok, witness)``: the first correct target ``trusted_by`` every
+    correct owner that monitors it."""
+    live_owners = [o for o in owners if o not in machine.crashed]
     for target in targets:
-        if schedule.is_faulty(target):
+        if target in machine.crashed:
             continue
-        if all(
-            not any(s for _, s in suspicion_series(trace, o, target, detector))
-            for o in _owners_of(target, live_owners, pairs)
-        ):
+        if all(trusted_by(o, target)
+               for o in _owners_of(target, live_owners, pairs)):
             return True, target
     return False, None
 
 
-def check_eventual_weak_accuracy(
-    trace: Trace,
-    owners: Sequence[ProcessId],
-    targets: Sequence[ProcessId],
-    schedule: CrashSchedule,
-    detector: str | None = None,
-    pairs: Iterable[tuple[ProcessId, ProcessId]] | None = None,
-) -> tuple[bool, Optional[ProcessId]]:
-    """The ◇S accuracy: some correct target is *eventually* never suspected
-    by any correct owner that monitors it.
-
-    Returns ``(ok, witness_target)``.
-    """
-    live_owners = [o for o in owners if not schedule.is_faulty(o)]
-    for target in targets:
-        if schedule.is_faulty(target):
-            continue
-        if all(
-            convergence_time(
-                suspicion_series(trace, o, target, detector),
-                lambda s: not s) is not None
-            for o in _owners_of(target, live_owners, pairs)
-        ):
-            return True, target
-    return False, None
+def perpetual_weak_accuracy(machine: IntervalMachine, owners, targets,
+                            label, pairs=None):
+    """The S accuracy: some correct target is never suspected by any
+    owner.  Returns ``(ok, witness_target)``."""
+    return _weak_witness(machine, owners, targets, pairs, lambda o, t:
+                         machine.mistakes(o, t, label) == 0)
 
 
-def leader_series(
-    trace: Trace,
-    owner: ProcessId,
-) -> list[tuple[Time, ProcessId]]:
-    """Time-ordered leader estimates of ``owner`` (the ``"leader"`` rows
-    :class:`~repro.oracles.omega.OmegaElector` records)."""
-    return [(r.time, r["leader"]) for r in trace.records(kind="leader",
-                                                         pid=owner)]
+def eventual_weak_accuracy(machine: IntervalMachine, owners, targets,
+                           label, pairs=None):
+    """The ◇S accuracy: some correct target is *eventually* never
+    suspected by any correct owner that monitors it.  Returns
+    ``(ok, witness_target)``."""
+    return _weak_witness(machine, owners, targets, pairs, lambda o, t:
+                         machine.settled(o, t, label, False) is not None)
 
 
-def check_leader_agreement(
-    trace: Trace,
-    pids: Sequence[ProcessId],
-    schedule: CrashSchedule,
-) -> OracleReport:
+check_strong_completeness = _on_trace(strong_completeness)
+check_eventual_strong_accuracy = _on_trace(eventual_strong_accuracy)
+check_perpetual_strong_accuracy = _on_trace(perpetual_strong_accuracy)
+check_trusting_accuracy = _on_trace(trusting_accuracy)
+check_perpetual_weak_accuracy = _on_trace(perpetual_weak_accuracy)
+check_eventual_weak_accuracy = _on_trace(eventual_weak_accuracy)
+
+
+def leader_agreement(machine: IntervalMachine,
+                     pids: Sequence[ProcessId]) -> OracleReport:
     """The Ω specification: eventually every correct process permanently
     elects the same correct leader.
 
@@ -320,16 +283,16 @@ def check_leader_agreement(
     report = OracleReport("leader agreement")
     finals: dict[ProcessId, ProcessId] = {}
     for owner in pids:
-        if schedule.is_faulty(owner):
+        if owner in machine.crashed:
             continue
-        series = leader_series(trace, owner)
-        if not series:
+        last = machine.leaders.get(owner)
+        if last is None:
             report.pairs.append(PairVerdict(
                 owner, owner, False, None, "no leader records"))
             continue
-        t, leader = series[-1]
+        t, leader = last
         finals[owner] = leader
-        ok = not schedule.is_faulty(leader)
+        ok = leader not in machine.crashed
         detail = "" if ok else f"final leader {leader} is faulty"
         report.pairs.append(PairVerdict(owner, leader, ok, t, detail))
     if len(set(finals.values())) > 1:
@@ -337,6 +300,13 @@ def check_leader_agreement(
         report.pairs.append(PairVerdict(
             "*", "*", False, None, f"correct processes disagree: {disagree}"))
     return report
+
+
+def check_leader_agreement(trace: Trace, pids: Sequence[ProcessId],
+                           schedule: CrashSchedule) -> OracleReport:
+    """:func:`leader_agreement` over a replay of ``trace``."""
+    machine = IntervalMachine(schedule)
+    return leader_agreement(machine.replay(trace.records(kind="leader")), pids)
 
 
 # -- detector-specific battery dispatch ---------------------------------------
@@ -364,14 +334,10 @@ class DetectorAssumptions:
 
     def __post_init__(self) -> None:
         if self.accuracy not in ACCURACY_PROPERTIES:
-            from repro.errors import ConfigurationError
-
             raise ConfigurationError(
                 f"unknown accuracy property {self.accuracy!r} (one of: "
                 f"{', '.join(sorted(ACCURACY_PROPERTIES))})")
         if self.completeness not in ("strong", "none"):
-            from repro.errors import ConfigurationError
-
             raise ConfigurationError(
                 f"unknown completeness property {self.completeness!r} "
                 "(strong | none)")
@@ -388,52 +354,65 @@ class DetectorVerdicts:
     completeness_detail: str = ""
 
 
-def _acc_eventual_strong(trace, pids, schedule, label, pairs):
-    report = check_eventual_strong_accuracy(trace, pids, pids, schedule,
-                                            detector=label, pairs=pairs)
+def _first_failure(report: OracleReport) -> tuple[bool, str]:
     return report.ok, "" if report.ok else report.failures()[0].detail
 
 
-def _acc_perpetual_strong(trace, pids, schedule, label, pairs):
-    report = check_perpetual_strong_accuracy(trace, pids, pids, schedule,
-                                             detector=label, pairs=pairs)
-    return report.ok, "" if report.ok else report.failures()[0].detail
+def _battery(judge):
+    return lambda machine, pids, label, pairs: _first_failure(
+        judge(machine, pids, pids, label, pairs))
 
 
-def _acc_trusting(trace, pids, schedule, label, pairs):
-    report = check_trusting_accuracy(trace, pids, pids, schedule,
-                                     detector=label, pairs=pairs)
-    return report.ok, "" if report.ok else report.failures()[0].detail
-
-
-def _acc_perpetual_weak(trace, pids, schedule, label, pairs):
-    ok, witness = check_perpetual_weak_accuracy(trace, pids, pids, schedule,
-                                                detector=label, pairs=pairs)
+def _acc_perpetual_weak(machine, pids, label, pairs):
+    ok, witness = perpetual_weak_accuracy(machine, pids, pids, label, pairs)
     return ok, (f"witness {witness}" if ok
                 else "every correct process was suspected at some point")
 
 
-def _acc_eventual_weak(trace, pids, schedule, label, pairs):
-    ok, witness = check_eventual_weak_accuracy(trace, pids, pids, schedule,
-                                               detector=label, pairs=pairs)
+def _acc_eventual_weak(machine, pids, label, pairs):
+    ok, witness = eventual_weak_accuracy(machine, pids, pids, label, pairs)
     return ok, (f"witness {witness}" if ok
                 else "no correct process is eventually trusted by all")
 
 
-def _acc_leader_agreement(trace, pids, schedule, label, pairs):
-    report = check_leader_agreement(trace, pids, schedule)
-    return report.ok, "" if report.ok else report.failures()[0].detail
-
-
 #: Accuracy-property dispatch: what a :class:`DetectorAssumptions` may name.
 ACCURACY_PROPERTIES = {
-    "eventual_strong": _acc_eventual_strong,
-    "perpetual_strong": _acc_perpetual_strong,
-    "trusting": _acc_trusting,
+    "eventual_strong": _battery(eventual_strong_accuracy),
+    "perpetual_strong": _battery(perpetual_strong_accuracy),
+    "trusting": _battery(trusting_accuracy),
     "perpetual_weak": _acc_perpetual_weak,
     "eventual_weak": _acc_eventual_weak,
-    "leader_agreement": _acc_leader_agreement,
+    "leader_agreement": lambda machine, pids, label, pairs: _first_failure(
+        leader_agreement(machine, pids)),
 }
+
+
+def detector_verdicts(
+    machine: IntervalMachine,
+    pids: Sequence[ProcessId],
+    assumptions: DetectorAssumptions,
+    pairs: Iterable[tuple[ProcessId, ProcessId]] | None = None,
+) -> DetectorVerdicts:
+    """Judge a run's oracle against *its own* class specification, from
+    ``machine``'s suspicion folds.
+
+    ``execute`` reads this off the run's own machine with the assumptions
+    of the spec's registered detector, so the ``oracle_accuracy_ok`` /
+    ``oracle_completeness_ok`` verdict fields always mean "satisfied what
+    this detector class promises".
+    """
+    pairs = None if pairs is None else list(pairs)
+    acc_ok, acc_detail = ACCURACY_PROPERTIES[assumptions.accuracy](
+        machine, list(pids), assumptions.label, pairs)
+    if assumptions.completeness == "none":
+        comp_ok, comp_detail = True, "not required"
+    else:
+        comp_ok, comp_detail = _first_failure(strong_completeness(
+            machine, pids, pids, assumptions.label, pairs))
+    return DetectorVerdicts(
+        accuracy_ok=bool(acc_ok), completeness_ok=bool(comp_ok),
+        accuracy_property=assumptions.accuracy,
+        accuracy_detail=acc_detail, completeness_detail=comp_detail)
 
 
 def check_detector_properties(
@@ -443,29 +422,9 @@ def check_detector_properties(
     assumptions: DetectorAssumptions,
     pairs: Iterable[tuple[ProcessId, ProcessId]] | None = None,
 ) -> DetectorVerdicts:
-    """Judge a run's oracle against *its own* class specification.
-
-    The runtime calls this from ``execute`` with the assumptions of the
-    spec's registered detector, so the ``oracle_accuracy_ok`` /
-    ``oracle_completeness_ok`` verdict fields always mean "satisfied what
-    this detector class promises" — ◇P runs keep the historical battery
-    bit for bit.
-    """
-    pairs = None if pairs is None else list(pairs)
-    acc_ok, acc_detail = ACCURACY_PROPERTIES[assumptions.accuracy](
-        trace, list(pids), schedule, assumptions.label, pairs)
-    if assumptions.completeness == "none":
-        comp_ok, comp_detail = True, "not required"
-    else:
-        report = check_strong_completeness(trace, pids, pids, schedule,
-                                           detector=assumptions.label,
-                                           pairs=pairs)
-        comp_ok = report.ok
-        comp_detail = "" if comp_ok else report.failures()[0].detail
-    return DetectorVerdicts(
-        accuracy_ok=bool(acc_ok), completeness_ok=bool(comp_ok),
-        accuracy_property=assumptions.accuracy,
-        accuracy_detail=acc_detail, completeness_detail=comp_detail)
+    """:func:`detector_verdicts` over a replay of ``trace``."""
+    return detector_verdicts(replay(trace, schedule, assumptions.label),
+                             pids, assumptions, pairs)
 
 
 def false_positive_count(
@@ -478,24 +437,9 @@ def false_positive_count(
     """Number of suspicion onsets while ``target`` was still live.
 
     Counts transitions to ``suspected=True`` occurring strictly before the
-    target's crash (or ever, for a correct target) — the oracle's "mistakes"
-    in the paper's sense, which ◇P must keep finite.
+    target's crash (or ever, for a correct target), an initial suspected
+    output included — the oracle's "mistakes" in the paper's sense, which
+    ◇P must keep finite.
     """
-    return _wrongful_onsets(suspicion_series(trace, owner, target, detector),
-                            schedule.crash_time(target))
-
-
-def _wrongful_onsets(series: Sequence[tuple[Time, bool]],
-                     ct: Optional[Time]) -> int:
-    """:func:`false_positive_count` over an already-read series."""
-    count = 0
-    prev = None
-    for t, s in series:
-        if s and prev is False and (ct is None or t < ct):
-            count += 1
-        prev = s
-    # An initial 'suspected' sample also counts as a (wrongful) onset when
-    # the target had not crashed at time zero.
-    if series and series[0][1] and (ct is None or series[0][0] < ct):
-        count += 1
-    return count
+    return replay(trace, schedule, detector, owner).mistakes(owner, target,
+                                                             detector)

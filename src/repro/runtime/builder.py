@@ -7,7 +7,9 @@ All wiring of Engine + Network + oracles + dining stacks lives here:
 * :func:`instantiate` — the full declarative path: substrate + dining
   algorithm + per-process workload clients from a :class:`RunSpec`;
 * :func:`execute` — instantiate, run to the horizon, and judge: returns
-  the :class:`~repro.runtime.result.RunResult` envelope.
+  the :class:`~repro.runtime.result.RunResult` envelope.  It reads the
+  verdicts off the run's interval machine; the trace-taking checkers
+  imported here judge a saved trace.
 
 ``execute`` is a pure function of its spec (all randomness flows from
 ``spec.seed``), which is what lets the
@@ -27,22 +29,23 @@ from repro.dining.base import DiningInstance, SuspicionProvider
 from repro.dining.client import EagerClient, PeriodicClient
 from repro.dining.deferred import DeferredExclusionDining
 from repro.dining.fair_wrapper import FairDining
-from repro.dining.fairness import measure_fairness
+from repro.dining.fairness import fairness_of, measure_fairness
 from repro.dining.hygienic import HygienicDining
 from repro.dining.manager import ManagerDining
 from repro.dining.spec import (
-    EATING,
     check_exclusion,
     check_wait_freedom,
-    state_series,
+    exclusion_of,
+    wait_freedom_of,
 )
 from repro.dining.wf_ewx import WaitFreeEWXDining
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.graphs import validate_conflict_graph
+from repro.obs.intervals import IntervalMachine
 from repro.oracles.properties import (
     DetectorAssumptions,
     check_detector_properties,
-    suspected_at,
+    detector_verdicts,
 )
 from repro.oracles.registry import (
     BOX_LABEL,
@@ -319,57 +322,65 @@ def instantiate(spec: RunSpec) -> BuiltRun:
                     instance=instance, diners=diners, monitors=monitors)
 
 
-def _violation_justified(trace, violation, detector: str = BOX_LABEL) -> bool:
-    """Did either endpoint's current eating session begin under suspicion
-    of the other?  (The ◇WX mechanism: simultaneous eating is only ever
-    enabled by an oracle mistake.)
-    """
-    for eater, peer in ((violation.u, violation.v), (violation.v, violation.u)):
-        begins = [t for t, s in state_series(trace, INSTANCE, eater)
-                  if s == EATING and t <= violation.start]
-        if begins and suspected_at(trace, eater, peer, max(begins),
-                                   detector=detector):
-            return True
-    return False
-
-
 def justify_violations(trace, violations, detector: str = BOX_LABEL) -> bool:
-    """Check every exclusion violation is oracle-justified.
-
-    Fails loudly rather than silently mis-judging on truncated traces: a
-    ring/counters sink may have evicted the very state/suspect rows the
-    justification hinges on, and an "unjustified violation" verdict built
-    on missing evidence would point at the dining layer for a bookkeeping
-    artifact.
-    """
+    """Check every exclusion violation is oracle-justified: either
+    endpoint's latest eating session begun by its start began while it
+    suspected the other.  A replay of the retained rows, so a truncated
+    trace is judged on its window (a run's own verdict never is)."""
     if not violations:
         return True
-    if trace.truncated:
-        raise SimulationError(
-            f"cannot judge {len(violations)} exclusion violation(s): trace "
-            f"sink {trace.mode!r} evicted {trace.evicted} of "
-            f"{trace.total_recorded} records, so session-start/suspicion "
-            "evidence may be gone — rerun with trace='full'"
-        )
-    return all(_violation_justified(trace, v, detector) for v in violations)
+    graph = nx.Graph([(v.u, v.v) for v in violations])
+    machine = IntervalMachine().judge(graph, INSTANCE, detector)
+    machine.replay(trace.records())
+    machine.finish(trace.last_time())
+    return all(machine.justified(v.u, v.v, v.start) for v in violations)
+
+
+def judge(built: BuiltRun) -> tuple:
+    """``(exclusion, wait_freedom, fairness, detector_verdicts, justified)``
+    of a finished run whose interval machine judged it from the start."""
+    machine = built.engine.intervals
+    exclusion = exclusion_of(machine)
+    return (
+        exclusion,
+        wait_freedom_of(machine, grace=built.spec.grace),
+        fairness_of(machine),
+        # Under local pair selection only the monitored relation is
+        # checked — an unmonitored pair has no suspicion series and proves
+        # nothing.  The battery judged is the one the spec's detector
+        # *claims* (System.assumptions), so S/◇S substrates aren't graded
+        # against ◇P expectations — and flawed_cm, which claims ◇P's
+        # battery, visibly fails it.
+        detector_verdicts(machine, built.system.pids,
+                          built.system.assumptions, pairs=built.monitors),
+        all(machine.justified(v.u, v.v, v.start)
+            for v in exclusion.violations),
+    )
 
 
 def execute(spec: RunSpec, check: Optional[bool] = None) -> RunResult:
-    """Build and run ``spec`` to its horizon, then judge it.
+    """Build and run ``spec`` to its horizon, judging it as it runs.
 
-    ``check=None`` (default) runs the invariant battery exactly when the
-    trace sink retains rows (``counters`` runs are metrics-only; their
-    verdict fields stay ``None`` and ``result.checked`` is False).
+    ``check=None`` (default) judges the run exactly when the trace sink
+    retains rows (``counters`` runs are metrics-only: verdict fields
+    ``None``, ``result.checked`` False).  The run's interval machine folds
+    the record stream before any sink evicts it, so ``check=True`` gives
+    every sink mode the full-trace verdicts.
     """
     from repro.runtime.store import spec_hash
 
     built = instantiate(spec)
     eng = built.engine
-    eng.run()
     if check is None:
         check = eng.trace.mode != "counters"
+    if check:
+        eng.intervals.judge(built.graph, INSTANCE,
+                            built.system.detector_label)
+    else:
+        eng.intervals.forgo_verdicts()
+    eng.run()
     # One snapshot backs both views: collect_metrics publishes the sim.*
-    # gauges, finalizes probes, and freezes the registry once.
+    # gauges, finishes the interval machine, and freezes the registry once.
     metrics = collect_metrics(eng)
     result = RunResult(
         name=spec.name,
@@ -381,33 +392,12 @@ def execute(spec: RunSpec, check: Optional[bool] = None) -> RunResult:
         trace_evicted=eng.trace.evicted,
         trace=eng.trace,
         spec_key=spec_hash(spec),
-        spans=(None if eng.span_probe is None
-               else eng.span_probe.finalize(eng.now)),
+        spans=eng.intervals.spans,
     )
     if not check:
         return result
-    pids = built.system.pids
-    schedule = built.system.schedule
-    exclusion = check_exclusion(eng.trace, built.graph, INSTANCE,
-                                schedule, eng.now)
-    result.wait_freedom = check_wait_freedom(eng.trace, built.graph, INSTANCE,
-                                             schedule, eng.now,
-                                             grace=spec.grace)
-    result.exclusion = exclusion
-    result.fairness = measure_fairness(eng.trace, built.graph, INSTANCE,
-                                       eng.now, schedule)
-    # Under local pair selection only the monitored relation is checked —
-    # an unmonitored pair has no suspicion series and proves nothing.
-    # The battery judged is the one the spec's detector *claims*
-    # (System.assumptions), so S/◇S substrates aren't graded against ◇P
-    # expectations — and flawed_cm, which claims ◇P's battery, visibly
-    # fails it.
-    verdicts = check_detector_properties(
-        eng.trace, pids, schedule, built.system.assumptions,
-        pairs=built.monitors)
+    (result.exclusion, result.wait_freedom, result.fairness, verdicts,
+     result.violations_justified) = judge(built)
     result.oracle_accuracy_ok = verdicts.accuracy_ok
     result.oracle_completeness_ok = verdicts.completeness_ok
-    result.violations_justified = justify_violations(
-        eng.trace, exclusion.violations,
-        detector=built.system.detector_label)
     return result

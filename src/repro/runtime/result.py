@@ -35,10 +35,9 @@ RESULT_SCHEMA = "repro.result.v1"
 class RunResult:
     """Verdicts + metrics + trace handle for one executed :class:`RunSpec`.
 
-    Verdict fields are ``None`` when the run was executed unchecked (a
-    ``counters`` trace sink retains no rows, so there is nothing to check
-    against); :attr:`checked` distinguishes "all invariants verified" from
-    "nothing was verified".
+    Verdict fields are ``None`` when the run was executed unchecked (by
+    default, a ``counters`` trace sink run); :attr:`checked` distinguishes
+    "all invariants verified" from "nothing was verified".
     """
 
     name: str = "run"
@@ -53,8 +52,8 @@ class RunResult:
     wait_freedom: Optional[WaitFreedomReport] = None
     exclusion: Optional[ExclusionReport] = None
     fairness: Optional[FairnessReport] = None
-    #: Box-oracle (◇P substrate) verdicts: eventual strong accuracy and
-    #: strong completeness, checked from the trace over the whole run.
+    #: Box-oracle verdicts: the accuracy and completeness its detector
+    #: class claims, judged online over the whole record stream.
     oracle_accuracy_ok: Optional[bool] = None
     oracle_completeness_ok: Optional[bool] = None
     #: The ◇WX mechanism check: every exclusion violation must be
@@ -231,7 +230,7 @@ class RunResult:
             footer = "\nsessions: " + ", ".join(
                 f"{p}:{n}" for p, n in sorted(wf.sessions.items()))
         else:
-            # counters-sink run: no rows were retained, so no verdicts —
+            # Unchecked (by default, a counters-sink run): no verdicts —
             # render the cost/telemetry side only.
             title += f" (unchecked, trace {self.trace_mode})"
             rows = [*traffic,

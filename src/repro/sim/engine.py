@@ -46,9 +46,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.obs.probes import RunProbes
+from repro.obs.intervals import IntervalMachine
 from repro.obs.registry import MetricsRegistry, MetricsSnapshot
-from repro.obs.spans import SpanProbe
 from repro.sim.clock import Clock
 from repro.sim.faults import CrashSchedule
 from repro.sim.link_faults import LinkFaultModel
@@ -86,16 +85,16 @@ class SimConfig:
     #: prebuilt :class:`~repro.sim.sinks.TraceSink`; bounds trace memory on
     #: long campaigns (see :mod:`repro.sim.sinks`).
     trace_sink: "str | TraceSink" = "full"
-    #: Install convergence probes (:mod:`repro.obs.probes`) on the trace
-    #: stream.  The metrics registry itself always exists (network and
-    #: transport counters live in it); this knob only controls the
+    #: Publish the convergence probes (:mod:`repro.obs.probes`) to the
+    #: run's registry.  The metrics registry itself always exists (network
+    #: and transport counters live in it); this knob only controls the
     #: detector-quality probes.
     obs: bool = True
-    #: Materialize typed spans (:mod:`repro.obs.spans`) from the trace
-    #: stream: per-pair suspicion intervals, dining phases, crash points,
-    #: the convergence marker.  Off by default — spans retain one tuple
-    #: per interval for the whole run, where the scalar probes keep O(1)
-    #: state.
+    #: Keep typed spans (:mod:`repro.obs.spans`) of the trace stream:
+    #: per-pair suspicion intervals, dining phases, crash points, the
+    #: convergence marker.  Off by default — spans retain one tuple per
+    #: interval for the whole run, where the probes keep only open
+    #: intervals and per-pair state.
     spans: bool = False
 
 
@@ -119,20 +118,19 @@ class Engine:
         # A C-level reader of the clock slot: no Python frame per record.
         self.trace.bind_clock(
             functools.partial(operator.attrgetter("_now"), self.clock))
-        self.probes: Optional[RunProbes] = None
-        if self.config.obs:
-            self.probes = RunProbes(self.registry)
-            self.trace.subscribe(self.probes.on_record,
-                                 kinds=RunProbes.KINDS)
-        self.span_probe: Optional[SpanProbe] = None
-        if self.config.spans:
-            self.span_probe = SpanProbe()
-            self.trace.subscribe(self.span_probe.on_record,
-                                 kinds=SpanProbe.KINDS)
+        self.crash_schedule = crash_schedule or CrashSchedule.none()
+        #: The run's one trace subscriber, there before any module
+        #: attaches: the interval fold the probes (when ``config.obs``),
+        #: the spans (when ``config.spans``) and the verdicts all read.
+        self.intervals = IntervalMachine(
+            self.crash_schedule,
+            self.registry if self.config.obs else None,
+            spans=self.config.spans)
+        self.trace.subscribe(self.intervals.on_record,
+                             kinds=IntervalMachine.KINDS)
         self.network = Network(delay_model or AsynchronousDelays(),
                                fault_model=fault_model)
         self.network.bind(self)
-        self.crash_schedule = crash_schedule or CrashSchedule.none()
         self.processes: dict[ProcessId, Process] = {}
         self._heap: list[
             tuple[Time, int, Callable[[object], None], object]] = []
@@ -270,9 +268,8 @@ class Engine:
         return [pid for pid, p in self.processes.items() if not p.crashed]
 
     def metrics_snapshot(self) -> MetricsSnapshot:
-        """Freeze the run's metrics (finalizing probe gauges first)."""
-        if self.probes is not None:
-            self.probes.finalize(self.clock.now)
+        """Freeze the run's metrics (finishing the interval fold first)."""
+        self.intervals.finish(self.clock.now)
         return self.registry.snapshot()
 
     @property

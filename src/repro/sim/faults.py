@@ -20,6 +20,14 @@ from repro.errors import ConfigurationError
 from repro.types import ProcessId, Time
 
 
+def live_at(crashes: Mapping[ProcessId, Time], pid: ProcessId,
+            t: Time) -> bool:
+    """Live = not yet crashed at ``t`` (correct processes are always live):
+    also the test of whether a suspicion onset is a mistake."""
+    ct = crashes.get(pid)
+    return ct is None or t < ct
+
+
 class CrashSchedule:
     """An immutable map ``pid -> crash time`` for the faulty processes."""
 
@@ -71,9 +79,7 @@ class CrashSchedule:
         return pid in self._crashes
 
     def is_live_at(self, pid: ProcessId, t: Time) -> bool:
-        """Live = not yet crashed (correct processes are always live)."""
-        ct = self._crashes.get(pid)
-        return ct is None or t < ct
+        return live_at(self._crashes, pid, t)
 
     def correct(self, pids: Iterable[ProcessId]) -> frozenset[ProcessId]:
         """The correct subset of ``pids``."""

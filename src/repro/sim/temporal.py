@@ -17,24 +17,6 @@ T = TypeVar("T")
 Series = Sequence[tuple[Time, T]]
 
 
-def value_at(series: Series, t: Time, default: Any = None) -> Any:
-    """Step-function evaluation of ``series`` at time ``t``."""
-    out = default
-    for ts, v in series:
-        if ts > t:
-            break
-        out = v
-    return out
-
-
-def holds_at_end(series: Series, pred: Callable[[T], bool],
-                 default: Any = None) -> bool:
-    """Does ``pred`` hold for the final (persisting) value?"""
-    if not series:
-        return pred(default) if default is not None else False
-    return pred(series[-1][1])
-
-
 def convergence_time(
     series: Series,
     pred: Callable[[T], bool],
@@ -62,25 +44,6 @@ def convergence_time(
     return conv
 
 
-def eventually_always(series: Series, pred: Callable[[T], bool],
-                      initial: Any = None) -> bool:
-    """◇□ pred over the finite series (True iff a converging suffix exists)."""
-    return convergence_time(series, pred, initial=initial) is not None
-
-
-def always(series: Series, pred: Callable[[T], bool], initial: Any = None) -> bool:
-    """□ pred over the finite series."""
-    samples = list(series)
-    if initial is not None:
-        samples = [(0.0, initial)] + samples
-    return all(pred(v) for _, v in samples)
-
-
-def count_violations(series: Series, pred: Callable[[T], bool]) -> int:
-    """Number of samples violating ``pred`` (finite-mistakes measurements)."""
-    return sum(1 for _, v in series if not pred(v))
-
-
 def change_times(series: Series) -> list[Time]:
     """Times at which the sampled value actually changed."""
     out: list[Time] = []
@@ -96,23 +59,3 @@ def stable_suffix_start(series: Series) -> Optional[Time]:
     """Time from which the value never changes again (None for empty series)."""
     times = change_times(series)
     return times[-1] if times else None
-
-
-def leads_to(
-    triggers: Sequence[Time],
-    responses: Sequence[Time],
-    within: Optional[Time] = None,
-) -> bool:
-    """Every trigger is followed by some response (optionally within a bound).
-
-    Implements the ``P leads-to Q`` progress pattern used by wait-freedom
-    checks: for each trigger time there must exist a strictly later response.
-    """
-    responses = sorted(responses)
-    for t in triggers:
-        later = [r for r in responses if r > t]
-        if not later:
-            return False
-        if within is not None and later[0] - t > within:
-            return False
-    return True

@@ -97,10 +97,11 @@ class Trace:
                   kinds: Optional[Iterable[str]] = None) -> None:
         """Observe every record as it is appended, *before* sink retention.
 
-        Subscribers (e.g. :class:`repro.obs.probes.RunProbes`) see the full
-        record stream regardless of sink mode, so anything computed from
-        the stream stays exact under ``ring:N`` and ``counters`` sinks.
-        Observers are run-local and are not pickled with the trace.
+        Subscribers (e.g. :class:`repro.obs.intervals.IntervalMachine`)
+        see the full record stream regardless of sink mode, so anything
+        computed from the stream stays exact under ``ring:N`` and
+        ``counters`` sinks.  Observers are run-local and are not pickled
+        with the trace.
 
         ``kinds``, when given, restricts delivery to records of those
         kinds.  Declaring the filter matters beyond skipping callbacks:
@@ -304,16 +305,3 @@ def state_intervals(
 def intervals_overlap(a: tuple[Time, Time], b: tuple[Time, Time]) -> bool:
     """True when two closed-open intervals genuinely overlap (not merely touch)."""
     return a[0] < b[1] and b[0] < a[1]
-
-
-def overlapping_pairs(
-    xs: Iterable[tuple[Time, Time]],
-    ys: Iterable[tuple[Time, Time]],
-) -> list[tuple[tuple[Time, Time], tuple[Time, Time]]]:
-    """All genuinely overlapping pairs between two interval lists."""
-    return [
-        (a, b)
-        for a in xs
-        for b in ys
-        if intervals_overlap(a, b)
-    ]

@@ -1,9 +1,10 @@
-"""Convergence-probe semantics: driven with synthetic trace records, then
-cross-checked against the trace-replay property checkers on a real run."""
+"""Convergence-probe semantics: an interval machine driven with synthetic
+trace records, then cross-checked against the trace-replay property
+checkers on a real run."""
 
 import pytest
 
-from repro.obs.probes import RunProbes
+from repro.obs.intervals import IntervalMachine
 from repro.obs.registry import MetricsRegistry
 from repro.oracles.properties import false_positive_count
 from repro.runtime.builder import execute
@@ -22,7 +23,7 @@ def suspect(t, owner, target, suspected, initial=False):
 
 @pytest.fixture
 def probes():
-    return RunProbes(MetricsRegistry())
+    return IntervalMachine(registry=MetricsRegistry())
 
 
 class TestOracleProbes:
@@ -32,7 +33,7 @@ class TestOracleProbes:
         probes.on_record(suspect(40.0, "p0", "p1", False))
         assert probes.converged
         assert probes.convergence_time() == 40.0
-        probes.finalize(100.0)
+        probes.finish(100.0)
         snap = probes.registry.snapshot()
         assert snap.counter_value("oracle.wrongful_suspicions") == 1
         assert snap.gauge_value("oracle.converged_at") == 40.0
@@ -41,7 +42,7 @@ class TestOracleProbes:
 
     def test_initial_suspicion_counts_as_wrongful_but_not_churn(self, probes):
         probes.on_record(suspect(0.0, "p0", "p1", True, initial=True))
-        probes.finalize(50.0)
+        probes.finish(50.0)
         snap = probes.registry.snapshot()
         assert snap.counter_value("oracle.wrongful_suspicions") == 1
         assert snap.counter_value("oracle.suspicion_churn") == 0
@@ -49,7 +50,7 @@ class TestOracleProbes:
     def test_suspecting_a_crashed_target_is_rightful(self, probes):
         probes.on_record(rec(5.0, "crash", "p1"))
         probes.on_record(suspect(10.0, "p0", "p1", True))
-        probes.finalize(50.0)
+        probes.finish(50.0)
         snap = probes.registry.snapshot()
         assert snap.counter_value("oracle.wrongful_suspicions") == 0
         # Never wrong => converged at 0.
@@ -70,7 +71,7 @@ class TestOracleProbes:
     def test_unconverged_run_reports_open_gauge_and_no_converged_at(
             self, probes):
         probes.on_record(suspect(10.0, "p0", "p1", True))
-        probes.finalize(100.0)
+        probes.finish(100.0)
         snap = probes.registry.snapshot()
         assert probes.convergence_time() is None
         assert snap.gauge_value("oracle.wrongful_open") == 1
@@ -81,7 +82,7 @@ class TestOracleProbes:
         probes.on_record(suspect(20.0, "p0", "p1", False))
         probes.on_record(suspect(30.0, "p1", "p0", True))
         probes.on_record(suspect(75.0, "p1", "p0", False))
-        probes.finalize(100.0)
+        probes.finish(100.0)
         snap = probes.registry.snapshot()
         assert snap.gauge_value("oracle.converged_at") == 75.0
         assert snap.gauge_value('oracle.stabilized_at{process="p0"}') == 20.0
@@ -112,7 +113,7 @@ class TestDiningProbes:
     def test_pending_hunger_reported_on_finalize(self, probes):
         probes.on_record(rec(10.0, "state", "p0", instance="I",
                              state="hungry"))
-        probes.finalize(99.0)
+        probes.finish(99.0)
         snap = probes.registry.snapshot()
         assert snap.gauge_value("dining.hungry_pending") == 1
         assert snap.histogram("dining.hungry_to_eating").count == 0
@@ -132,7 +133,7 @@ class TestCoreProbes:
 
     def test_unmatched_ping_left_outstanding(self, probes):
         probes.on_record(rec(10.0, "ping", "p0", component="s0"))
-        probes.finalize(50.0)
+        probes.finish(50.0)
         snap = probes.registry.snapshot()
         assert snap.histogram("core.ping_rtt").count == 0
         assert snap.gauge_value("core.pings_outstanding") == 1
@@ -142,8 +143,8 @@ class TestFinalize:
     def test_idempotent(self, probes):
         probes.on_record(suspect(10.0, "p0", "p1", True))
         probes.on_record(suspect(20.0, "p0", "p1", False))
-        probes.finalize(50.0)
-        probes.finalize(60.0)
+        probes.finish(50.0)
+        probes.finish(60.0)
         assert probes.registry.snapshot().gauge_value("run.end_time") == 50.0
 
 
@@ -194,7 +195,7 @@ class TestLabeledOracleProbes:
                                           "omega.sub"))
         probes.on_record(self.lab_suspect(30.0, "p0", "p1", False,
                                           "omega.sub"))
-        probes.finalize(100.0)
+        probes.finish(100.0)
         snap = probes.registry.snapshot()
         # Unlabeled aggregates see both streams...
         assert snap.counter_value("oracle.wrongful_suspicions") == 2
@@ -213,7 +214,7 @@ class TestLabeledOracleProbes:
                                           "omega.sub"))
         probes.on_record(self.lab_suspect(30.0, "p0", "p1", False,
                                           "omega.sub"))
-        probes.finalize(100.0)
+        probes.finish(100.0)
         snap = probes.registry.snapshot()
         assert snap.gauge_value(
             'oracle.converged_at{detector="omega.sub"}') == 30.0

@@ -1,6 +1,7 @@
-"""Tests for the span probe (repro.obs.spans)."""
+"""Tests for the span rows of the interval machine (repro.obs.spans)."""
 
-from repro.obs.spans import SPAN_SCHEMA, SpanProbe, span_records
+from repro.obs.intervals import IntervalMachine
+from repro.obs.spans import SPAN_SCHEMA, span_records
 from repro.sim.trace import TraceRecord
 
 
@@ -14,14 +15,16 @@ def suspect(time, pid, target, suspected, detector="hb"):
 
 
 def probe(*records):
-    p = SpanProbe()
-    for r in records:
-        p.on_record(r)
-    return p
+    return IntervalMachine(spans=True).replay(records)
+
+
+def finalize(p, end_time):
+    p.finish(end_time)
+    return p.spans
 
 
 def spans_of(p, end_time=100.0, kind=None):
-    out = p.finalize(end_time)
+    out = finalize(p, end_time)
     return [s for s in out if kind is None or s["kind"] == kind]
 
 
@@ -64,7 +67,7 @@ def test_owner_crash_closes_its_suspicions_without_reopen():
     assert len(susp) == 1
     assert susp[0]["end"] == 8.0
     # the crashed owner's interval ended at the crash, nothing reopened
-    assert not p._susp_open
+    assert not p.open
 
 
 def test_duplicate_suspect_records_do_not_restart_span():
@@ -114,7 +117,7 @@ def test_truncated_wrongful_close_does_not_move_convergence():
               suspect(50.0, "p2", "p3", True))
     # the open wrongful span is truncated at 100, but convergence (which
     # the run never reached) must not be reported at the horizon
-    out = p.finalize(100.0)
+    out = finalize(p, 100.0)
     assert [s for s in out if s["kind"] == "convergence"] == []
 
 
@@ -160,8 +163,8 @@ def test_finalize_idempotent_and_sorted():
     p = probe(rec(4.0, "state", "p1", instance="I", state="hungry"),
               suspect(2.0, "p0", "p1", True),
               suspect(3.0, "p0", "p1", False))
-    one = p.finalize(10.0)
-    two = p.finalize(999.0)   # later horizon ignored after finalize
+    one = finalize(p, 10.0)
+    two = finalize(p, 999.0)   # later horizon ignored after finalize
     assert one is two
     starts = [s["start"] for s in one]
     assert starts == sorted(starts)
@@ -169,14 +172,14 @@ def test_finalize_idempotent_and_sorted():
 
 def test_span_dicts_have_fixed_key_set():
     p = probe(suspect(1.0, "p0", "p1", True))
-    keys = {tuple(s) for s in p.finalize(5.0)}
+    keys = {tuple(s) for s in finalize(p, 5.0)}
     assert keys == {("kind", "start", "end", "pid", "target", "detector",
                      "wrongful", "instance", "phase", "truncated")}
 
 
 def test_span_records_shape():
     p = probe(suspect(1.0, "p0", "p1", True), suspect(2.0, "p0", "p1", False))
-    records = span_records("runA", 7, 50.0, p.finalize(50.0))
+    records = span_records("runA", 7, 50.0, finalize(p, 50.0))
     assert all(r["schema"] == SPAN_SCHEMA for r in records)
     assert all(r["run"] == {"name": "runA", "seed": 7, "end_time": 50.0}
                for r in records)

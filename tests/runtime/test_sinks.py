@@ -112,21 +112,20 @@ class TestTracePickling:
 
 
 class TestJustifyViolationsOnTruncatedTraces:
-    """The ◇WX justification check hinges on session-start and suspicion
-    rows; once a sink has evicted records it must refuse rather than
-    mis-judge (satellite: 'work on truncated traces or fail loudly')."""
+    """The trace-taking justification check replays the rows a sink kept:
+    on a truncated trace it judges the retained window (a run's own
+    verdict is judged online and never truncated — see
+    test_sink_verdicts)."""
 
     VIOLATION = ExclusionViolation(u="p", v="q", start=50.0, end=60.0)
 
-    def test_truncated_with_violations_fails_loudly(self):
+    def test_truncated_window_is_judged(self):
         t = fill(Trace(sink="ring:2"), 10)
-        with pytest.raises(SimulationError, match="ring:2"):
-            justify_violations(t, [self.VIOLATION])
+        assert justify_violations(t, [self.VIOLATION]) is False
 
-    def test_counters_with_violations_fails_loudly(self):
+    def test_counters_window_is_empty(self):
         t = fill(Trace(sink="counters"), 3)
-        with pytest.raises(SimulationError, match="counters"):
-            justify_violations(t, [self.VIOLATION])
+        assert justify_violations(t, [self.VIOLATION]) is False
 
     def test_no_violations_is_fine_even_truncated(self):
         t = fill(Trace(sink="ring:2"), 10)

@@ -4,15 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim.temporal import (
-    always,
     change_times,
     convergence_time,
-    count_violations,
-    eventually_always,
-    holds_at_end,
-    leads_to,
     stable_suffix_start,
-    value_at,
 )
 
 BOOLS = st.lists(st.tuples(st.floats(0, 1000), st.booleans()), max_size=40)
@@ -20,19 +14,6 @@ BOOLS = st.lists(st.tuples(st.floats(0, 1000), st.booleans()), max_size=40)
 
 def sorted_series(raw):
     return sorted(raw, key=lambda x: x[0])
-
-
-class TestValueAt:
-    def test_step_function_semantics(self):
-        s = [(1.0, "a"), (5.0, "b")]
-        assert value_at(s, 0.5, default="z") == "z"
-        assert value_at(s, 1.0) == "a"
-        assert value_at(s, 4.9) == "a"
-        assert value_at(s, 5.0) == "b"
-        assert value_at(s, 100.0) == "b"
-
-    def test_empty_series_gives_default(self):
-        assert value_at([], 3.0, default=7) == 7
 
 
 class TestConvergence:
@@ -57,25 +38,6 @@ class TestConvergence:
 
 
 class TestOperators:
-    def test_eventually_always(self):
-        assert eventually_always([(1.0, False), (2.0, True)], lambda v: v)
-        assert not eventually_always([(1.0, True), (2.0, False)], lambda v: v)
-
-    def test_always(self):
-        assert always([(1.0, True), (2.0, True)], lambda v: v)
-        assert not always([(1.0, True), (2.0, False)], lambda v: v)
-
-    def test_always_with_initial(self):
-        assert not always([(1.0, True)], lambda v: v, initial=False)
-
-    def test_holds_at_end(self):
-        assert holds_at_end([(1.0, False), (2.0, True)], lambda v: v)
-        assert not holds_at_end([], lambda v: v)
-
-    def test_count_violations(self):
-        s = [(1.0, True), (2.0, False), (3.0, False), (4.0, True)]
-        assert count_violations(s, lambda v: v) == 2
-
     def test_change_times(self):
         s = [(1.0, "a"), (2.0, "a"), (3.0, "b"), (4.0, "b"), (5.0, "a")]
         assert change_times(s) == [1.0, 3.0, 5.0]
@@ -86,42 +48,9 @@ class TestOperators:
         assert stable_suffix_start([]) is None
 
 
-class TestLeadsTo:
-    def test_every_trigger_answered(self):
-        assert leads_to([1.0, 5.0], [2.0, 6.0])
-
-    def test_unanswered_trigger(self):
-        assert not leads_to([1.0, 5.0], [2.0])
-
-    def test_response_must_be_strictly_later(self):
-        assert not leads_to([3.0], [3.0])
-
-    def test_within_bound(self):
-        assert leads_to([1.0], [2.5], within=2.0)
-        assert not leads_to([1.0], [4.0], within=2.0)
-
-    def test_no_triggers_trivially_true(self):
-        assert leads_to([], [])
-
-
 @given(BOOLS)
 def test_convergence_implies_final_value_holds(raw):
     s = sorted_series(raw)
     conv = convergence_time(s, lambda v: v)
     if conv is not None and s:
         assert s[-1][1]
-
-
-@given(BOOLS)
-def test_eventually_always_consistent_with_convergence(raw):
-    s = sorted_series(raw)
-    assert eventually_always(s, lambda v: v) == (
-        convergence_time(s, lambda v: v) is not None
-    )
-
-
-@given(BOOLS)
-def test_always_implies_eventually_always(raw):
-    s = sorted_series(raw)
-    if s and always(s, lambda v: v):
-        assert eventually_always(s, lambda v: v)

@@ -10,7 +10,6 @@ from repro.sim.trace import (
     Trace,
     TraceRecord,
     intervals_overlap,
-    overlapping_pairs,
     state_intervals,
 )
 
@@ -169,11 +168,6 @@ class TestOverlap:
 
     def test_containment_overlaps(self):
         assert intervals_overlap((0.0, 10.0), (3.0, 4.0))
-
-    def test_overlapping_pairs_finds_all(self):
-        xs = [(0.0, 2.0), (5.0, 6.0)]
-        ys = [(1.0, 3.0), (5.5, 7.0)]
-        assert len(overlapping_pairs(xs, ys)) == 2
 
     @given(
         a0=st.floats(0, 100), alen=st.floats(0.01, 50),
