@@ -1,5 +1,5 @@
 """Benchmarks of the runtime layer itself: the canonical builder, trace
-sinks, and parallel campaign execution.
+retention, and parallel campaign execution.
 
 These replace the ad-hoc engine-wiring fixtures campaign benchmarks used
 to carry: everything here goes through ``RunSpec → execute``, the same

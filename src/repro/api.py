@@ -1,7 +1,7 @@
 """The one-call public API: ``repro.run``, ``repro.sweep``, ``repro.compare``.
 
 Everything the library can express — algorithm choice, failure detector,
-topology, crash schedule, link faults, adversary, trace sink — is
+topology, crash schedule, link faults, adversary, trace retention — is
 declared on a :class:`~repro.runtime.spec.RunSpec`; these functions are
 the single front door for executing one:
 
@@ -68,9 +68,9 @@ def run(spec: Union[RunSpec, Mapping],
         check: Optional[bool] = None) -> RunResult:
     """Execute one :class:`RunSpec` (or spec dict) and judge the run.
 
-    The verdicts are judged online, so they are the same under every
-    trace sink.  ``check=None`` (default) judges exactly when the sink
-    retains rows; ``counters`` runs come back metrics-only with
+    The verdicts are judged online, so they are the same whether or not
+    the trace keeps its rows.  ``check=None`` (default) judges exactly
+    when it does; ``counters`` runs come back metrics-only with
     ``result.checked`` False unless ``check=True``.
     """
     return execute(_coerce_spec(spec), check=check)

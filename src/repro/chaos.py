@@ -85,12 +85,6 @@ class ChaosConfig:
     detector: str = "eventually_perfect"
     #: Per-detector parameter overrides (see the registry entry defaults).
     detector_params: Mapping[str, Any] = field(default_factory=dict)
-    #: Trace-sink mode for every run (``full`` | ``ring:N`` | ``counters``).
-    #: Verdicts are judged online, identically under every mode, but
-    #: ``counters`` runs execute *unchecked* (metrics only — the mode long
-    #: perf campaigns use); :func:`check_invariants` then has nothing to
-    #: judge and reports no failures.
-    trace: str = "full"
     #: Pair-selection policy threaded into every built scenario (``all`` |
     #: ``neighbors`` | ``neighbors:<k>``).  ``neighbors`` is what makes
     #: large sparse topologies (``rgg:100:...``) campaign-tractable; see
@@ -139,8 +133,6 @@ class ChaosConfig:
             flags.append("--no-transport")
         if self.detector != default.detector:
             flags.append(f"--detector {self.detector}")
-        if self.trace != default.trace:
-            flags.append(f"--trace-sink {self.trace}")
         if self.pairs != default.pairs:
             flags.append(f"--pairs {self.pairs}")
         if self.allow_disconnected:
@@ -211,7 +203,6 @@ def build_run(run_seed: int, cfg: ChaosConfig) -> RunSpec:
         transport=({"rto_initial": cfg.rto_initial, "rto_max": cfg.rto_max}
                    if cfg.transport else False),
         slow=slow,
-        trace=cfg.trace,
         pairs=cfg.pairs,
         allow_disconnected=cfg.allow_disconnected,
         spans=cfg.spans,
@@ -231,7 +222,8 @@ class RunVerdict:
     index: int
     run_seed: int
     scenario: RunSpec
-    report: RunResult
+    #: The live result; None on a :class:`StoredVerdict`.
+    report: Optional[RunResult]
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -257,9 +249,6 @@ class RunVerdict:
             "run_seed": self.run_seed,
             "ok": self.ok,
             "failures": list(self.failures),
-            # Sink mode the verdict's trace was recorded under, so a
-            # truncated-trace replay is never misread as missing events.
-            "trace_mode": run["trace_mode"],
             "graph": self.scenario.graph,
             "algorithm": self.scenario.algorithm,
             "client": self.scenario.client,
@@ -297,10 +286,8 @@ class RunVerdict:
 def check_invariants(report: RunResult, cfg: ChaosConfig) -> list[str]:
     """The per-run invariant battery; empty list = all good.
 
-    An *unchecked* report (a ``counters`` trace sink run, which ``execute``
-    leaves unjudged by default) has nothing to judge — such runs are
-    metrics-only by construction and report no failures; the verdict's
-    ``trace_mode`` field keeps that visible downstream.
+    An *unchecked* report (a ``counters`` run, which ``execute`` leaves
+    unjudged by default) has nothing to judge and reports no failures.
     """
     return _failures(report.summary())
 
@@ -341,12 +328,8 @@ class StoredVerdict(RunVerdict):
     def __init__(self, index: int, run_seed: int, scenario: RunSpec,
                  payload: Mapping[str, Any]) -> None:
         self._payload = payload
-        run = self._run_summary()
-        # No trace and no verdict objects — the report carries the sink
-        # mode only.
-        super().__init__(index, run_seed, scenario,
-                         RunResult(trace_mode=run["trace_mode"]),
-                         _failures(run))
+        super().__init__(index, run_seed, scenario, None,
+                         _failures(self._run_summary()))
 
     def _run_summary(self) -> Mapping[str, Any]:
         return self._payload["record"]["summary"]
@@ -423,8 +406,7 @@ class CampaignResult:
             ])
         lines = [table.render()]
         for v in self.failed:
-            lines.append(f"replay run {v.index} "
-                         f"(trace {v.report.trace_mode}): "
+            lines.append(f"replay run {v.index}: "
                          f"{v.replay_command(self.cfg)}")
         tele = self.telemetry()
         if tele.with_metrics:

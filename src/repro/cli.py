@@ -26,7 +26,7 @@ job progress, live ``/metrics``, graceful SIGTERM drain with
 journal-backed restart recovery); ``repro submit`` is the thin client
 and ``repro store ls`` the cache debugging loop — see docs/service.md.
 
-Four flags are accepted uniformly by ``run``/``scenario``/``sweep``/
+Three flags are accepted uniformly by ``run``/``scenario``/``sweep``/
 ``chaos`` (shared argparse parent parsers, so helptext and defaults stay
 in lockstep):
 
@@ -37,15 +37,17 @@ in lockstep):
   metric snapshot (docs/observability.md); ``repro report`` aggregates
   such a file into p50/p95/max convergence time, wrongful-suspicion
   totals, and merged latency histograms;
-* ``--trace-sink SPEC`` (``full`` | ``ring:N`` | ``counters``) overrides
-  the run's trace retention — ``counters`` turns verdict checking off
-  (metrics-only runs; see docs/runtime.md);
 * ``--profile-out PATH`` wraps the command in :mod:`cProfile` and dumps
   a pstats file for ``python -m pstats`` / snakeviz
   (docs/performance.md);
 * ``--task-timeout SECONDS`` bounds each pooled run's wall clock — a
   hung worker is killed and the run retried with seeded backoff
   (docs/reliability.md).
+
+``scenario`` and ``sweep`` also accept ``--trace-sink MODE`` (``full`` |
+``counters``), which overrides the spec's trace retention; ``counters``
+keeps no rows and turns verdict checking off (metrics-only runs; see
+docs/runtime.md).  Chaos runs always keep their rows and are judged.
 
 ``sweep`` and ``chaos`` additionally accept ``--store PATH`` (checkpoint
 per-run results to a content-addressed JSONL store as they complete) and
@@ -145,7 +147,7 @@ def cmd_scenario(path: str, metrics_out: str | None = None,
         n = write_jsonl(spans_out, report.span_records())
         print(f"{n} span records written to {spans_out}")
     if not report.checked:
-        # counters-sink run: metrics-only, no verdict to gate the exit on.
+        # counters run: metrics-only, no verdict to gate the exit on.
         return 0
     return 0 if report.ok else 1
 
@@ -231,7 +233,7 @@ def cmd_sweep(path: str, seeds: Sequence[int], workers: int = 1,
         n = write_jsonl(spans_out, span_recs)
         print(f"{n} span records written to {spans_out}")
     if "wait_free" not in stats:
-        return 0  # unchecked (counters-sink) sweep: metrics-only
+        return 0  # unchecked (counters) sweep: metrics-only
     return 0 if stats["wait_free"].mean == 1.0 else 1
 
 
@@ -264,7 +266,6 @@ def _chaos_config(args) -> "ChaosConfig":
         slow_prob=args.slow_prob,
         max_time=args.max_time,
         transport=not args.no_transport,
-        trace=args.trace_sink or "full",
         detector=getattr(args, "detector", None) or "eventually_perfect",
         pairs=args.pairs,
         allow_disconnected=args.allow_disconnected,
@@ -721,17 +722,10 @@ def _run_experiment(name: str) -> tuple:
 
 def cmd_run(names: Sequence[str], workers: int = 1,
             metrics_out: str | None = None,
-            trace_sink: str | None = None,
             task_timeout: float | None = None) -> int:
     from repro.runtime import SupervisedExecutor
 
     registry = _registry()
-    if trace_sink is not None:
-        # Experiment harnesses wire their own engines and verdicts need
-        # retained traces, so the flag is accepted (interface uniformity)
-        # but does not reach them.
-        print("note: --trace-sink does not apply to experiment harnesses; "
-              "ignored", file=sys.stderr)
     if list(names) == ["all"]:
         names = list(registry)
     unknown = [n for n in names if n not in registry]
@@ -778,16 +772,11 @@ def _common_parents() -> list[argparse.ArgumentParser]:
     metrics.add_argument("--metrics-out", default=None, metavar="PATH",
                          help="write one JSONL metric record per run "
                               "(deterministic: independent of --workers)")
-    trace = argparse.ArgumentParser(add_help=False)
-    trace.add_argument("--trace-sink", default=None, metavar="SPEC",
-                       help="trace retention override: full | ring:N | "
-                            "counters (counters = metrics-only, no verdict "
-                            "checking)")
     profile = argparse.ArgumentParser(add_help=False)
     profile.add_argument("--profile-out", default=None, metavar="PATH",
                          help="profile the command with cProfile and dump "
                               "pstats to PATH")
-    return [workers, metrics, trace, profile]
+    return [workers, metrics, profile]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -797,7 +786,13 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "Detector for Wait-Free Dining under Eventual Weak "
                     "Exclusion'",
     )
+    from repro.sim.trace import TRACE_MODES
+
     parents = _common_parents()
+    tracep = argparse.ArgumentParser(add_help=False)
+    tracep.add_argument("--trace-sink", default=None, choices=TRACE_MODES,
+                        help="trace retention override (counters keeps no "
+                             "rows: metrics-only, no verdict checking)")
     spansp = argparse.ArgumentParser(add_help=False)
     spansp.add_argument("--spans-out", default=None, metavar="PATH",
                         help="export span-level tracing (suspicion "
@@ -826,10 +821,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                           help="run experiments by id ('all' for every one)")
     runp.add_argument("names", nargs="+",
                       help="experiment ids, e.g. e1 e4, or 'all'")
-    scen = sub.add_parser("scenario", parents=parents + [spansp],
+    scen = sub.add_parser("scenario", parents=parents + [tracep, spansp],
                           help="run a declarative scenario from a JSON file")
     scen.add_argument("path", help="path to the scenario JSON")
-    swp = sub.add_parser("sweep", parents=parents + [storep, spansp, progp],
+    swp = sub.add_parser("sweep",
+                         parents=parents + [tracep, storep, spansp, progp],
                          help="run a scenario across a seed fanout and "
                               "aggregate statistics")
     swp.add_argument("path", help="path to the scenario JSON")
@@ -1098,7 +1094,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_chaos(args)
         return cmd_run(args.names, workers=args.workers,
                        metrics_out=args.metrics_out,
-                       trace_sink=args.trace_sink,
                        task_timeout=args.task_timeout)
 
 

@@ -7,8 +7,8 @@ crash-tolerant problems including consensus and stable leader election"
 
 * :class:`~repro.consensus.chandra_toueg.ChandraTouegConsensus` — the
   rotating-coordinator ◇S consensus protocol (◇P ⪰ ◇S), and
-* :class:`~repro.oracles.omega.OmegaElector` + the agreement checkers in
-  :mod:`repro.consensus.leader` — stable leader election,
+* :class:`~repro.oracles.omega.OmegaElector` — stable leader election,
+  judged by :func:`repro.oracles.properties.check_leader_agreement`,
 
 unchanged, because :class:`~repro.core.extraction.ExtractedDetector`
 presents the standard query surface.
@@ -21,7 +21,6 @@ from repro.consensus.atomic_broadcast import (
 )
 from repro.consensus.broadcast import ReliableBroadcast
 from repro.consensus.chandra_toueg import ChandraTouegConsensus, ConsensusResult, check_consensus
-from repro.consensus.leader import check_leader_stability, leader_series
 
 __all__ = [
     "AtomicBroadcast",
@@ -31,6 +30,4 @@ __all__ = [
     "check_consensus",
     "check_total_order",
     "setup_atomic_broadcast",
-    "check_leader_stability",
-    "leader_series",
 ]

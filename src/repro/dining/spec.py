@@ -16,9 +16,9 @@ Perpetual weak exclusion (WX, Section 9) and eventual k-fairness
 
 Each verdict is a read of the diner intervals an
 :class:`~repro.obs.intervals.IntervalMachine` folded (the ``*_of``
-functions): a run's own machine judges online, whatever its trace sink
-kept, and each trace-taking ``check_*`` replays the retained state rows
-through a fresh machine (:func:`judged`).
+functions): a run's own machine judges online, whether or not its trace
+keeps rows, and each trace-taking ``check_*`` replays the trace's state
+rows through a fresh machine (:func:`judged`).
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class ExclusionReport:
 def judged(trace: Trace, graph: nx.Graph, instance: str,
            schedule: CrashSchedule | None, end_time: Time,
            pid: Optional[ProcessId] = None) -> IntervalMachine:
-    """``trace``'s retained state rows (``pid``'s only, when given) folded
+    """``trace``'s state rows (``pid``'s only, when given) folded
     by a fresh machine judging ``instance`` on ``graph`` — the offline
     form of what a run's own machine judged online."""
     machine = IntervalMachine(schedule).judge(graph, instance, None)

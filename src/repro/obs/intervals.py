@@ -14,9 +14,10 @@ Three readers share that state: the metrics of :mod:`repro.obs.probes`,
 the span rows of :mod:`repro.obs.spans` and the verdict battery of
 :mod:`repro.dining.spec`, :mod:`repro.dining.fairness` and
 :mod:`repro.oracles.properties`.  The engine subscribes one machine
-before any module attaches, so verdicts never depend on what the trace
-sink kept; the trace-taking checkers replay ``trace.records()`` through
-a fresh machine, so each rule has one implementation online and offline.
+before any module attaches, so verdicts never depend on whether the
+trace keeps its rows; the trace-taking checkers replay
+``trace.records()`` through a fresh machine, so each rule has one
+implementation online and offline.
 """
 
 from __future__ import annotations
@@ -89,8 +90,7 @@ class IntervalMachine:
     """
 
     #: The record kinds :meth:`on_record` folds — the subscription filter,
-    #: so the trace can still elide every other kind under a sink that
-    #: retains nothing.
+    #: so a trace that keeps no rows can still elide every other kind.
     KINDS = frozenset({"suspect", "state", "crash", "ping", "ack", "leader"})
 
     def __init__(self, schedule: CrashSchedule | None = None,

@@ -21,10 +21,10 @@ probes measure *when* and *how much*:
   hand-off cost at the heart of the Alg. 1/Alg. 2 reduction.
 
 The run's :class:`~repro.obs.intervals.IntervalMachine` updates the
-counters and histograms as it folds each record, before any sink
-decides whether to retain it, so they are exact under ``ring:N`` and
-``counters`` sinks and bit-identical between serial and parallel
-campaigns; :func:`publish_gauges` turns its end state into the gauges.
+counters and histograms as it folds each record written, so they are
+exact under a ``counters`` trace, which keeps no rows, and bit-identical
+between serial and parallel campaigns; :func:`publish_gauges` turns its
+end state into the gauges.
 Unlabeled series sum every suspicion label; the ``{detector=...}``
 copies keep them apart for the lattice.
 """

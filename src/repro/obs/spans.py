@@ -39,8 +39,8 @@ A run that never converged therefore exports truncated wrongful
 suspicion spans and *no* ``convergence`` span.
 
 The machine folds the trace *record stream*
-(:meth:`repro.sim.trace.Trace.subscribe`) ahead of sink retention, so
-spans are exact under ``ring:N`` and ``counters`` sinks and — being pure
+(:meth:`repro.sim.trace.Trace.subscribe`) as it is written, so spans
+are exact under a ``counters`` trace, which keeps no rows, and — being pure
 arithmetic over the deterministic event stream — bit-identical between
 serial and parallel campaign execution.
 

@@ -108,7 +108,7 @@ def _monitoring_pairs(
 def replay(trace: Trace, schedule: CrashSchedule | None,
            detector: str | None,
            owner: ProcessId | None = None) -> IntervalMachine:
-    """``trace``'s retained ``"suspect"`` and ``"leader"`` rows
+    """``trace``'s ``"suspect"`` and ``"leader"`` rows
     (``owner``'s only, when given) folded by a fresh machine seeded with
     ``schedule``.
 

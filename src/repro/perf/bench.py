@@ -12,8 +12,8 @@ Workloads:
 ``chaos_counters``
     The headline number: chaos-campaign runs (randomized topology,
     link faults, partitions, crashes, transport) executed under the
-    ``counters`` trace sink — the exact shape long campaigns run in,
-    where engine hot-path cost dominates because nothing is retained.
+    ``counters`` trace — the shape long perf runs use, where engine
+    hot-path cost dominates because no row is kept.
 ``engine_steps``
     Step scheduling and action dispatch in isolation: processes with a
     never-enabled action and no traffic.
@@ -25,7 +25,7 @@ Workloads:
     and convergence probes — the interactive / test-suite shape.
 ``sparse_rgg``
     A large-n (256 diners) random-geometric run under conflict-graph-local
-    pair selection (``pairs=neighbors``) and the ``counters`` sink — the
+    pair selection (``pairs=neighbors``) and a ``counters`` trace — the
     sparse-topology campaign shape; the full events/sec-vs-n curve lives
     in :mod:`repro.perf.scaling` (``BENCH_scaling.json``).
 ``dining_obs_off`` / ``dining_spans``

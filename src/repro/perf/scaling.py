@@ -4,7 +4,7 @@ Where :mod:`repro.perf.bench` measures fixed small workloads against a
 committed baseline, this module measures how engine throughput *scales*
 with system size: one full dining run per (family, n) point under
 conflict-graph-local pair selection (``pairs=neighbors``) and the
-``counters`` trace sink, timed end to end (construction excluded).
+``counters`` trace, timed end to end (construction excluded).
 
 Families are sparse by construction so the per-process conflict degree
 stays roughly constant as n grows — the regime the paper's WSN motivation

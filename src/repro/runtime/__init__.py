@@ -5,14 +5,14 @@ wired, executed, and judged:
 
 * :class:`~repro.runtime.spec.RunSpec` — declarative, picklable
   description of one run (topology, seed, fault/delay models, transport,
-  oracle, algorithm, workload, crash schedule, trace-sink mode);
+  oracle, algorithm, workload, crash schedule, trace retention);
 * :mod:`~repro.runtime.builder` — the canonical builder
   (:func:`~repro.runtime.builder.build_system`,
   :func:`~repro.runtime.builder.instantiate`,
   :func:`~repro.runtime.builder.execute`) that ``chaos``,
   ``experiments/common`` and the benchmarks all build through;
 * :class:`~repro.runtime.result.RunResult` — the uniform outcome envelope
-  (verdicts, metrics, trace handle + sink mode);
+  (verdicts, metrics, trace handle);
 * :class:`~repro.runtime.executor.SupervisedExecutor` — deterministic,
   fault-tolerant multi-core fan-out (``--workers N`` on the CLI):
   per-task timeouts, crashed-worker detection, seeded backoff retry,

@@ -122,8 +122,8 @@ def build_system(
     ``fault_model`` makes the wire fair-lossy; pass ``transport=True`` (or
     a :class:`~repro.sim.transport.RetransmitPolicy`) to restore reliable
     channels over it, so algorithms keep their Section 4 assumptions.
-    ``trace_sink`` bounds trace memory (``full`` | ``ring:N`` |
-    ``counters`` — see :mod:`repro.sim.sinks`).  ``peers_of`` restricts
+    ``trace_sink`` is the trace retention (``full`` | ``counters``, which
+    keeps no rows).  ``peers_of`` restricts
     each process's oracle module to an explicit peer list
     (conflict-graph-local monitoring); default is all-to-all.
     """
@@ -325,8 +325,7 @@ def instantiate(spec: RunSpec) -> BuiltRun:
 def justify_violations(trace, violations, detector: str = BOX_LABEL) -> bool:
     """Check every exclusion violation is oracle-justified: either
     endpoint's latest eating session begun by its start began while it
-    suspected the other.  A replay of the retained rows, so a truncated
-    trace is judged on its window (a run's own verdict never is)."""
+    suspected the other.  A replay of the trace's rows."""
     if not violations:
         return True
     graph = nx.Graph([(v.u, v.v) for v in violations])
@@ -361,11 +360,11 @@ def judge(built: BuiltRun) -> tuple:
 def execute(spec: RunSpec, check: Optional[bool] = None) -> RunResult:
     """Build and run ``spec`` to its horizon, judging it as it runs.
 
-    ``check=None`` (default) judges the run exactly when the trace sink
-    retains rows (``counters`` runs are metrics-only: verdict fields
-    ``None``, ``result.checked`` False).  The run's interval machine folds
-    the record stream before any sink evicts it, so ``check=True`` gives
-    every sink mode the full-trace verdicts.
+    ``check=None`` (default) judges the run exactly when its trace keeps
+    rows (``counters`` runs are metrics-only: verdict fields ``None``,
+    ``result.checked`` False).  The run's interval machine folds the
+    record stream as it is written, so ``check=True`` gives a
+    ``counters`` run the verdicts of a ``full`` one.
     """
     from repro.runtime.store import spec_hash
 
@@ -388,8 +387,6 @@ def execute(spec: RunSpec, check: Optional[bool] = None) -> RunResult:
         end_time=eng.now,
         metrics=metrics,
         obs=metrics.snapshot if spec.obs else None,
-        trace_mode=eng.trace.mode,
-        trace_evicted=eng.trace.evicted,
         trace=eng.trace,
         spec_key=spec_hash(spec),
         spans=eng.intervals.spans,

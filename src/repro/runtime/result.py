@@ -2,8 +2,7 @@
 
 A :class:`RunResult` bundles everything downstream consumers read off a
 finished run: the four dining/oracle verdicts, run metrics, the end time,
-and a handle on the trace (plus the sink mode that produced it, so a
-truncated trace is never misread as a complete one).  Chaos
+and a handle on the trace.  Chaos
 ``RunVerdict`` carries one as its ``report``; :meth:`RunResult.render`
 is the table ``repro scenario`` prints.
 
@@ -36,7 +35,7 @@ class RunResult:
     """Verdicts + metrics + trace handle for one executed :class:`RunSpec`.
 
     Verdict fields are ``None`` when the run was executed unchecked (by
-    default, a ``counters`` trace sink run); :attr:`checked` distinguishes
+    default, a ``counters`` run); :attr:`checked` distinguishes
     "all invariants verified" from "nothing was verified".
     """
 
@@ -65,12 +64,6 @@ class RunResult:
     #: late ◇P mistakes, which become rarer but may occur arbitrarily
     #: deep into a finite run.
     violations_justified: Optional[bool] = None
-    #: Sink mode the run's trace was recorded under (``full`` | ``ring:N``
-    #: | ``counters``) and how many rows that sink evicted.  Failure
-    #: summaries carry these so a truncated-trace replay is never misread
-    #: as missing events.
-    trace_mode: str = "full"
-    trace_evicted: int = 0
     #: Handle on the run's trace.  Dropped (``None``) when results cross a
     #: worker-process boundary in parallel campaigns — verdicts and
     #: metrics travel, bulk event history does not.
@@ -200,8 +193,6 @@ class RunResult:
             "convergence_time": self.convergence_time,
             "wrongful_suspicions": self.wrongful_suspicions,
             "suspicion_churn": self.suspicion_churn,
-            "trace_mode": self.trace_mode,
-            "trace_evicted": self.trace_evicted,
         }
 
     def render(self) -> str:
@@ -230,15 +221,14 @@ class RunResult:
             footer = "\nsessions: " + ", ".join(
                 f"{p}:{n}" for p, n in sorted(wf.sessions.items()))
         else:
-            # Unchecked (by default, a counters-sink run): no verdicts —
+            # Unchecked (by default, a counters run): no verdicts —
             # render the cost/telemetry side only.
-            title += f" (unchecked, trace {self.trace_mode})"
+            title += " (unchecked)"
             rows = [*traffic,
                     ["events processed", m.events_processed],
                     ["convergence time", self.convergence_time]]
         table = Table(["property", "value"], title=title)
-        for row in rows + [["trace sink", self.trace_mode],
-                           ["virtual time", self.end_time]]:
+        for row in rows + [["virtual time", self.end_time]]:
             table.add_row(row)
         return table.render() + footer
 

@@ -2,7 +2,7 @@
 
 A :class:`RunSpec` fully determines a run — topology, seed, delay and
 fault models, transport policy, oracle, dining algorithm, workload, crash
-schedule, and trace-sink mode.  It is plain data (strings, numbers,
+schedule, and trace retention.  It is plain data (strings, numbers,
 mappings), so it serializes to JSON, pickles across worker processes, and
 compares by value; the single canonical builder in
 :mod:`repro.runtime.builder` turns it into a wired engine, and
@@ -24,6 +24,7 @@ import networkx as nx
 
 from repro import graphs
 from repro.errors import ConfigurationError
+from repro.sim.trace import validate_retention
 
 
 def _parse_grid(arg: str) -> nx.Graph:
@@ -142,9 +143,8 @@ class RunSpec:
     #: Targeted delay adversary: ``{"kind"|"endpoint"|"tag_prefix": ...,
     #: "factor": f, "extra_max": m, "until": t}`` (see repro.sim.adversary).
     slow: Optional[Mapping[str, Any]] = None
-    #: Trace sink mode (``full`` | ``ring:N`` | ``counters``): how much of
-    #: the run's event history is retained for verdict checking; see
-    #: :mod:`repro.sim.sinks` and docs/runtime.md.
+    #: Trace retention (``full`` | ``counters``): whether the run keeps its
+    #: rows; ``counters`` runs go unjudged unless asked (docs/runtime.md).
     trace: str = "full"
     #: Record per-message send/deliver trace rows (verbose; off by default).
     record_messages: bool = False
@@ -214,11 +214,7 @@ class RunSpec:
         from repro.core.extraction import PairSelection
 
         PairSelection.parse(self.pairs)
-        # Delegate trace-sink spec syntax to the sink factory so the
-        # accepted grammar is declared exactly once.
-        from repro.sim.sinks import make_sink
-
-        make_sink(self.trace)
+        validate_retention(self.trace)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":

@@ -73,7 +73,9 @@ STORE_SCHEMA = "repro.store.v1"
 #: v6: what a key *holds* changed — every surface stores the one
 #: ``repro.result.v1`` envelope, whose summary carries three more fields
 #: (``starving``, ``last_violation_end``, ``worst_overtaking``).
-SPEC_HASH_VERSION = "repro.spec.v6"
+#: v7: ``RunSpec.trace`` accepts only ``full`` | ``counters``, and no
+#: stored summary or verdict names the trace sink any more.
+SPEC_HASH_VERSION = "repro.spec.v7"
 
 
 def canonical_spec(spec: RunSpec) -> dict[str, Any]:

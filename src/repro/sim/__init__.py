@@ -36,13 +36,6 @@ from repro.sim.network import (
 )
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
-from repro.sim.sinks import (
-    CounterTraceSink,
-    FullTraceSink,
-    RingTraceSink,
-    TraceSink,
-    make_sink,
-)
 from repro.sim.trace import Trace, TraceRecord
 from repro.sim.transport import ReliableTransport, RetransmitPolicy
 
@@ -50,12 +43,10 @@ __all__ = [
     "AsynchronousDelays",
     "Clock",
     "Component",
-    "CounterTraceSink",
     "CrashSchedule",
     "DelayModel",
     "Engine",
     "FixedDelays",
-    "FullTraceSink",
     "LinkFaultModel",
     "Network",
     "PartialSynchronyDelays",
@@ -63,13 +54,10 @@ __all__ = [
     "Process",
     "ReliableTransport",
     "RetransmitPolicy",
-    "RingTraceSink",
     "RngRegistry",
     "SimConfig",
     "Trace",
     "TraceRecord",
-    "TraceSink",
     "action",
-    "make_sink",
     "receive",
 ]

@@ -55,7 +55,6 @@ from repro.sim.network import AsynchronousDelays, DelayModel, Network
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import StepPolicy
-from repro.sim.sinks import TraceSink
 from repro.sim.trace import Trace
 from repro.sim.transport import TRANSPORT_TAG as _TRANSPORT_TAG
 from repro.types import Message, ProcessId, Time
@@ -81,10 +80,9 @@ class SimConfig:
     step_policy: Optional[StepPolicy] = None
     #: Hard cap on processed events, as a runaway guard.
     max_events: int = 50_000_000
-    #: Trace sink spec (``"full"`` | ``"ring:N"`` | ``"counters"``) or a
-    #: prebuilt :class:`~repro.sim.sinks.TraceSink`; bounds trace memory on
-    #: long campaigns (see :mod:`repro.sim.sinks`).
-    trace_sink: "str | TraceSink" = "full"
+    #: Trace retention: ``"full"`` keeps every row, ``"counters"`` keeps
+    #: none and bounds trace memory on long runs (see :class:`Trace`).
+    trace_sink: str = "full"
     #: Publish the convergence probes (:mod:`repro.obs.probes`) to the
     #: run's registry.  The metrics registry itself always exists (network
     #: and transport counters live in it); this knob only controls the
@@ -114,7 +112,7 @@ class Engine:
         #: Per-run metrics registry: network/transport counters plus (when
         #: ``config.obs``) the convergence probes all report here.
         self.registry = MetricsRegistry()
-        self.trace = Trace(sink=self.config.trace_sink)
+        self.trace = Trace(self.config.trace_sink)
         # A C-level reader of the clock slot: no Python frame per record.
         self.trace.bind_clock(
             functools.partial(operator.attrgetter("_now"), self.clock))
@@ -241,11 +239,9 @@ class Engine:
                 events += 1
                 if events >= max_events:
                     raise SimulationError(
-                        f"event cap exceeded ({self.config.max_events}); "
-                        f"trace sink {self.trace.mode!r} retains "
-                        f"{len(self.trace)} of {self.trace.total_recorded} "
-                        f"records ({self.trace.evicted} evicted) — "
-                        "runaway simulation? (infinite action loop, or a "
+                        f"event cap exceeded ({self.config.max_events}) "
+                        f"after {self.trace.total_recorded} trace records "
+                        "— runaway simulation? (infinite action loop, or a "
                         "retransmission storm — check transport "
                         "backoff/rto_max)"
                     )

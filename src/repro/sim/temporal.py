@@ -43,19 +43,3 @@ def convergence_time(
             conv = None
     return conv
 
-
-def change_times(series: Series) -> list[Time]:
-    """Times at which the sampled value actually changed."""
-    out: list[Time] = []
-    prev: Any = object()
-    for ts, v in series:
-        if v != prev:
-            out.append(ts)
-            prev = v
-    return out
-
-
-def stable_suffix_start(series: Series) -> Optional[Time]:
-    """Time from which the value never changes again (None for empty series)."""
-    times = change_times(series)
-    return times[-1] if times else None

@@ -19,9 +19,9 @@ plus algorithm-specific kinds (``"ping"``, ``"decide"``, ``"duty"``, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from repro.sim.sinks import TraceSink, make_sink
+from repro.errors import ConfigurationError
 from repro.types import ProcessId, Time
 
 
@@ -60,20 +60,35 @@ _set_pid = TraceRecord.pid.__set__
 _set_data = TraceRecord.data.__set__
 
 
+#: The trace retention modes: ``full`` keeps every row, ``counters``
+#: keeps none (the aggregate views stay exact either way).
+TRACE_MODES = ("full", "counters")
+
+
+def validate_retention(mode: str) -> str:
+    """``mode`` when it is one of :data:`TRACE_MODES`, else a
+    :class:`~repro.errors.ConfigurationError`."""
+    if mode not in TRACE_MODES:
+        raise ConfigurationError(
+            f"unknown trace sink {mode!r} (use full | counters)")
+    return mode
+
+
 class Trace:
     """An append-only sequence of :class:`TraceRecord` rows, time-ordered.
 
-    Storage is delegated to a pluggable :class:`~repro.sim.sinks.TraceSink`
-    (``"full"`` by default; ``"ring:N"`` and ``"counters"`` bound memory on
-    long campaigns — see :mod:`repro.sim.sinks`).  Aggregate views — the
-    kind histogram, crash times, total record count, and last record time —
-    are maintained here, out-of-band, so they stay exact in every sink
-    mode; only row-level queries (:meth:`records`, :meth:`series`) are
-    limited to the sink's retained window.
+    ``mode`` is ``"full"`` (the default: every row is kept) or
+    ``"counters"`` (no row is kept; long perf runs use it to bound
+    memory).  Aggregate views — the kind histogram, crash times, total
+    record count, and last record time — are maintained out-of-band, so
+    they stay exact in both modes; row-level queries (:meth:`records`,
+    :meth:`series`) see nothing under ``counters``.
     """
 
-    def __init__(self, sink: Union[TraceSink, str, None] = None) -> None:
-        self._sink = make_sink(sink)
+    def __init__(self, mode: str = "full") -> None:
+        #: Every row, or None when the trace keeps none.
+        self._rows: Optional[list[TraceRecord]] = (
+            [] if validate_retention(mode) == "full" else None)
         self._now_fn: Optional[Callable[[], Time]] = None
         self._kind_counts: dict[str, int] = {}
         self._crash_times: dict[ProcessId, Time] = {}
@@ -83,11 +98,11 @@ class Trace:
             tuple[Callable[[TraceRecord], None], Optional[frozenset]]
         ] = []
         # Union of all subscribed kind filters; None once any subscriber
-        # wants everything.  Against a non-retaining sink, records whose
-        # kind is outside this set are never constructed (lazy fast path).
+        # wants everything.  When no rows are kept, records whose kind is
+        # outside this set are never constructed (lazy fast path).
         self._needed_kinds: Optional[set[str]] = set()
-        # The query index over the retained rows (see records()): None
-        # until a kind-filtered query builds it, dropped by every append.
+        # The query index over the rows (see records()): None until a
+        # kind-filtered query builds it, dropped by every append.
         self._index: Optional[dict[Any, list[TraceRecord]]] = None
 
     def bind_clock(self, now_fn: Callable[[], Time]) -> None:
@@ -95,17 +110,16 @@ class Trace:
 
     def subscribe(self, observer: Callable[[TraceRecord], None],
                   kinds: Optional[Iterable[str]] = None) -> None:
-        """Observe every record as it is appended, *before* sink retention.
+        """Observe every record as it is appended.
 
         Subscribers (e.g. :class:`repro.obs.intervals.IntervalMachine`)
-        see the full record stream regardless of sink mode, so anything
-        computed from the stream stays exact under ``ring:N`` and
-        ``counters`` sinks.  Observers are run-local and are not pickled
-        with the trace.
+        see the full record stream in both modes, so anything computed
+        from the stream stays exact under ``counters``.  Observers are
+        run-local and are not pickled with the trace.
 
         ``kinds``, when given, restricts delivery to records of those
         kinds.  Declaring the filter matters beyond skipping callbacks:
-        when every subscriber is filtered and the sink retains nothing
+        when every subscriber is filtered and the trace keeps no rows
         (``counters``), records of unwanted kinds are never even built.
         """
         ks = None if kinds is None else frozenset(kinds)
@@ -115,22 +129,22 @@ class Trace:
         elif self._needed_kinds is not None:
             self._needed_kinds |= ks
 
-    # -- sink introspection --------------------------------------------------
+    # -- retention ----------------------------------------------------------
 
     @property
     def mode(self) -> str:
-        """The active sink mode (``full`` | ``ring:N`` | ``counters``)."""
-        return self._sink.mode
+        """The retention mode: ``full`` or ``counters``."""
+        return "counters" if self._rows is None else "full"
 
     @property
     def evicted(self) -> int:
-        """Records dropped by the sink (0 under full retention)."""
-        return self._sink.evicted
+        """Records not kept: none under ``full``, all under ``counters``."""
+        return self._total if self._rows is None else 0
 
     @property
     def truncated(self) -> bool:
-        """True when row-level queries no longer see the whole history."""
-        return self._sink.evicted > 0
+        """True when row-level queries do not see the whole history."""
+        return self.evicted > 0
 
     @property
     def total_recorded(self) -> int:
@@ -153,8 +167,8 @@ class Trace:
                **data: Any) -> Optional[TraceRecord]:
         """Append one record; returns it, or None when it was elided.
 
-        Elision (the lazy fast path) happens only when the sink retains
-        nothing *and* no subscriber asked for this ``kind`` — the
+        Elision (the lazy fast path) happens only when the trace keeps no
+        rows *and* no subscriber asked for this ``kind`` — the
         aggregate views (totals, kind histogram, crash times, last time)
         are still maintained exactly, so nothing observable about the
         trace changes besides the saved construction cost.
@@ -162,8 +176,7 @@ class Trace:
         t = self._now_fn() if self._now_fn is not None else 0.0
         needed = self._needed_kinds
         if (needed is not None and kind not in needed
-                and not self._sink.retains):
-            self._sink.skip_one()
+                and self._rows is None):
             self._total += 1
             self._last_time = t
             counts = self._kind_counts
@@ -176,9 +189,10 @@ class Trace:
         return rec
 
     def _append(self, rec: TraceRecord) -> None:
-        """Sink a prebuilt record and maintain the exact aggregate views."""
-        self._sink.append(rec)
-        self._index = None
+        """Keep a prebuilt record and maintain the exact aggregate views."""
+        if self._rows is not None:
+            self._rows.append(rec)
+            self._index = None
         self._total += 1
         self._last_time = rec.time
         kind = rec.kind
@@ -192,10 +206,13 @@ class Trace:
     # -- reading ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._sink.retained())
+        return len(self._kept())
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._sink.retained())
+        return iter(self._kept())
+
+    def _kept(self) -> Sequence[TraceRecord]:
+        return () if self._rows is None else self._rows
 
     def records(
         self,
@@ -203,17 +220,17 @@ class Trace:
         pid: ProcessId | None = None,
         where: Callable[[TraceRecord], bool] | None = None,
     ) -> list[TraceRecord]:
-        """All retained records matching the given filters, in time order.
+        """All kept records matching the given filters, in time order.
 
         A query naming ``kind`` is served from an index ``{kind: rows,
         (kind, pid): rows}`` instead of a scan of the whole trace.  The
         first such query for a kind after an append builds that kind's
-        entries in one pass over the retained rows; the next append drops
+        entries in one pass over the rows; the next append drops
         the index, so a mid-run query sees exactly what a scan would.  The
         index is never pickled.  The returned list is the caller's own.
         """
         if kind is None:
-            rows: Sequence[TraceRecord] = self._sink.retained()
+            rows: Sequence[TraceRecord] = self._kept()
             if pid is not None:
                 rows = [r for r in rows if r.pid == pid]
         else:
@@ -232,7 +249,7 @@ class Trace:
     def _index_kind(self, index: dict[Any, list[TraceRecord]],
                     kind: str) -> list[TraceRecord]:
         """Add ``kind``'s rows, whole and per pid, to ``index``."""
-        rows = [r for r in self._sink.retained() if r.kind == kind]
+        rows = [r for r in self._kept() if r.kind == kind]
         index[kind] = rows
         for r in rows:
             bucket = index.get((kind, r.pid))
@@ -258,8 +275,8 @@ class Trace:
     def last_time(self) -> Time:
         """Time of the final record (0.0 for an empty trace).
 
-        Exact in every sink mode: maintained as records are appended, not
-        recovered from the (possibly truncated) retained window.
+        Exact in both modes: maintained as records are appended, not
+        recovered from the rows.
         """
         return self._last_time
 
@@ -267,12 +284,12 @@ class Trace:
         """Map of crashed process -> crash time.
 
         Ground truth for trace checkers, so it is kept out-of-band and
-        survives ring-buffer eviction and counters-only sinks.
+        survives a ``counters`` trace, which keeps no rows.
         """
         return dict(self._crash_times)
 
     def kinds(self) -> dict[str, int]:
-        """Histogram of record kinds — exact in every sink mode."""
+        """Histogram of record kinds — exact in both modes."""
         return dict(self._kind_counts)
 
 

@@ -1,6 +1,7 @@
-"""Tests for leader-election checkers (Ω contract)."""
+"""The Ω contract (stable leader election), judged by
+:func:`repro.oracles.properties.check_leader_agreement`."""
 
-from repro.consensus.leader import check_leader_stability, leader_series
+from repro.oracles.properties import check_leader_agreement
 from repro.sim.faults import CrashSchedule
 from repro.sim.trace import Trace
 
@@ -15,47 +16,44 @@ def synth(rows):
     return t
 
 
-def test_leader_series():
-    t = synth([(1.0, "a", "a"), (5.0, "a", "b")])
-    assert leader_series(t, "a") == [(1.0, "a"), (5.0, "b")]
+def judge(rows, schedule=None):
+    """``(ok, leaders, stabilization)``: the final leaders the verdicts
+    name, and the latest verdict time, which is the last leader change
+    (``OmegaElector`` records a row only when its leader changes)."""
+    report = check_leader_agreement(synth(rows), ["a", "b"],
+                                    schedule or CrashSchedule.none())
+    return report.ok, {p.target for p in report.pairs}, report.convergence
 
 
 def test_stable_agreement():
-    t = synth([(1.0, "a", "a"), (1.0, "b", "a")])
-    ok, leader, stab = check_leader_stability(t, ["a", "b"],
-                                              CrashSchedule.none())
-    assert ok and leader == "a" and stab == 1.0
+    ok, leaders, stab = judge([(1.0, "a", "a"), (1.0, "b", "a")])
+    assert ok and leaders == {"a"} and stab == 1.0
 
 
 def test_disagreement_fails():
-    t = synth([(1.0, "a", "a"), (1.0, "b", "b")])
-    ok, *_ = check_leader_stability(t, ["a", "b"], CrashSchedule.none())
+    ok, *_ = judge([(1.0, "a", "a"), (1.0, "b", "b")])
     assert not ok
 
 
 def test_crashed_leader_fails():
-    t = synth([(1.0, "a", "b"), (1.0, "b", "b")])
-    sched = CrashSchedule.single("b", 50.0)
-    ok, leader, _ = check_leader_stability(t, ["a", "b"], sched)
-    assert not ok and leader == "b"
+    ok, leaders, _ = judge([(1.0, "a", "b"), (1.0, "b", "b")],
+                           CrashSchedule.single("b", 50.0))
+    assert not ok and leaders == {"b"}
 
 
 def test_crashed_voters_ignored():
-    t = synth([(1.0, "a", "a"), (1.0, "b", "b")])  # b disagrees but crashes
-    sched = CrashSchedule.single("b", 50.0)
-    ok, leader, _ = check_leader_stability(t, ["a", "b"], sched)
-    assert ok and leader == "a"
+    # b disagrees but crashes
+    ok, leaders, _ = judge([(1.0, "a", "a"), (1.0, "b", "b")],
+                           CrashSchedule.single("b", 50.0))
+    assert ok and leaders == {"a"}
 
 
 def test_missing_output_fails():
-    t = synth([(1.0, "a", "a")])   # b never produced an estimate
-    ok, *_ = check_leader_stability(t, ["a", "b"], CrashSchedule.none())
+    ok, *_ = judge([(1.0, "a", "a")])   # b never produced an estimate
     assert not ok
 
 
 def test_stabilization_is_latest_change():
-    t = synth([(1.0, "a", "x"), (9.0, "a", "a"),
-               (1.0, "b", "a")])
-    ok, leader, stab = check_leader_stability(t, ["a", "b"],
-                                              CrashSchedule.none())
-    assert ok and stab == 9.0
+    ok, leaders, stab = judge([(1.0, "a", "x"), (9.0, "a", "a"),
+                               (1.0, "b", "a")])
+    assert ok and leaders == {"a"} and stab == 9.0

@@ -50,9 +50,9 @@ class TestInstantiate:
             instantiate(RunSpec(graph="ring:3", algorithm="quantum"))
 
     def test_trace_sink_flows_to_engine(self):
-        built = instantiate(RunSpec(graph="ring:3", trace="ring:128",
+        built = instantiate(RunSpec(graph="ring:3", trace="counters",
                                     max_time=10.0))
-        assert built.engine.trace.mode == "ring:128"
+        assert built.engine.trace.mode == "counters"
 
 
 class TestExecute:
@@ -60,8 +60,7 @@ class TestExecute:
         result = execute(RunSpec(name="r", graph="ring:3", seed=5,
                                  max_time=800.0))
         assert result.checked and result.ok
-        assert result.trace_mode == "full" and result.trace_evicted == 0
-        assert result.trace is not None
+        assert result.trace is not None and result.trace.mode == "full"
         assert result.metrics.messages_sent > 0
         assert result.summary()["wait_free"] is True
 
@@ -71,16 +70,8 @@ class TestExecute:
         assert not result.checked and not result.ok
         assert result.wait_freedom is None and result.exclusion is None
         assert result.metrics.messages_sent > 0
-        assert result.trace_mode == "counters"
+        assert result.trace.mode == "counters"
         assert result.summary()["ok"] is None
-
-    def test_large_ring_sink_matches_full_verdicts(self):
-        spec = dict(graph="ring:3", seed=5, max_time=400.0)
-        full = execute(RunSpec(**spec))
-        ring = execute(RunSpec(**spec, trace="ring:1000000"))
-        assert ring.trace_evicted == 0
-        assert ring.summary()["wait_free"] == full.summary()["wait_free"]
-        assert ring.metrics.messages_sent == full.metrics.messages_sent
 
     def test_counters_run_costs_no_trace_memory(self):
         result = execute(RunSpec(graph="ring:3", seed=5, max_time=400.0,

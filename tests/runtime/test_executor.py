@@ -90,13 +90,6 @@ class TestChaosCliWorkers:
                      "--workers", "2"]) == 0
         assert "2/2 passed" in capsys.readouterr().out
 
-    def test_summary_reports_trace_mode(self):
-        from repro.chaos import fanout_seeds, run_one
-
-        verdict = run_one(0, fanout_seeds(3, 1)[0],
-                          ChaosConfig(max_time=300.0))
-        assert verdict.summary()["trace_mode"] == "full"
-
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_cli_workers(workers, capsys, tmp_path):

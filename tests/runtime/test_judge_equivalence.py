@@ -1,24 +1,24 @@
 """The interval machine judges online what the parent judge found offline.
 
-Each example simulates one small random spec with a sink that evicts
-nothing (``full``, or a ring larger than the run) and judges it three
-ways:
+Each example simulates one small random spec with a ``full`` trace and
+judges it three ways:
 
 * **online** — what ``execute`` stores: the run's own interval machine,
   subscribed before any module attached, read after the run;
 * **reference** — the parent's post-run judge, probes and span probe,
   kept verbatim in ``reference_judge``, over the retained trace (scanning
   ``Trace.records`` patched in);
-* **offline** — today's trace-taking checkers, which replay the retained
+* **offline** — today's trace-taking checkers, which replay the trace's
   rows through a fresh machine.
 
 All three must agree on every verdict, the probe metrics and the span
 rows; each diner's eating and hungry intervals, now also replays, must
 equal the parent's state-series extraction.  The tripwire pins what
-judging online buys: a checked run reads the sink's rows zero times,
+judging online buys: a checked run reads the trace's rows zero times,
 whatever the number of monitored pairs.
 """
 
+from types import SimpleNamespace
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
@@ -31,7 +31,6 @@ from repro.runtime import builder
 from repro.runtime.builder import INSTANCE, execute, instantiate
 from repro.runtime.spec import RunSpec, parse_graph
 from repro.sim.metrics import collect_metrics
-from repro.sim.sinks import FullTraceSink
 from repro.sim.trace import Trace, state_intervals
 from tests.runtime import reference_judge as ref
 
@@ -72,8 +71,7 @@ def specs(draw):
         crashes=crashes, seed=draw(st.integers(0, 2**16)),
         max_time=max_time, gst=draw(st.sampled_from([60.0, 120.0])),
         drop=draw(st.sampled_from([0.0, 0.1, 0.3])),
-        duplicate=draw(st.sampled_from([0.0, 0.2])),
-        trace=draw(st.sampled_from(["full", "ring:1000000"])), spans=True)
+        duplicate=draw(st.sampled_from([0.0, 0.2])), spans=True)
 
 
 def run_online(spec):
@@ -109,12 +107,22 @@ def judge_offline(built):
     )
 
 
+class RowsView:
+    """The reference's ``records`` reads ``trace._sink.retained()``, from
+    when a trace kept its rows in a sink object; this descriptor serves
+    that read from the rows ``Trace`` holds today."""
+
+    def __get__(self, trace, owner=None):
+        return SimpleNamespace(retained=lambda: list(trace))
+
+
 def judge_by_reference(built):
     """The parent's verdicts, probe snapshot and span rows of the run."""
     eng = built.engine
     trace, now, graph = eng.trace, eng.now, built.graph
     schedule = built.system.schedule
-    with mock.patch.object(Trace, "records", ref.records):
+    with mock.patch.object(Trace, "records", ref.records), \
+            mock.patch.object(Trace, "_sink", RowsView(), create=True):
         exclusion = ref.check_exclusion(trace, graph, INSTANCE, schedule, now)
         judged = verdicts(
             exclusion,
@@ -191,26 +199,31 @@ def test_reference_patch_reaches_every_swapped_function():
     assert set(names) <= set(calls)
 
 
-def _retained_reads(spec: RunSpec) -> int:
+def _row_reads(spec: RunSpec) -> int:
+    """How many times executing ``spec`` reads the trace's rows, through
+    any of the readers ``Trace`` has."""
     reads = 0
-    retained = FullTraceSink.retained
 
-    def counting(self):
-        nonlocal reads
-        reads += 1
-        return retained(self)
+    def counting(read):
+        def wrapped(*args, **kwargs):
+            nonlocal reads
+            reads += 1
+            return read(*args, **kwargs)
+        return wrapped
 
-    with mock.patch.object(FullTraceSink, "retained", counting):
+    readers = ("records", "__iter__", "__len__")
+    with mock.patch.multiple(Trace, **{name: counting(getattr(Trace, name))
+                                       for name in readers}):
         result = execute(spec)
     assert result.checked
     return reads
 
 
 def test_checked_run_reads_the_rows_a_bounded_number_of_times():
-    # Judged online: the verdicts never read the sink's rows back.
-    small = _retained_reads(RunSpec(graph="ring:4", seed=7, max_time=400.0,
+    # Judged online: the verdicts never read the trace's rows back.
+    small = _row_reads(RunSpec(graph="ring:4", seed=7, max_time=400.0,
                                     pairs="neighbors"))
-    large = _retained_reads(RunSpec(graph="rgg:30:0.4:7", seed=7,
+    large = _row_reads(RunSpec(graph="rgg:30:0.4:7", seed=7,
                                     max_time=400.0, pairs="neighbors",
                                     crashes={"p3": 150.0}))
     assert small == large == 0

@@ -1,4 +1,4 @@
-"""Tests for pluggable trace sinks and truncated-trace safety."""
+"""Tests for the two trace retention modes and counters-trace safety."""
 
 import pickle
 
@@ -6,13 +6,7 @@ import pytest
 
 from repro.dining.spec import ExclusionViolation
 from repro.errors import ConfigurationError, SimulationError
-from repro.runtime import justify_violations
-from repro.sim.sinks import (
-    CounterTraceSink,
-    FullTraceSink,
-    RingTraceSink,
-    make_sink,
-)
+from repro.runtime import RunSpec, justify_violations
 from repro.sim.trace import Trace
 
 
@@ -25,62 +19,52 @@ def fill(trace, n, kind="state", pid="p"):
     return trace
 
 
-class TestMakeSink:
-    def test_specs(self):
-        assert isinstance(make_sink(None), FullTraceSink)
-        assert isinstance(make_sink("full"), FullTraceSink)
-        assert isinstance(make_sink("counters"), CounterTraceSink)
-        ring = make_sink("ring:64")
-        assert isinstance(ring, RingTraceSink) and ring.capacity == 64
-
-    def test_passthrough(self):
-        sink = RingTraceSink(8)
-        assert make_sink(sink) is sink
-
-    def test_mode_round_trips(self):
-        for spec in ("full", "ring:16", "counters"):
-            assert make_sink(make_sink(spec).mode).mode == spec
+class TestRetentionModes:
+    def test_full_keeps_every_row(self):
+        t = fill(Trace(), 5)
+        assert t.mode == "full" and len(t) == 5
+        assert t.evicted == 0 and not t.truncated
 
     @pytest.mark.parametrize("bad", ["ring:banana", "ring:0", "ring:-3",
-                                     "firehose"])
-    def test_bad_specs_rejected(self, bad):
-        with pytest.raises(ConfigurationError):
-            make_sink(bad)
+                                     "firehose", "ring:64"])
+    def test_bad_modes_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="unknown trace sink"):
+            Trace(bad)
 
+    def test_ring_sink_is_gone_from_spec_and_engine(self):
+        from repro.sim import Engine, SimConfig
 
-class TestRingSink:
-    def test_no_eviction_under_capacity(self):
-        t = fill(Trace(sink="ring:10"), 5)
-        assert len(t) == 5 and t.evicted == 0 and not t.truncated
-
-    def test_eviction_keeps_most_recent(self):
-        t = fill(Trace(sink="ring:3"), 10)
-        assert len(t) == 3
-        assert t.evicted == 7 and t.truncated
-        assert [r["i"] for r in t.records()] == [7, 8, 9]
-
-    def test_total_recorded_counts_everything(self):
-        t = fill(Trace(sink="ring:3"), 10)
-        assert t.total_recorded == 10
-
-    def test_mode_string(self):
-        assert Trace(sink="ring:3").mode == "ring:3"
+        with pytest.raises(ConfigurationError, match="unknown trace sink"):
+            RunSpec(trace="ring:64")
+        with pytest.raises(ConfigurationError, match="unknown trace sink"):
+            Engine(SimConfig(trace_sink="ring:5"))
 
 
 class TestCounterSink:
     def test_retains_nothing(self):
-        t = fill(Trace(sink="counters"), 8)
+        t = fill(Trace("counters"), 8)
         assert len(t) == 0 and t.records() == []
         assert t.evicted == 8 and t.truncated
+
+    def test_lazy_path_builds_only_subscribed_kinds(self):
+        seen = []
+        for mode in ("counters", "full"):
+            t = Trace(mode)
+            t.subscribe(seen.append, kinds=["a"])
+            elided = t.record("b", pid="p") is None
+            assert elided == (mode == "counters")
+            assert t.record("a", pid="p") is not None
+            assert t.kinds() == {"a": 1, "b": 1} and t.total_recorded == 2
+        assert [r.kind for r in seen] == ["a", "a"]
 
 
 class TestAggregatesSurviveTruncation:
     """Kind histogram, crash times, and last-record time are maintained
-    out-of-band, so they stay exact in every sink mode."""
+    out-of-band, so they stay exact in both modes."""
 
-    @pytest.mark.parametrize("sink", ["full", "ring:2", "counters"])
+    @pytest.mark.parametrize("sink", ["full", "counters"])
     def test_kinds_exact(self, sink):
-        t = Trace(sink=sink)
+        t = Trace(sink)
         clock = {"now": 0.0}
         t.bind_clock(lambda: clock["now"])
         for i in range(6):
@@ -89,9 +73,9 @@ class TestAggregatesSurviveTruncation:
         assert t.kinds() == {"a": 3, "b": 3}
         assert t.last_time() == 5.0
 
-    @pytest.mark.parametrize("sink", ["ring:2", "counters"])
+    @pytest.mark.parametrize("sink", ["counters"])
     def test_crash_times_survive_eviction(self, sink):
-        t = Trace(sink=sink)
+        t = Trace(sink)
         clock = {"now": 0.0}
         t.bind_clock(lambda: clock["now"])
         clock["now"] = 3.0
@@ -104,7 +88,7 @@ class TestAggregatesSurviveTruncation:
 
 class TestTracePickling:
     def test_round_trip_drops_clock_binding(self):
-        t = fill(Trace(sink="ring:4"), 6)
+        t = fill(Trace(), 6)
         t2 = pickle.loads(pickle.dumps(t))
         assert [r["i"] for r in t2.records()] == [r["i"] for r in t.records()]
         assert t2.evicted == t.evicted and t2.mode == t.mode
@@ -112,43 +96,32 @@ class TestTracePickling:
 
 
 class TestJustifyViolationsOnTruncatedTraces:
-    """The trace-taking justification check replays the rows a sink kept:
-    on a truncated trace it judges the retained window (a run's own
-    verdict is judged online and never truncated — see
-    test_sink_verdicts)."""
+    """The trace-taking justification check replays the rows a trace
+    kept: a ``counters`` trace kept none (a run's own verdict is judged
+    online and never truncated — see test_sink_verdicts)."""
 
     VIOLATION = ExclusionViolation(u="p", v="q", start=50.0, end=60.0)
 
-    def test_truncated_window_is_judged(self):
-        t = fill(Trace(sink="ring:2"), 10)
-        assert justify_violations(t, [self.VIOLATION]) is False
-
     def test_counters_window_is_empty(self):
-        t = fill(Trace(sink="counters"), 3)
+        t = fill(Trace("counters"), 3)
         assert justify_violations(t, [self.VIOLATION]) is False
 
     def test_no_violations_is_fine_even_truncated(self):
-        t = fill(Trace(sink="ring:2"), 10)
+        t = fill(Trace("counters"), 10)
         assert justify_violations(t, []) is True
-
-    def test_untruncated_ring_still_judges(self):
-        """A ring sink that never evicted anything has the full history;
-        the check runs normally (and an unjustified violation reads as
-        such, because no evidence can be missing)."""
-        t = fill(Trace(sink="ring:1000"), 5)
-        assert justify_violations(t, [self.VIOLATION]) is False
 
 
 class TestEngineReportsSinkMode:
-    def test_event_budget_error_names_sink_and_eviction(self):
+    def test_event_budget_error_counts_records(self):
         from repro.sim import Engine, FixedDelays, SimConfig
 
         eng = Engine(SimConfig(seed=0, max_time=1e9, max_events=100,
-                               trace_sink="ring:5"),
+                               trace_sink="counters"),
                      delay_model=FixedDelays(1.0))
         eng.add_process("p")
         eng.add_process("q")
-        with pytest.raises(SimulationError, match="ring:5"):
+        with pytest.raises(SimulationError,
+                           match=r"event cap exceeded \(100\) after"):
             eng.run()
 
     def test_engine_honors_sink_config(self):

@@ -19,7 +19,7 @@ class TestRunSpecValidation:
         ({"drop": -0.1}, "drop must be a probability"),
         ({"duplicate": 2.0}, "duplicate must be a probability"),
         ({"detector": "psychic"}, "unknown detector"),
-        ({"trace": "ring:notanumber"}, "ring sink capacity"),
+        ({"trace": "ring:notanumber"}, "ring:notanumber"),
         ({"trace": "laserdisc"}, "unknown trace sink"),
     ])
     def test_bad_field_rejected_eagerly(self, kwargs, match):
@@ -28,7 +28,7 @@ class TestRunSpecValidation:
 
     def test_good_spec_constructs(self):
         spec = RunSpec(graph="ring:5", seed=3, max_time=100.0,
-                       trace="ring:64")
+                       trace="counters")
         assert spec.seed == 3
 
     def test_from_dict_still_rejects_unknown_keys(self):

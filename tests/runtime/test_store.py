@@ -67,13 +67,13 @@ class TestSpecHash:
             RunSpec(graph="ring:3", seed=1, max_time=100.0))
 
     def test_chaos_built_spec_keeps_its_key(self):
-        # The one pinned digest (salt repro.spec.v6): a changed canonical
+        # The one pinned digest (salt repro.spec.v7): a changed canonical
         # encoding silently invalidates every existing store, so it must
         # show up as a test diff, not a mystery cache miss.
         from repro.chaos import ChaosConfig, build_run
         spec = build_run(2885616951, ChaosConfig(max_time=400.0))
-        assert spec_hash(spec) == ("635504ac8114ab2faa3998fbeeb430c3"
-                                   "cd8b67e5779e3103d130a1bbb82a315a")
+        assert spec_hash(spec) == ("dfdac18a91827b313fc8c9b298cf009e"
+                                   "28555d123b2a1ff9868d605e4c3c635d")
 
     @settings(max_examples=200, deadline=None)
     @given(_specs)

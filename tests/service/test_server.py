@@ -218,9 +218,10 @@ def test_restart_reenqueues_incomplete_journaled_jobs(tmp_path):
 # same spec_hash, so what either surface computed is a hit for the other.
 SWEPT = {"name": "svc", "graph": "ring:3", "seed": 7, "max_time": 200.0}
 
-#: Knobs that change what an envelope holds, spelled the same on RunSpec
-#: and ChaosConfig: spans ride along iff ``spans``; a ``counters`` run is
-#: unchecked, so every verdict field in its summary is None.
+#: Knobs that change what an envelope holds: spans ride along iff
+#: ``spans``; a ``counters`` run is unchecked, so every verdict field in
+#: its summary is None.  Only ``spans`` is also a ChaosConfig knob: chaos
+#: runs always keep their rows and are judged.
 CONFIGS = {"default": {}, "spans": {"spans": True},
            "counters": {"trace": "counters"}}
 cross_surface = pytest.mark.parametrize("knobs", CONFIGS.values(),
@@ -247,7 +248,8 @@ def _sweep(tmp_path, capsys, spec, *extra):
 def _chaos_cfg(knobs):
     from repro.chaos import ChaosConfig
 
-    return ChaosConfig(campaigns=2, seed=3, max_time=200.0, **knobs)
+    return ChaosConfig(campaigns=2, seed=3, max_time=200.0,
+                       spans=knobs.get("spans", False))
 
 
 def _chaos_specs(cfg) -> list:
@@ -307,11 +309,6 @@ def test_service_written_entries_are_hits_for_cli_resume(tmp_path, capsys,
     assert bool(fresh.span_records()) == ("spans" in knobs)
     stats = store.stats()
     assert stats["store.hits"] == 2 and "store.puts" not in stats
-    if knobs.get("trace") == "counters":  # unchecked: nothing to derive from
-        for run in campaign.to_json()["runs"]:
-            assert run["ok"] is True and run["failures"] == []
-            assert (run["exclusion_violations"], run["last_violation_end"],
-                    run["max_hungry_wait"]) == (None, None, None)
 
 
 @cross_surface

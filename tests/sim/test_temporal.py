@@ -3,11 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.temporal import (
-    change_times,
-    convergence_time,
-    stable_suffix_start,
-)
+from repro.sim.temporal import convergence_time
 
 BOOLS = st.lists(st.tuples(st.floats(0, 1000), st.booleans()), max_size=40)
 
@@ -35,17 +31,6 @@ class TestConvergence:
 
     def test_empty_series_no_initial(self):
         assert convergence_time([], lambda v: v) is None
-
-
-class TestOperators:
-    def test_change_times(self):
-        s = [(1.0, "a"), (2.0, "a"), (3.0, "b"), (4.0, "b"), (5.0, "a")]
-        assert change_times(s) == [1.0, 3.0, 5.0]
-
-    def test_stable_suffix_start(self):
-        s = [(1.0, "a"), (3.0, "b"), (4.0, "b")]
-        assert stable_suffix_start(s) == 3.0
-        assert stable_suffix_start([]) is None
 
 
 @given(BOOLS)

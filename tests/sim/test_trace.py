@@ -87,9 +87,9 @@ def test_records_filter_by_kind_and_pid():
     assert len(t.records(kind="a", pid="q")) == 1
 
 
-@pytest.mark.parametrize("sink", ["full", "ring:3"])
+@pytest.mark.parametrize("sink", ["full", "counters"])
 def test_indexed_queries_follow_appends_and_eviction(sink):
-    t = Trace(sink=sink)
+    t = Trace(sink)
     clock = {"now": 0.0}
     t.bind_clock(lambda: clock["now"])
 

@@ -135,9 +135,9 @@ class TestCampaignPins:
     print is a function of these payloads."""
 
     CHAOS_JSON = \
-        "958a5043e8cac453e876b38a0cf1fe1aaa014f51d4d97f830a2a183b890c98a1"
+        "d218801398dc5d92927377710bd6f57bc70a3ba1da3e7ea2bfdd55323fd53f0e"
     CHAOS_RECORDS = \
-        "c0232a2a0569b9a147fb8b755dd4db2bf1f4677e77071a51f34e4dc620fd9e19"
+        "18d775fd3487812e8ebbf1c5bd7f59a410c7619baeec23d704055270843ca916"
     LATTICE_RECORDS = \
         "93916bbe09ac2de093a779f31258f05d6aa15e79a8793afbefb37f6244505cb1"
 
