@@ -14,18 +14,19 @@ runs **two** dining instances ``DX0``/``DX1``, each with two diners: a
   instance without the subject eating (and pinging) in between.
 
 :mod:`repro.core.pair` wires one monitored pair; :mod:`repro.core.extraction`
-assembles the full ◇P over all ordered pairs; :mod:`repro.core.flawed_cm`
+installs a per-pair construction over all selected ordered pairs — the one
+installer every construction goes through.  Besides the reduction (which,
+relabelled ``TRUSTING_LABEL`` over a perpetual-WX box, extracts the
+trusting oracle T, paper Section 9), :mod:`repro.core.flawed_cm`
 implements the *flawed* single-instance construction of [8] (paper
-Section 3) so experiment E4 can demonstrate its vulnerability; and
-:mod:`repro.core.trusting_extraction` applies the reduction to a
-perpetual-WX box, extracting the trusting oracle T (paper Section 9).
+Section 3) so experiment E4 can demonstrate its vulnerability, and
+:mod:`repro.core.preliminary` the rejected sketch of Section 5.1 (E20).
 """
 
 from repro.core.extraction import ExtractedDetector, build_full_extraction
 from repro.core.flawed_cm import FlawedCMPair
 from repro.core.pair import DiningBoxFactory, ReductionPair
 from repro.core.subject import SubjectShared, SubjectThread
-from repro.core.trusting_extraction import build_trusting_extraction
 from repro.core.witness import WitnessShared, WitnessThread
 
 __all__ = [
@@ -38,5 +39,4 @@ __all__ = [
     "WitnessShared",
     "WitnessThread",
     "build_full_extraction",
-    "build_trusting_extraction",
 ]

@@ -8,14 +8,21 @@ one queryable :class:`ExtractedDetector` facade per process — the same
 query surface as a native :class:`~repro.oracles.base.OracleModule`, so the
 extracted oracle can drive downstream protocols (consensus, leader
 election, fair dining) unchanged.
+
+The per-pair construction is an argument, so every construction the
+corrigendum compares runs through this one installer: Algs. 1/2
+(:class:`~repro.core.pair.ReductionPair`, the default; relabelled
+``TRUSTING_LABEL`` over a perpetual-WX box it extracts T, Section 9),
+[8]'s single contention-manager instance (Section 3) and the rejected
+sketch of Section 5.1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
-from repro.core.pair import EXTRACTED_LABEL, DiningBoxFactory, ReductionPair
+from repro.core.pair import DiningBoxFactory, ReductionPair
 from repro.core.witness import ExtractedPairModule
 from repro.errors import ConfigurationError
 from repro.sim.engine import Engine
@@ -165,16 +172,21 @@ def build_full_extraction(
     engine: Engine,
     pids: Sequence[ProcessId],
     box_factory: DiningBoxFactory,
-    monitor_invariants: bool = False,
+    *,
+    construction: Callable[..., Any] = ReductionPair,
     monitors: Iterable[tuple[ProcessId, ProcessId]] | None = None,
-    label: str = EXTRACTED_LABEL,
     selection: "PairSelection | str | None" = None,
     graph: "nx.Graph | None" = None,
-) -> tuple[dict[ProcessId, ExtractedDetector], dict[tuple[ProcessId, ProcessId], ReductionPair]]:
-    """Install the reduction for every selected ordered pair.
+) -> tuple[dict[ProcessId, ExtractedDetector], dict[tuple[ProcessId, ProcessId], Any]]:
+    """Install ``construction`` for every selected ordered pair.
 
     Parameters
     ----------
+    construction:
+        ``construction(witness, subject, box_factory)`` builds one pair
+        object whose ``attach(engine)`` returns its
+        :class:`~repro.core.witness.ExtractedPairModule`; the pair module
+        carries the construction's trace label.
     monitors:
         Optional explicit list of ``(witness, subject)`` pairs; overrides
         ``selection`` when given.
@@ -186,8 +198,9 @@ def build_full_extraction(
 
     Returns
     -------
-    ``(detectors, pairs)`` — the per-process facades and the raw pair
-    objects (whose thread diagnostics the lemma tests use).
+    ``(detectors, pairs)`` — one facade per process in ``pids`` (empty
+    for a process that monitors nobody) and the raw pair objects (whose
+    thread diagnostics the lemma tests use).
     """
     if monitors is None:
         if selection is None:
@@ -198,17 +211,13 @@ def build_full_extraction(
     elif selection is not None:
         raise ConfigurationError(
             "pass either explicit monitors or a selection, not both")
-    pairs: dict[tuple[ProcessId, ProcessId], ReductionPair] = {}
+    pairs: dict[tuple[ProcessId, ProcessId], Any] = {}
     outputs: dict[ProcessId, dict[ProcessId, ExtractedPairModule]] = {
         p: {} for p in pids
     }
     for p, q in monitors:
-        pair = ReductionPair(p, q, box_factory,
-                             monitor_invariants=monitor_invariants, label=label)
-        output = pair.attach(engine)
+        pair = construction(p, q, box_factory)
+        outputs.setdefault(p, {})[q] = pair.attach(engine)
         pairs[(p, q)] = pair
-        outputs.setdefault(p, {})[q] = output
-    detectors = {
-        p: ExtractedDetector(p, mods) for p, mods in outputs.items() if mods
-    }
+    detectors = {p: ExtractedDetector(p, mods) for p, mods in outputs.items()}
     return detectors, pairs

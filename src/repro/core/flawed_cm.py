@@ -127,8 +127,7 @@ class FlawedCMPair:
         instance = self.box_factory(f"{self.pair_id}.DX", pair_graph(p, q))
         diners = instance.attach(engine)
 
-        output = ExtractedPairModule(f"{self.pair_id}:out", target=q)
-        output.detector_label = FLAWED_LABEL
+        output = ExtractedPairModule(f"{self.pair_id}:out", q, FLAWED_LABEL)
         engine.process(p).add_component(output)
         self.output = output
 

@@ -17,23 +17,21 @@ API — it is genuinely black-box, which is the point of the paper.
 
 from __future__ import annotations
 
-from typing import Callable
-
-import networkx as nx
-
 from repro.core.subject import SubjectShared, SubjectThread
 from repro.core.witness import ExtractedPairModule, WitnessShared, WitnessThread
-from repro.dining.base import DiningInstance
+from repro.dining.base import DiningBoxFactory, DiningInstance
 from repro.errors import ConfigurationError
 from repro.graphs import pair_graph
 from repro.sim.engine import Engine
 from repro.types import ProcessId
 
-#: Black-box dining constructor: ``factory(instance_id, graph) -> instance``.
-DiningBoxFactory = Callable[[str, nx.Graph], DiningInstance]
-
 #: Trace label shared by every extracted pair module.
 EXTRACTED_LABEL = "extracted"
+
+#: Trace label of the same reduction run over a perpetual-WX box, which
+#: extracts T (paper Section 9), so T-specific checks do not collide with
+#: ◇P extractions in the same run.
+TRUSTING_LABEL = "extractedT"
 
 
 class ReductionPair:
@@ -44,7 +42,6 @@ class ReductionPair:
         witness_pid: ProcessId,
         subject_pid: ProcessId,
         box_factory: DiningBoxFactory,
-        monitor_invariants: bool = False,
         label: str = EXTRACTED_LABEL,
     ) -> None:
         if witness_pid == subject_pid:
@@ -52,7 +49,6 @@ class ReductionPair:
         self.witness_pid = witness_pid
         self.subject_pid = subject_pid
         self.box_factory = box_factory
-        self.monitor_invariants = monitor_invariants
         self.label = label
         self.pair_id = f"R[{witness_pid}>{subject_pid}]"
         self.instances: list[DiningInstance] = []
@@ -69,8 +65,7 @@ class ReductionPair:
             raise ConfigurationError(f"pair {self.pair_id} already attached")
         p, q = self.witness_pid, self.subject_pid
 
-        output = ExtractedPairModule(f"{self.pair_id}:out", target=q)
-        output.detector_label = self.label
+        output = ExtractedPairModule(f"{self.pair_id}:out", q, self.label)
         engine.process(p).add_component(output)
         self.output = output
 
@@ -86,7 +81,6 @@ class ReductionPair:
                                     diner=diners[p])
             subject = SubjectThread(f"{self.pair_id}:s{i}", i, s_shared,
                                     diner=diners[q])
-            subject.monitor_invariants = self.monitor_invariants
             engine.process(p).add_component(witness)
             engine.process(q).add_component(subject)
             self.witnesses.append(witness)

@@ -109,8 +109,7 @@ class PreliminaryPair:
         instance = self.box_factory(f"{self.pair_id}.DX", pair_graph(p, q))
         diners = instance.attach(engine)
 
-        output = ExtractedPairModule(f"{self.pair_id}:out", target=q)
-        output.detector_label = PRELIM_LABEL
+        output = ExtractedPairModule(f"{self.pair_id}:out", q, PRELIM_LABEL)
         engine.process(p).add_component(output)
         self.output = output
 

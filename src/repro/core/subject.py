@@ -20,7 +20,7 @@ Action ``S_x``  ``(s_i.state = eating) ∧ (s_{1-i}.state = eating) ∧
 
 Runtime invariant monitors for the paper's Lemma 2
 (``s_i not eating ⟹ ping_i``) and Lemma 4 (``s_i hungry ⟹ trigger = i``)
-can be enabled per pair; a violation raises
+run after every subject action; a violation raises
 :class:`~repro.errors.InvariantViolation` immediately.
 """
 
@@ -52,7 +52,6 @@ class SubjectThread(Component):
         self.shared = shared
         self.diner = diner
         self.other: "SubjectThread | None" = None
-        self.monitor_invariants = False
         # Diagnostics for the Lemma 5 property tests.
         self.pings_sent = 0
         self.acks_received = 0
@@ -112,8 +111,6 @@ class SubjectThread(Component):
     # -- runtime lemma monitors ---------------------------------------------------
 
     def _check_invariants(self, where: str) -> None:
-        if not self.monitor_invariants:
-            return
         # Lemma 2: (s_i.state != eating) => ping_i = true.
         if self.diner.state is not DinerState.EATING and not self.shared.ping[self.i]:
             raise InvariantViolation(

@@ -32,12 +32,14 @@ class ExtractedPairModule(OracleModule):
     """The per-pair output module at ``p``: the suspicion bit about ``q``.
 
     Initially ``suspect_q = true`` (paper Alg. 1 ``var`` block).  It has no
-    actions of its own; the witness threads drive it.
+    actions of its own; the witness threads drive it.  ``label`` is the
+    construction's trace label, shared by all of its pair modules.
     """
 
-    def __init__(self, name: str, target: ProcessId) -> None:
+    def __init__(self, name: str, target: ProcessId, label: str) -> None:
         super().__init__(name, [target], initially_suspect=True)
         self.target = target
+        self.detector_label = label
 
 
 class WitnessShared:

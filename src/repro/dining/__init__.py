@@ -9,6 +9,8 @@ This package provides:
 
 * :mod:`repro.dining.base` — the diner client interface every algorithm
   implements (so the reduction can treat any of them as a black box);
+* :mod:`repro.dining.boxes` — :func:`box_factory`, the one grammar naming
+  a box (``wf-ewx | hygienic | deferred[:horizon] | manager | fair[:k]``);
 * :mod:`repro.dining.spec` — trace checkers for ◇WX / WX / wait-freedom /
   k-fairness;
 * :mod:`repro.dining.wf_ewx` — the ◇P-based wait-free ◇WX algorithm
@@ -24,7 +26,8 @@ This package provides:
   k-fairness.
 """
 
-from repro.dining.base import DinerComponent, DiningInstance
+from repro.dining.base import DinerComponent, DiningBoxFactory, DiningInstance
+from repro.dining.boxes import box_factory
 from repro.dining.client import EagerClient, PeriodicClient, ScriptedClient
 from repro.dining.deferred import DeferredExclusionDining
 from repro.dining.fair_wrapper import FairDining
@@ -44,6 +47,7 @@ from repro.dining.wf_ewx import WaitFreeEWXDining
 __all__ = [
     "DeferredExclusionDining",
     "DinerComponent",
+    "DiningBoxFactory",
     "DiningInstance",
     "EagerClient",
     "FairDining",
@@ -56,6 +60,7 @@ __all__ = [
     "UnfairManagerDining",
     "WaitFreeEWXDining",
     "WaitFreedomReport",
+    "box_factory",
     "check_exclusion",
     "check_wait_freedom",
     "eating_intervals",

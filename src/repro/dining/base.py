@@ -155,3 +155,7 @@ class DiningInstance(abc.ABC):
                 f"instance {self.instance_id}: no diner at {pid!r} "
                 "(not attached, or pid not in the conflict graph)"
             ) from None
+
+
+#: Black-box dining constructor: ``factory(instance_id, graph) -> instance``.
+DiningBoxFactory = Callable[[str, nx.Graph], DiningInstance]

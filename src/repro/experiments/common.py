@@ -5,21 +5,18 @@ builder (:mod:`repro.runtime.builder`); this module re-exports
 :func:`build_system` and :class:`System` from there so the twenty
 experiment harnesses keep their historical import path, and adds only the
 experiment-specific bits: the result record and the black-box dining
-factories the reduction experiments parameterize over.
+factories the reduction experiments parameterize over (each one spelling
+of :func:`repro.dining.box_factory`'s grammar).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
-
-import networkx as nx
+from typing import Any
 
 from repro.analysis.report import Table
-from repro.dining.base import DiningInstance
-from repro.dining.deferred import DeferredExclusionDining
-from repro.dining.manager import ManagerDining
-from repro.dining.wf_ewx import WaitFreeEWXDining
+from repro.dining.base import DiningBoxFactory
+from repro.dining.boxes import box_factory
 from repro.runtime.builder import System, build_system
 from repro.types import Time
 
@@ -54,22 +51,19 @@ class ExperimentResult:
         return "\n".join(parts)
 
 
-def wf_box(system: System) -> Callable[[str, nx.Graph], DiningInstance]:
+def wf_box(system: System) -> DiningBoxFactory:
     """The well-behaved WF-◇WX black box bound to the system's oracle."""
-    return lambda iid, g: WaitFreeEWXDining(iid, g, system.provider)
+    return box_factory("wf-ewx", system.provider)
 
 
-def deferred_box(system: System,
-                 horizon: Time = 150.0) -> Callable[[str, nx.Graph], DiningInstance]:
+def deferred_box(system: System, horizon: Time = 150.0) -> DiningBoxFactory:
     """The adversarial-but-legal WF-◇WX black box (Section 3)."""
-    return lambda iid, g: DeferredExclusionDining(
-        iid, g, system.provider, mistake_horizon=horizon
-    )
+    return box_factory(f"deferred:{horizon}", system.provider)
 
 
-def manager_box(system: System) -> Callable[[str, nx.Graph], DiningInstance]:
+def manager_box(system: System) -> DiningBoxFactory:
     """The coordinator-based WF-◇WX black box (migrating manager role)."""
-    return lambda iid, g: ManagerDining(iid, g, system.provider)
+    return box_factory("manager", system.provider)
 
 
 BOX_BUILDERS = {"wf": wf_box, "deferred": deferred_box, "manager": manager_box}

@@ -23,9 +23,7 @@ def run(seed: int = 101, max_time: float = 2500.0, gst: float = 150.0,
         washout: float = 200.0) -> ExperimentResult:
     system = build_system(["p", "q"], seed=seed, gst=gst, max_time=max_time)
     _, pairs = build_full_extraction(
-        system.engine, system.pids, wf_box(system), monitors=[("p", "q")],
-        monitor_invariants=True,
-    )
+        system.engine, system.pids, wf_box(system), monitors=[("p", "q")])
     system.engine.run()
     end = system.engine.now
     pair = pairs[("p", "q")]

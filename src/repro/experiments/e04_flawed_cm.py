@@ -18,12 +18,9 @@ from __future__ import annotations
 from repro.analysis.report import Table
 from repro.core.extraction import build_full_extraction
 from repro.core.flawed_cm import FlawedCMPair
-from repro.experiments.common import (
-    ExperimentResult,
-    build_system,
-    deferred_box,
-    wf_box,
-)
+from repro.core.pair import ReductionPair
+from repro.dining.boxes import box_factory
+from repro.experiments.common import ExperimentResult, build_system
 from repro.oracles.properties import false_positive_count, suspicion_series
 from repro.sim.temporal import convergence_time
 
@@ -31,33 +28,20 @@ EXP_ID = "E4"
 TITLE = "Section 3: [8]'s construction fails on a legal box; ours survives"
 
 
-def _run_flawed(seed: int, box_kind: str, max_time: float,
-                horizon: float) -> tuple[int, bool]:
-    """Run the [8] construction; return (wrongful suspicions, converged)."""
+def _run(seed: int, construction, box: str,
+         max_time: float) -> tuple[int, bool]:
+    """Run one construction (p monitors q) over ``box``; return
+    (wrongful suspicions, converged)."""
     system = build_system(["p", "q"], seed=seed, gst=100.0, max_time=max_time)
-    box = (deferred_box(system, horizon=horizon) if box_kind == "deferred"
-           else wf_box(system))
-    FlawedCMPair("p", "q", box).attach(system.engine)
+    _, pairs = build_full_extraction(
+        system.engine, ["p", "q"], box_factory(box, system.provider),
+        construction=construction, monitors=[("p", "q")])
     system.engine.run()
     trace = system.engine.trace
+    label = pairs[("p", "q")].output.detector_label
     mistakes = false_positive_count(trace, "p", "q", system.schedule,
-                                    detector="flawed")
-    series = suspicion_series(trace, "p", "q", detector="flawed")
-    converged = convergence_time(series, lambda s: not s) is not None
-    return mistakes, converged
-
-
-def _run_ours(seed: int, max_time: float, horizon: float) -> tuple[int, bool]:
-    """Run this paper's reduction over the adversarial box."""
-    system = build_system(["p", "q"], seed=seed, gst=100.0, max_time=max_time)
-    build_full_extraction(system.engine, ["p", "q"],
-                          deferred_box(system, horizon=horizon),
-                          monitors=[("p", "q")])
-    system.engine.run()
-    trace = system.engine.trace
-    mistakes = false_positive_count(trace, "p", "q", system.schedule,
-                                    detector="extracted")
-    series = suspicion_series(trace, "p", "q", detector="extracted")
+                                    detector=label)
+    series = suspicion_series(trace, "p", "q", detector=label)
     converged = convergence_time(series, lambda s: not s) is not None
     return mistakes, converged
 
@@ -66,19 +50,19 @@ def run(seed: int = 401, short: float = 1500.0, long: float = 3000.0,
         horizon: float = 150.0) -> ExperimentResult:
     table = Table(["construction", "box", "run length", "wrongful suspicions",
                    "eventually trusts q"], title=TITLE)
-
-    f_short, f_short_conv = _run_flawed(seed, "deferred", short, horizon)
-    f_long, f_long_conv = _run_flawed(seed, "deferred", long, horizon)
-    table.add_row(["[8] flawed", "deferred", short, f_short, f_short_conv])
-    table.add_row(["[8] flawed", "deferred", long, f_long, f_long_conv])
-
-    g_mist, g_conv = _run_flawed(seed, "wf", long, horizon)
-    table.add_row(["[8] flawed", "wf", long, g_mist, g_conv])
-
-    o_short, o_short_conv = _run_ours(seed, short, horizon)
-    o_long, o_long_conv = _run_ours(seed, long, horizon)
-    table.add_row(["this paper", "deferred", short, o_short, o_short_conv])
-    table.add_row(["this paper", "deferred", long, o_long, o_long_conv])
+    boxes = {"deferred": f"deferred:{horizon}", "wf": "wf-ewx"}
+    outcomes = []
+    for name, construction, box, length in (
+            ("[8] flawed", FlawedCMPair, "deferred", short),
+            ("[8] flawed", FlawedCMPair, "deferred", long),
+            ("[8] flawed", FlawedCMPair, "wf", long),
+            ("this paper", ReductionPair, "deferred", short),
+            ("this paper", ReductionPair, "deferred", long)):
+        mistakes, converged = _run(seed, construction, boxes[box], length)
+        outcomes.append((mistakes, converged))
+        table.add_row([name, box, length, mistakes, converged])
+    ((f_short, _), (f_long, f_long_conv), (_, g_conv),
+     (o_short, o_short_conv), (o_long, o_long_conv)) = outcomes
 
     vulnerability_shown = (
         not f_long_conv               # flawed: still suspecting in the suffix

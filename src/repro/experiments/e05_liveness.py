@@ -11,8 +11,8 @@ Paper claims checked on runs of two lengths T and 2T (both correct):
 * Lemma 8 — eventually, at all times some subject is eating.
 
 Lemmas 2 and 4 are checked continuously by the runtime invariant monitors
-(enabled here), and Lemmas 1, 3, 6, 10 are exercised by the unit tests in
-``tests/core``.
+(armed in every extraction run), and Lemmas 1, 3, 6, 10 are exercised by
+the unit tests in ``tests/core``.
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ def _coverage_gaps(intervals: list[tuple[Time, Time]], start: Time,
 def _one_run(seed: int, max_time: float) -> dict:
     system = build_system(["p", "q"], seed=seed, gst=120.0, max_time=max_time)
     _, pairs = build_full_extraction(
-        system.engine, ["p", "q"], wf_box(system), monitors=[("p", "q")],
-        monitor_invariants=True,
-    )
+        system.engine, ["p", "q"], wf_box(system), monitors=[("p", "q")])
     system.engine.run()
     pair = pairs[("p", "q")]
     end = system.engine.now

@@ -13,8 +13,11 @@ outputs against the T specification.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.analysis.report import Table
-from repro.core.trusting_extraction import build_trusting_extraction
+from repro.core.extraction import build_full_extraction
+from repro.core.pair import TRUSTING_LABEL, ReductionPair
 from repro.dining.perpetual import PerpetualDining
 from repro.dining.spec import check_exclusion
 from repro.experiments.common import ExperimentResult, build_system
@@ -36,8 +39,9 @@ def run(seed: int = 701, n: int = 3, crash_at: float = 700.0,
         crash=CrashSchedule.single(pids[-1], crash_at),
     )
     box = lambda iid, g: PerpetualDining(iid, g, system.provider)  # noqa: E731
-    _, pairs = build_trusting_extraction(system.engine, pids, box,
-                                         monitor_invariants=True)
+    _, pairs = build_full_extraction(
+        system.engine, pids, box,
+        construction=partial(ReductionPair, label=TRUSTING_LABEL))
     system.engine.run()
     end = system.engine.now
     trace = system.engine.trace
@@ -51,9 +55,9 @@ def run(seed: int = 701, n: int = 3, crash_at: float = 700.0,
     box_ok = violations == 0
 
     trust = check_trusting_accuracy(trace, pids, pids, system.schedule,
-                                    detector="extractedT")
+                                    detector=TRUSTING_LABEL)
     comp = check_strong_completeness(trace, pids, pids, system.schedule,
-                                     detector="extractedT")
+                                     detector=TRUSTING_LABEL)
 
     table = Table(["property", "verdict", "detail"], title=TITLE)
     table.add_row(["box perpetual weak exclusion", box_ok,

@@ -14,11 +14,10 @@ ablation sweeps the overtake budget ``k``, measuring
 from __future__ import annotations
 
 from repro.analysis.report import Table
+from repro.dining.boxes import box_factory
 from repro.dining.client import EagerClient
-from repro.dining.fair_wrapper import FairDining
 from repro.dining.fairness import measure_fairness
 from repro.dining.spec import check_exclusion, check_wait_freedom
-from repro.dining.wf_ewx import WaitFreeEWXDining
 from repro.experiments.common import ExperimentResult, build_system
 from repro.graphs import clique
 
@@ -31,12 +30,9 @@ def _one(seed: int, k: int | None, n: int, max_time: float, washout: float):
     g = clique(n)
     pids = sorted(g.nodes)
     system = build_system(pids, seed=seed, max_time=max_time)
-    inner = lambda iid, gr: WaitFreeEWXDining(iid, gr, system.provider)  # noqa: E731
-    if k is None:
-        diners = inner(INSTANCE, g).attach(system.engine)
-    else:
-        inst = FairDining(INSTANCE, g, inner, system.provider, k=k)
-        diners = inst.attach(system.engine)
+    box = "wf-ewx" if k is None else f"fair:{k}"
+    diners = box_factory(box, system.provider)(INSTANCE, g).attach(
+        system.engine)
     for pid in pids:
         system.engine.process(pid).add_component(
             EagerClient("cl", diners[pid], eat_steps=2))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.analysis.report import Table
 from repro.core.extraction import build_full_extraction
-from repro.dining.wf_ewx import WaitFreeEWXDining
+from repro.dining.boxes import box_factory
 from repro.experiments.common import ExperimentResult
 from repro.oracles import EventuallyPerfectDetector, attach_detectors
 from repro.oracles.properties import (
@@ -63,8 +63,8 @@ def _build(seed: int, adversary: str, crash: CrashSchedule, max_time: float):
             "boxfd", peers, heartbeat_period=4, initial_timeout=10),
     )
     provider = lambda pid: (lambda x, m=mods[pid]: m.suspected(x))  # noqa: E731
-    box = lambda iid, g: WaitFreeEWXDining(iid, g, provider)  # noqa: E731
-    build_full_extraction(engine, ["p", "q"], box, monitors=[("p", "q")])
+    build_full_extraction(engine, ["p", "q"], box_factory("wf-ewx", provider),
+                          monitors=[("p", "q")])
     return engine
 
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 import networkx as nx
 
 from repro.analysis.report import Table
+from repro.dining.boxes import box_factory
 from repro.dining.client import EagerClient
-from repro.dining.hygienic import HygienicDining
 from repro.dining.spec import hungry_intervals
-from repro.dining.wf_ewx import WaitFreeEWXDining
 from repro.experiments.common import ExperimentResult, build_system
 from repro.graphs import path
 from repro.sim.faults import CrashSchedule
@@ -34,10 +33,7 @@ def _run(seed: int, algorithm: str, n: int, crash_at: float,
     victim = pids[0]
     system = build_system(pids, seed=seed, max_time=max_time,
                           crash=CrashSchedule.single(victim, crash_at))
-    if algorithm == "hygienic":
-        inst = HygienicDining(INSTANCE, g)
-    else:
-        inst = WaitFreeEWXDining(INSTANCE, g, system.provider)
+    inst = box_factory(algorithm, system.provider)(INSTANCE, g)
     diners = inst.attach(system.engine)
     for pid in pids:
         system.engine.process(pid).add_component(

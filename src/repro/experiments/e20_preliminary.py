@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro.analysis.report import Table
 from repro.core.extraction import build_full_extraction
+from repro.core.pair import ReductionPair
 from repro.core.preliminary import PreliminaryPair
 from repro.experiments.common import ExperimentResult, build_system, wf_box
 from repro.oracles.properties import false_positive_count, suspicion_series
@@ -27,15 +28,12 @@ EXP_ID = "E20"
 TITLE = "Section 5.1 ablation: one dining instance is not enough"
 
 
-def _one(seed: int, horizon: float, construction: str) -> tuple[int, float]:
+def _one(seed: int, horizon: float, construction) -> tuple[int, float]:
     system = build_system(["p", "q"], seed=seed, max_time=horizon)
-    if construction == "preliminary":
-        PreliminaryPair("p", "q", wf_box(system)).attach(system.engine)
-        label = "prelim"
-    else:
-        build_full_extraction(system.engine, ["p", "q"], wf_box(system),
-                              monitors=[("p", "q")])
-        label = "extracted"
+    _, pairs = build_full_extraction(
+        system.engine, ["p", "q"], wf_box(system),
+        construction=construction, monitors=[("p", "q")])
+    label = pairs[("p", "q")].output.detector_label
     system.engine.run()
     trace = system.engine.trace
     mistakes = false_positive_count(trace, "p", "q", system.schedule,
@@ -55,12 +53,12 @@ def run(seed: int = 2001,
                    "last wrongful suspicion"], title=TITLE)
     prelim_rows = []
     for horizon in horizons:
-        mk, last = _one(seed, horizon, "preliminary")
+        mk, last = _one(seed, horizon, PreliminaryPair)
         prelim_rows.append((mk, last, horizon))
         table.add_row(["single instance (Sec. 5.1)", horizon, mk, last])
     paper_rows = []
     for horizon in (horizons[0], horizons[-1]):
-        mk, last = _one(seed, horizon, "paper")
+        mk, last = _one(seed, horizon, ReductionPair)
         paper_rows.append((mk, last, horizon))
         table.add_row(["two instances (the paper)", horizon, mk, last])
 

@@ -29,7 +29,6 @@ from repro.lattice.matrix import (
     dominance_symbol,
 )
 from repro.lattice.omega_extraction import (
-    build_flawed_omega_extraction,
     build_omega_extraction,
     final_leader,
     leader_stability_spans,
@@ -41,7 +40,6 @@ __all__ = [
     "DetectorRow",
     "LatticeCell",
     "LatticeResult",
-    "build_flawed_omega_extraction",
     "build_omega_extraction",
     "cell_from_record",
     "compare",

@@ -14,9 +14,8 @@ the evidence :func:`~repro.oracles.properties.check_leader_agreement`
 judges: after the last span boundary all correct owners must agree on a
 correct leader forever.
 
-For the refuted direction, :func:`build_flawed_omega_extraction` derives
-the same electors from the *flawed* single-instance construction of [8]
-(:class:`~repro.core.flawed_cm.FlawedCMPair`): because that extraction
+For the refuted direction, pass ``construction=FlawedCMPair`` (the
+*flawed* single-instance construction of [8]): because that extraction
 wrongfully suspects forever over an adversarial-but-legal deferred box,
 the elected leader never stabilizes — the deliberately-failing reference
 the lattice and experiment E4 point at.
@@ -24,9 +23,10 @@ the lattice and experiment E4 point at.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
-from repro.core.extraction import ExtractedDetector, build_full_extraction
+from repro.core.extraction import build_full_extraction
+from repro.core.pair import ReductionPair
 from repro.oracles.omega import OmegaElector
 from repro.oracles.properties import check_leader_agreement
 
@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "build_omega_extraction",
-    "build_flawed_omega_extraction",
     "leader_stability_spans",
     "check_leader_agreement",
 ]
@@ -48,54 +47,22 @@ def build_omega_extraction(
     engine: "Engine",
     pids: Sequence["ProcessId"],
     box_factory: "DiningBoxFactory",
+    *,
+    construction: Callable[..., Any] = ReductionPair,
 ) -> dict["ProcessId", OmegaElector]:
     """◇P-from-dining composed with ◇P→Ω: one elector per process.
 
-    Installs the full witness/subject reduction over ``box_factory``
-    (paper Algs. 1–2), then stacks an :class:`OmegaElector` on each
-    process's extracted suspicion facade.  Once the box's exclusive
-    suffix starts and the extracted ◇P converges, every correct
-    process's leader estimate stabilizes on the smallest correct pid —
-    Ω, obtained from nothing but a wait-free ◇WX dining service.
+    Installs ``construction`` (default: the witness/subject reduction,
+    paper Algs. 1–2) over every ordered pair of ``box_factory``, then
+    stacks an :class:`OmegaElector` on each process's extracted
+    suspicion facade.  Once the box's exclusive suffix starts and the
+    extracted ◇P converges, every correct process's leader estimate
+    stabilizes on the smallest correct pid — Ω, obtained from nothing
+    but a wait-free ◇WX dining service.  Over [8]'s construction and a
+    deferred-mistake box the estimates keep flapping instead.
     """
-    detectors, _pairs = build_full_extraction(engine, list(pids), box_factory)
-    return _attach_electors(engine, detectors)
-
-
-def build_flawed_omega_extraction(
-    engine: "Engine",
-    pids: Sequence["ProcessId"],
-    box_factory: "DiningBoxFactory",
-    heartbeat_period: int = 4,
-) -> dict["ProcessId", OmegaElector]:
-    """The same elector stack over the *flawed* [8] extraction.
-
-    One :class:`~repro.core.flawed_cm.FlawedCMPair` per ordered pair
-    instead of the witness/subject reduction.  Over a deferred-mistake
-    box the flawed extraction keeps wrongfully suspecting, so the
-    derived leader estimates keep flapping — run it on the same engine
-    and seed as :func:`build_omega_extraction` to watch one elector
-    stabilize and the other not.
-    """
-    from repro.core.flawed_cm import FlawedCMPair
-
-    outputs: dict["ProcessId", dict["ProcessId", object]] = {
-        p: {} for p in pids}
-    for p in pids:
-        for q in pids:
-            if p == q:
-                continue
-            pair = FlawedCMPair(p, q, box_factory,
-                                heartbeat_period=heartbeat_period)
-            outputs[p][q] = pair.attach(engine)
-    detectors = {p: ExtractedDetector(p, mods)
-                 for p, mods in outputs.items()}
-    return _attach_electors(engine, detectors)
-
-
-def _attach_electors(engine: "Engine",
-                     detectors: Mapping["ProcessId", ExtractedDetector],
-                     ) -> dict["ProcessId", OmegaElector]:
+    detectors, _pairs = build_full_extraction(
+        engine, list(pids), box_factory, construction=construction)
     electors: dict["ProcessId", OmegaElector] = {}
     for pid, facade in detectors.items():
         elector = OmegaElector("omega.elect", facade)

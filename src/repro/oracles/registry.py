@@ -43,6 +43,7 @@ Registered detectors (the comparison lattice ``repro lattice`` runs):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -254,10 +255,9 @@ def _install_omega(ctx: InstallContext, params: Mapping[str, Any]):
 
 def _install_flawed_cm(ctx: InstallContext, params: Mapping[str, Any]):
     # Local imports: repro.core / repro.dining sit above the oracle layer.
-    from repro.core.extraction import ExtractedDetector
+    from repro.core.extraction import build_full_extraction
     from repro.core.flawed_cm import FlawedCMPair
-    from repro.dining.deferred import DeferredExclusionDining
-    from repro.dining.wf_ewx import WaitFreeEWXDining
+    from repro.dining.boxes import box_factory
 
     substrate = attach_detectors(
         ctx.engine, ctx.pids,
@@ -270,27 +270,11 @@ def _install_flawed_cm(ctx: InstallContext, params: Mapping[str, Any]):
         module = substrate[pid]
         return lambda q: module.suspected(q)
 
-    box = str(params["box"])
-    kind, _, arg = box.partition(":")
-    if kind == "deferred":
-        horizon = float(arg) if arg else 150.0
-        factory = lambda iid, g: DeferredExclusionDining(  # noqa: E731
-            iid, g, provider, mistake_horizon=horizon)
-    elif kind == "wf" and not arg:
-        factory = lambda iid, g: WaitFreeEWXDining(iid, g, provider)  # noqa: E731
-    else:
-        raise ConfigurationError(
-            f"unknown flawed_cm box {box!r} (use 'deferred[:horizon]' for "
-            "the corrigendum's adversarial-but-legal box, or 'wf' for the "
-            "well-behaved baseline)")
-
-    heartbeat = int(params["heartbeat_period"])
-    outputs: dict[ProcessId, dict[ProcessId, Any]] = {p: {} for p in ctx.pids}
-    for p in ctx.pids:
-        for q in ctx.peers(p):
-            pair = FlawedCMPair(p, q, factory, heartbeat_period=heartbeat)
-            outputs[p][q] = pair.attach(ctx.engine)
-    return {p: ExtractedDetector(p, mods) for p, mods in outputs.items()}
+    return build_full_extraction(
+        ctx.engine, ctx.pids, box_factory(params["box"], provider),
+        construction=partial(FlawedCMPair,
+                             heartbeat_period=int(params["heartbeat_period"])),
+        monitors=[(p, q) for p in ctx.pids for q in ctx.peers(p)])[0]
 
 
 # -- the registry -------------------------------------------------------------

@@ -35,7 +35,6 @@ from repro.runtime.builder import (
     BuiltRun,
     System,
     build_client,
-    build_dining,
     build_system,
     execute,
     instantiate,
@@ -68,7 +67,6 @@ __all__ = [
     "SupervisedExecutor",
     "System",
     "build_client",
-    "build_dining",
     "build_system",
     "execute",
     "fanout_seeds",

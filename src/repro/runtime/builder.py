@@ -26,19 +26,15 @@ import networkx as nx
 
 from repro.core.extraction import PairSelection
 from repro.dining.base import DiningInstance, SuspicionProvider
+from repro.dining.boxes import box_factory
 from repro.dining.client import EagerClient, PeriodicClient
-from repro.dining.deferred import DeferredExclusionDining
-from repro.dining.fair_wrapper import FairDining
 from repro.dining.fairness import fairness_of, measure_fairness
-from repro.dining.hygienic import HygienicDining
-from repro.dining.manager import ManagerDining
 from repro.dining.spec import (
     check_exclusion,
     check_wait_freedom,
     exclusion_of,
     wait_freedom_of,
 )
-from repro.dining.wf_ewx import WaitFreeEWXDining
 from repro.errors import ConfigurationError
 from repro.graphs import validate_conflict_graph
 from repro.obs.intervals import IntervalMachine
@@ -159,30 +155,6 @@ def build_system(
 
 
 # -- declarative pieces -------------------------------------------------------
-
-
-def build_dining(algorithm: str, graph: nx.Graph, system: System,
-                 instance_id: str = INSTANCE) -> DiningInstance:
-    """The dining stack named by an algorithm spec, bound to the system's
-    suspicion provider: ``wf-ewx`` | ``hygienic`` | ``deferred[:horizon]``
-    | ``manager`` | ``fair:<k>``."""
-    algo, _, arg = algorithm.partition(":")
-    if algo == "wf-ewx":
-        return WaitFreeEWXDining(instance_id, graph, system.provider)
-    if algo == "hygienic":
-        return HygienicDining(instance_id, graph)
-    if algo == "deferred":
-        horizon = float(arg) if arg else 150.0
-        return DeferredExclusionDining(instance_id, graph, system.provider,
-                                       mistake_horizon=horizon)
-    if algo == "manager":
-        return ManagerDining(instance_id, graph, system.provider)
-    if algo == "fair":
-        k = int(arg) if arg else 2
-        inner = lambda iid, g: WaitFreeEWXDining(iid, g,  # noqa: E731
-                                                 system.provider)
-        return FairDining(instance_id, graph, inner, system.provider, k=k)
-    raise ConfigurationError(f"unknown algorithm {algorithm!r}")
 
 
 def build_client(client: str, pid: ProcessId, diner, engine: Engine):
@@ -306,7 +278,7 @@ def instantiate(spec: RunSpec) -> BuiltRun:
         record_messages=spec.record_messages, obs=spec.obs,
         spans=spec.spans, peers_of=peers_of,
     )
-    instance = build_dining(spec.algorithm, graph, system)
+    instance = box_factory(spec.algorithm, system.provider)(INSTANCE, graph)
     diners = instance.attach(system.engine)
     for pid in pids:
         system.engine.process(pid).add_component(

@@ -120,6 +120,7 @@ class RunSpec:
 
     name: str = "run"
     graph: str = "ring:4"
+    #: The dining box, in :func:`repro.dining.box_factory`'s grammar.
     algorithm: str = "wf-ewx"
     client: str = "eager:2"
     crashes: Mapping[str, float] = field(default_factory=dict)
@@ -214,6 +215,11 @@ class RunSpec:
         from repro.core.extraction import PairSelection
 
         PairSelection.parse(self.pairs)
+        # Dining-box grammar is owned by box_factory (parse only: no
+        # provider, nothing built).
+        from repro.dining.boxes import box_factory
+
+        box_factory(self.algorithm, None)
         validate_retention(self.trace)
 
     @classmethod

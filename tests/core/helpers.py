@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.pair import ReductionPair
+from repro.core.pair import EXTRACTED_LABEL
 from repro.core.subject import SubjectShared, SubjectThread
 from repro.core.witness import ExtractedPairModule, WitnessShared, WitnessThread
 from repro.dining.base import DinerComponent
@@ -33,12 +33,12 @@ class ManualPair:
     a real dining algorithm underneath.
     """
 
-    def __init__(self, monitor_invariants: bool = True):
+    def __init__(self):
         self.engine = make_engine(max_time=1e6)
         self.p = self.engine.add_process("p")
         self.q = self.engine.add_process("q")
 
-        self.output = ExtractedPairModule("out", target="q")
+        self.output = ExtractedPairModule("out", "q", EXTRACTED_LABEL)
         self.p.add_component(self.output)
         w_shared = WitnessShared(self.output)
         s_shared = SubjectShared()
@@ -54,7 +54,6 @@ class ManualPair:
             self.sdiners.append(sd)
             w = WitnessThread(f"w{i}", i, w_shared, diner=wd)
             s = SubjectThread(f"s{i}", i, s_shared, diner=sd)
-            s.monitor_invariants = monitor_invariants
             self.p.add_component(w)
             self.q.add_component(s)
             self.witnesses.append(w)
@@ -72,7 +71,6 @@ class ManualPair:
 
 def run_pair_system(seed: int = 1, crash=None, max_time: float = 2500.0,
                     box: str = "wf", gst: float = 150.0,
-                    monitor_invariants: bool = True,
                     horizon: float = 150.0):
     """One ordered pair (p monitors q) over a real black box."""
     from repro.core.extraction import build_full_extraction
@@ -82,8 +80,6 @@ def run_pair_system(seed: int = 1, crash=None, max_time: float = 2500.0,
     factory = (wf_box(system) if box == "wf"
                else deferred_box(system, horizon=horizon))
     detectors, pairs = build_full_extraction(
-        system.engine, ["p", "q"], factory, monitors=[("p", "q")],
-        monitor_invariants=monitor_invariants,
-    )
+        system.engine, ["p", "q"], factory, monitors=[("p", "q")])
     system.engine.run()
     return system, detectors, pairs[("p", "q")]

@@ -11,13 +11,14 @@ from repro.core.extraction import (
     PairSelection,
     build_full_extraction,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvariantViolation
 from repro.experiments.common import build_system, wf_box
 from repro.oracles.properties import (
     check_eventual_strong_accuracy,
     check_strong_completeness,
 )
 from repro.sim.faults import CrashSchedule
+from repro.types import DinerState
 
 
 def run_full(n=3, seed=100, crash=None, max_time=2500.0):
@@ -42,7 +43,20 @@ def test_monitors_subset():
     detectors, pairs = build_full_extraction(
         system.engine, pids, wf_box(system), monitors=[("a", "b")])
     assert list(pairs) == [("a", "b")]
-    assert list(detectors) == ["a"]
+    # Every pid gets a facade; one that monitors nobody gets an empty one.
+    assert list(detectors) == pids
+    assert detectors["b"].monitored == detectors["c"].monitored == ()
+
+
+def test_lemma_monitors_armed_by_default():
+    system = build_system(["p", "q"], seed=1, max_time=10.0)
+    _, pairs = build_full_extraction(system.engine, ["p", "q"],
+                                     wf_box(system))
+    subject = pairs[("p", "q")].subjects[0]
+    assert subject.diner.state is DinerState.THINKING
+    subject.shared.ping[0] = False
+    with pytest.raises(InvariantViolation, match="Lemma 2"):
+        subject._check_invariants("test")
 
 
 def test_facade_query_surface():

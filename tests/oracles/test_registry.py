@@ -14,7 +14,7 @@ from repro.oracles.registry import (
     detector_kind_help,
     resolve_detector,
 )
-from repro.runtime.builder import execute
+from repro.runtime.builder import execute, instantiate
 from repro.runtime.spec import RunSpec
 
 EXPECTED_NAMES = {"eventually_perfect", "perfect", "trusting", "strong",
@@ -78,6 +78,13 @@ class TestRunSpecIntegration:
             RunSpec(detector="psychic")
         with pytest.raises(ConfigurationError, match="accepted"):
             RunSpec(detector_params={"bogus": 1})
+
+    @pytest.mark.parametrize("box", ["deferred:abc", "wf"])
+    def test_flawed_cm_box_uses_the_dining_grammar(self, box):
+        spec = RunSpec(graph="ring:3", detector="flawed_cm",
+                       detector_params={"box": box})
+        with pytest.raises(ConfigurationError, match="deferred\\[:horizon\\]"):
+            instantiate(spec)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))

@@ -4,9 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime import (
-    INSTANCE,
     RunSpec,
-    build_dining,
     build_system,
     execute,
     instantiate,
@@ -118,13 +116,3 @@ class TestSingleCanonicalBuilder:
             for needle in ("Engine(", "attach_detectors",
                            "ReliableTransport(", "Network("):
                 assert needle not in source, f"{rel} still wires {needle}"
-
-    def test_build_dining_covers_all_algorithms(self):
-        from repro.runtime import parse_graph
-
-        graph = parse_graph("ring:3")
-        system = build_system(sorted(graph.nodes), seed=1, max_time=10.0)
-        for algo in ("wf-ewx", "hygienic", "deferred", "deferred:99",
-                     "manager", "fair:2"):
-            instance = build_dining(algo, graph, system, instance_id=INSTANCE)
-            assert instance is not None

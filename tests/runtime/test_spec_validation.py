@@ -21,6 +21,8 @@ class TestRunSpecValidation:
         ({"detector": "psychic"}, "unknown detector"),
         ({"trace": "ring:notanumber"}, "ring:notanumber"),
         ({"trace": "laserdisc"}, "unknown trace sink"),
+        ({"algorithm": "nope"}, "malformed dining box 'nope'"),
+        ({"algorithm": "deferred:abc"}, "malformed dining box 'deferred:abc'"),
     ])
     def test_bad_field_rejected_eagerly(self, kwargs, match):
         with pytest.raises(ConfigurationError, match=match):

@@ -123,9 +123,11 @@ def test_metrics_surface(service):
 
 def test_bad_requests(service):
     client, _ = service
-    with pytest.raises(ServiceError) as err:
-        client.submit_run({"graph": "ring:3", "max_time": -1.0})
-    assert err.value.status == 400
+    for bad in ({"max_time": -1.0}, {"algorithm": "nope"},
+                {"algorithm": "deferred:abc"}):
+        with pytest.raises(ServiceError) as err:
+            client.submit_run({"graph": "ring:3", **bad})
+        assert err.value.status == 400
     with pytest.raises(ServiceError) as err:
         client.submit_campaign(SPEC, runs=0)
     assert err.value.status == 400

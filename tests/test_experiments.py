@@ -2,8 +2,12 @@
 
 These reuse the exact code the benchmarks run (with default parameters
 scaled down where the default is slow), so a green run here means
-EXPERIMENTS.md's verdict column is reproducible.
+EXPERIMENTS.md's verdict column is reproducible.  The reduction
+experiments are cheap at their defaults, so their tables are pinned to
+the committed ``benchmarks/results/eN.txt`` byte for byte.
 """
+
+import pathlib
 
 import pytest
 
@@ -28,7 +32,19 @@ from repro.experiments import (
     e17_replication,
     e18_dstm,
     e19_asynchrony,
+    e20_preliminary,
 )
+
+RESULTS = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
+
+
+def assert_committed_table(module):
+    """Run ``module`` at its defaults; its table must equal the archive."""
+    r = module.run()
+    assert r.ok, r.render()
+    committed = (RESULTS / f"{r.exp_id.lower()}.txt").read_text(
+        encoding="utf-8")
+    assert r.render() + "\n" == committed
 
 
 def test_registry_is_complete():
@@ -38,28 +54,23 @@ def test_registry_is_complete():
 
 
 def test_e1_figure1():
-    r = e01_figure1.run()
-    assert r.ok, r.render()
+    assert_committed_table(e01_figure1)
 
 
 def test_e2_completeness():
-    r = e02_completeness.run(crash_times=(300.0,), max_time=1500.0)
-    assert r.ok, r.render()
+    assert_committed_table(e02_completeness)
 
 
 def test_e3_accuracy():
-    r = e03_accuracy.run(gsts=(120.0,), max_time=2000.0)
-    assert r.ok, r.render()
+    assert_committed_table(e03_accuracy)
 
 
 def test_e4_flawed_cm():
-    r = e04_flawed_cm.run()
-    assert r.ok, r.render()
+    assert_committed_table(e04_flawed_cm)
 
 
 def test_e5_liveness():
-    r = e05_liveness.run()
-    assert r.ok, r.render()
+    assert_committed_table(e05_liveness)
 
 
 def test_e6_fairness():
@@ -68,8 +79,7 @@ def test_e6_fairness():
 
 
 def test_e7_trusting():
-    r = e07_trusting.run()
-    assert r.ok, r.render()
+    assert_committed_table(e07_trusting)
 
 
 def test_e8_consensus():
@@ -109,8 +119,7 @@ def test_e14_adversary():
 
 
 def test_e15_statistics():
-    r = e15_statistics.run(n_seeds=3, max_time=1800.0)
-    assert r.ok, r.render()
+    assert_committed_table(e15_statistics)
 
 
 def test_e16_locality():
@@ -131,6 +140,10 @@ def test_e18_dstm():
 def test_e19_asynchrony():
     r = e19_asynchrony.run(horizons=(1500.0, 4000.0))
     assert r.ok, r.render()
+
+
+def test_e20_preliminary():
+    assert_committed_table(e20_preliminary)
 
 
 def test_results_render_cleanly():
