@@ -102,6 +102,11 @@ def random_graph(n: int, p: float, rng: np.random.Generator,
     return g
 
 
+#: Pairs per distance block in :func:`random_geometric` (about 25 bytes of
+#: temporaries each).
+_BLOCK_PAIRS = 1 << 18
+
+
 def random_geometric(n: int, radius: float, seed: int = 0,
                      prefix: str = "p") -> nx.Graph:
     """Seeded random geometric graph on the unit square (WSN deployments).
@@ -123,12 +128,17 @@ def random_geometric(n: int, radius: float, seed: int = 0,
     g = nx.Graph()
     for i, node in enumerate(nodes):
         g.add_node(node, x=float(pos[i, 0]), y=float(pos[i, 1]))
-    # Vectorized pairwise distances: O(n^2) floats once at build time.
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    ii, jj = np.nonzero(dist2 < radius * radius)
-    g.add_edges_from((nodes[i], nodes[j])
-                     for i, j in zip(ii.tolist(), jj.tolist()) if i < j)
+    # Pairwise distances in row blocks of about _BLOCK_PAIRS pairs, each
+    # row against the columns from its block's first row on: the
+    # temporaries stay bounded while the time is O(n^2).  Edges go in
+    # row-major (i, j), i < j order, as one dense n x n pass would add them.
+    rows = max(1, _BLOCK_PAIRS // n)
+    for lo in range(0, n, rows):
+        diff = pos[lo:lo + rows, None, :] - pos[None, lo:, :]
+        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+        ii, jj = np.nonzero(dist2 < radius * radius)
+        g.add_edges_from((nodes[lo + i], nodes[lo + j])
+                         for i, j in zip(ii.tolist(), jj.tolist()) if i < j)
     return g
 
 

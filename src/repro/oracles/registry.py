@@ -43,7 +43,7 @@ Registered detectors (the comparison lattice ``repro lattice`` runs):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -128,10 +128,14 @@ class InstallContext:
 
         A batched view: the S and ◇S noise only ever calls ``.random()``,
         which it serves with the raw generator's doubles."""
-        index = sorted(self.pids).index(pid)
         return BatchedDoubles(np.random.default_rng(
             np.random.SeedSequence(entropy=abs(int(self.seed)),
-                                   spawn_key=(index, salt))))
+                                   spawn_key=(self._rank[pid], salt))))
+
+    @cached_property
+    def _rank(self) -> dict[ProcessId, int]:
+        """Each pid's index in sorted order, computed once per context."""
+        return {pid: i for i, pid in enumerate(sorted(self.pids))}
 
 
 @dataclass(frozen=True)

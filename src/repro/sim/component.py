@@ -24,6 +24,7 @@ round-robin, so every continuously-enabled action is eventually executed
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
@@ -66,6 +67,23 @@ def receive(kind: str, guard: Callable[[Any, Message], bool] | None = None,
         return fn
 
     return deco
+
+
+@functools.cache
+def _action_specs(klass: type) -> tuple[tuple[str, tuple], ...]:
+    """``klass``'s decorated ``(attr, spec)`` pairs in MRO, then
+    class-definition, order; walked once per class (each subclass is its
+    own cache key)."""
+    out: list[tuple[str, tuple]] = []
+    seen: set[str] = set()
+    for k in klass.__mro__:
+        for attr, fn in vars(k).items():
+            spec = getattr(fn, "_action_spec", None)
+            if spec is None or attr in seen:
+                continue
+            seen.add(attr)
+            out.append((attr, spec))
+    return tuple(out)
 
 
 @dataclass(slots=True)
@@ -115,23 +133,17 @@ class Component:
     def bound_actions(self) -> list[BoundAction]:
         """Collect this instance's actions in class-definition order."""
         out: list[BoundAction] = []
-        seen: set[str] = set()
-        for klass in type(self).__mro__:
-            for attr, fn in vars(klass).items():
-                spec = getattr(fn, "_action_spec", None)
-                if spec is None or attr in seen:
-                    continue
-                seen.add(attr)
-                bound = getattr(self, attr)
-                if spec[0] == "internal":
-                    _, guard, name = spec
-                    out.append(BoundAction(self, name, "internal", guard, bound))
-                else:
-                    _, kind, guard, name = spec
-                    out.append(
-                        BoundAction(self, name, "receive", guard, bound,
-                                    message_kind=kind)
-                    )
+        for attr, spec in _action_specs(type(self)):
+            bound = getattr(self, attr)
+            if spec[0] == "internal":
+                _, guard, name = spec
+                out.append(BoundAction(self, name, "internal", guard, bound))
+            else:
+                _, kind, guard, name = spec
+                out.append(
+                    BoundAction(self, name, "receive", guard, bound,
+                                message_kind=kind)
+                )
         return out
 
     # -- facilities available to effects -----------------------------------

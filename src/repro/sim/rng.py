@@ -37,11 +37,14 @@ class BatchedDoubles:
     on a raw generator and on this view.
 
     :attr:`random` is not a method but ``functools.partial(next, it)``
-    over one C iterator that flattens ``gen.random(batch).tolist()``
+    over one C iterator that flattens ``memoryview(gen.random(batch))``
     blocks, pulled lazily one block at a time: neither a draw nor a block
-    refill runs a Python frame.  The view holds that live iterator, so it
-    is run-local and must not be pickled (a copy would fork the stream,
-    and itertools iterators stop pickling in Python 3.14).
+    refill runs a Python frame.  A block stays a raw buffer of ``batch``
+    doubles (2 KB at the default 256, about a quarter of a list of Python
+    floats), and iterating its memoryview returns each double as a plain
+    ``float``.  The view holds that live iterator, so it is run-local and
+    must not be pickled (a copy would fork the stream, and itertools
+    iterators stop pickling in Python 3.14).
 
     The contract is all-or-nothing per stream: once a stream is wrapped,
     every subsequent draw must go through the wrapper (a direct draw on
@@ -56,9 +59,8 @@ class BatchedDoubles:
     def __init__(self, gen: np.random.Generator, batch: int = 256) -> None:
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        # tolist() converts a whole block to Python floats in one C call,
-        # so the stream serves plain floats (no np.float64 boxing).
-        blocks = map(np.ndarray.tolist,
+        # A float64 memoryview yields plain floats (no np.float64 boxing).
+        blocks = map(memoryview,
                      map(gen.random, itertools.repeat(int(batch))))
         #: Next double in [0, 1) — identical to ``gen.random()``.
         self.random = functools.partial(

@@ -3,9 +3,11 @@ every registered detector on a real run."""
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.oracles import registry
 from repro.oracles.registry import (
     BOX_LABEL,
     DEFAULT_DETECTOR,
@@ -113,3 +115,21 @@ def test_detector_rng_is_order_independent():
     spec = RunSpec(graph="ring:4", seed=11, max_time=300.0,
                    detector="eventually_strong")
     assert _digest(execute(spec)) == _digest(execute(spec))
+
+
+def test_rng_for_ranks_the_pids_once_per_context(monkeypatch):
+    # Every owner asks for its noise stream; ranking the pids costs one
+    # sort per context, not one per owner, and the streams do not move.
+    sorts = []
+    monkeypatch.setattr(registry, "sorted",
+                        lambda xs: sorts.append(1) or sorted(xs),
+                        raising=False)
+    pids = ["p3", "p1", "p10", "p0", "p2"]
+    ctx = registry.InstallContext(engine=None, pids=pids, schedule=None,
+                                  peers_of=None, seed=-5)
+    draws = {pid: ctx.rng_for(pid, salt=1).random() for pid in pids}
+    assert len(sorts) == 1
+    for index, pid in enumerate(sorted(pids)):
+        ref = np.random.default_rng(
+            np.random.SeedSequence(entropy=5, spawn_key=(index, 1)))
+        assert draws[pid] == ref.random()

@@ -67,6 +67,30 @@ def test_subclass_inherits_base_actions():
     assert {"bump", "on_poke", "extra"} <= names
 
 
+def test_action_list_is_cached_per_class_and_bound_per_instance():
+    assert [a.name for a in Counter().bound_actions()] == ["bump", "on_poke"]
+
+    class Extended(Counter):
+        @action(guard=lambda self: True)
+        def extra(self):
+            pass
+
+    class Quiet(Counter):
+        def bump(self):  # undecorated override keeps the inherited spec
+            self.count += 10
+
+    # A subclass built after its parent's list was cached gets its own.
+    assert [a.name for a in Extended().bound_actions()] == [
+        "extra", "bump", "on_poke"]
+    assert [a.name for a in Counter().bound_actions()] == ["bump", "on_poke"]
+    quiet = Quiet()
+    quiet.bound_actions()[0].effect()
+    assert quiet.count == 10
+    a, b = Counter("a"), Counter("b")
+    assert [x.effect.__self__ for x in a.bound_actions()] == [a, a]
+    assert [x.effect.__self__ for x in b.bound_actions()] == [b, b]
+
+
 def test_functional_component_actions():
     log = []
     comp = FunctionalComponent(
