@@ -42,6 +42,7 @@ from repro.sim.component import Component, action, receive
 from repro.sim.engine import Engine, SimConfig
 from repro.sim.faults import CrashSchedule
 from repro.sim.network import PartialSynchronyDelays
+from repro.sim.rng import BatchedDoubles
 from repro.types import DinerState, Message, ProcessId, Time
 
 DUTY_INSTANCE = "WSN"
@@ -51,7 +52,7 @@ class DutyClient(Component):
     """Node behaviour: rest briefly, volunteer, serve one shift, repeat."""
 
     def __init__(self, name: str, diner: DinerComponent,
-                 rng: np.random.Generator,
+                 rng: BatchedDoubles,
                  shift: tuple[Time, Time] = (6.0, 10.0),
                  rest: tuple[Time, Time] = (12.0, 24.0)) -> None:
         super().__init__(name)
@@ -94,7 +95,7 @@ class CoverageAwareClient(Component):
 
     def __init__(self, name: str, diner: DinerComponent,
                  neighbors: tuple[ProcessId, ...],
-                 rng: np.random.Generator,
+                 rng: BatchedDoubles,
                  shift: tuple[Time, Time] = (8.0, 14.0),
                  beacon_period: Time = 2.0) -> None:
         super().__init__(name)

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.dining.base import DinerComponent
 from repro.errors import ConfigurationError
 from repro.sim.component import Component, action
+from repro.sim.rng import BatchedDoubles
 from repro.types import DinerState, Time
 
 
@@ -69,7 +68,7 @@ class PeriodicClient(Component):
         self,
         name: str,
         diner: DinerComponent,
-        rng: np.random.Generator,
+        rng: BatchedDoubles,
         think_time: tuple[Time, Time] = (5.0, 15.0),
         eat_time: tuple[Time, Time] = (2.0, 6.0),
     ) -> None:

@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.sim.network import DelayModel
+from repro.sim.rng import BatchedDoubles
 from repro.types import Message, ProcessId, Time
 
 MessagePredicate = Callable[[Message], bool]
@@ -80,12 +79,7 @@ class TargetedDelays(DelayModel):
                     "extra_max >= 0); dropping them would break reliability"
                 )
 
-    @property
-    def uniform_only(self) -> bool:
-        # Own draws are plain uniforms; batchability hinges on the base.
-        return self.base.uniform_only
-
-    def delay(self, msg: Message, now: Time, rng: np.random.Generator) -> Time:
+    def delay(self, msg: Message, now: Time, rng: BatchedDoubles) -> Time:
         d = self.base.delay(msg, now, rng)
         for rule in self.rules:
             if rule.applies(msg, now):
@@ -101,36 +95,6 @@ def slow_process(pid: ProcessId, factor: float) -> Mapping[ProcessId, float]:
     if factor < 1.0:
         raise ConfigurationError("slowdown factor must be >= 1")
     return {pid: float(factor)}
-
-
-class EscalatingDelays(DelayModel):
-    """Genuinely asynchronous channels: stragglers grow with the clock.
-
-    Most messages take a quick uniform delay, but with probability
-    ``straggler_prob`` a message is held for ``straggler_factor * now`` —
-    so no fixed (or adaptively doubled) timeout stays ahead of the channel
-    forever.  This is the environment in which ◇P is *not* implementable;
-    experiment E19 uses it to show the equivalence cutting both ways: the
-    heartbeat detector keeps making mistakes, and the ◇P-based dining box
-    correspondingly keeps violating exclusion.
-    """
-
-    uniform_only = True
-
-    def __init__(self, base_lo: Time = 0.2, base_hi: Time = 2.0,
-                 straggler_prob: float = 0.05,
-                 straggler_factor: float = 0.5) -> None:
-        if not 0 <= straggler_prob <= 1 or straggler_factor < 0:
-            raise ConfigurationError("bad straggler parameters")
-        self.base_lo, self.base_hi = float(base_lo), float(base_hi)
-        self.straggler_prob = float(straggler_prob)
-        self.straggler_factor = float(straggler_factor)
-
-    def delay(self, msg: Message, now: Time, rng: np.random.Generator) -> Time:
-        d = float(rng.uniform(self.base_lo, self.base_hi))
-        if rng.random() < self.straggler_prob:
-            d += self.straggler_factor * max(now, 1.0)
-        return d
 
 
 class OutageDelays(DelayModel):
@@ -158,11 +122,6 @@ class OutageDelays(DelayModel):
         self.growth = float(growth)
         self._outages: list[tuple[Time, Time]] = []   # (start, end)
 
-    @property
-    def uniform_only(self) -> bool:
-        # Outage scheduling is deterministic; only the base model draws.
-        return self.base.uniform_only
-
     def _outage_at(self, now: Time) -> Optional[tuple[Time, Time]]:
         """The outage containing ``now``, extending the schedule lazily."""
         start = (self._outages[-1][1] + self.recovery if self._outages
@@ -179,7 +138,7 @@ class OutageDelays(DelayModel):
                 break
         return None
 
-    def delay(self, msg: Message, now: Time, rng: np.random.Generator) -> Time:
+    def delay(self, msg: Message, now: Time, rng: BatchedDoubles) -> Time:
         d = self.base.delay(msg, now, rng)
         outage = self._outage_at(now)
         if outage is not None:

@@ -141,10 +141,9 @@ class Engine:
         self._stopped = False
         # Per-process step-scheduling cache, populated lazily on first step:
         # process -> (random, lo, span, speed) with no step policy, where
-        # ``random`` draws from a BatchedDoubles view of the step stream;
+        # ``random`` draws from the process's ``step:{pid}`` stream;
         # process -> (rng, None, None, speed) under a policy, ``rng`` being
-        # that view when the policy draws only uniform doubles, else the
-        # raw generator.
+        # that stream.
         self._step_cache: dict[Process, tuple] = {}
 
     # -- construction ---------------------------------------------------------
@@ -156,7 +155,7 @@ class Engine:
         proc = Process(pid)
         proc.bind(self)
         self.processes[pid] = proc
-        jitter = float(self.rng.stream(f"step:{pid}").uniform(0.0, self.config.step_max))
+        jitter = self.rng.stream(f"step:{pid}").uniform(0.0, self.config.step_max)
         self._push(self.clock.now + jitter, self._on_step, proc)
         crash_at = self.crash_schedule.crash_time(pid)
         if crash_at is not None:
@@ -284,12 +283,7 @@ class Engine:
         config = self.config
         policy = config.step_policy
         speed = float(config.speeds.get(pid, 1.0))
-        if policy is None or policy.uniform_only:
-            # All draws on this stream are single uniform doubles, so a
-            # batched view reproduces the raw stream bit-for-bit.
-            rng: object = self.rng.batched(f"step:{pid}")
-        else:
-            rng = self.rng.stream(f"step:{pid}")
+        rng = self.rng.stream(f"step:{pid}")
         if policy is None:
             entry: tuple = (rng.random, config.step_min,
                             config.step_max - config.step_min, speed)

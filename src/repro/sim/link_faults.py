@@ -33,9 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError
+from repro.sim.rng import BatchedDoubles
 from repro.types import Message, ProcessId, Time
 
 #: A directed link, ``(sender, receiver)``.
@@ -179,7 +178,7 @@ class LinkFaultModel:
 
     # -- the verdict -----------------------------------------------------------
 
-    def fate(self, msg: Message, now: Time, rng: np.random.Generator) -> Fate:
+    def fate(self, msg: Message, now: Time, rng: BatchedDoubles) -> Fate:
         """Decide how many copies of ``msg`` (sent at ``now``) to deliver.
 
         Partition drops are deterministic and do not count toward the

@@ -32,13 +32,13 @@ Delay models encode the synchrony assumptions:
 from __future__ import annotations
 
 import abc
+import math
 from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from repro import types as _types
 from repro.obs.registry import Counter, MetricsRegistry
+from repro.sim.rng import BatchedDoubles
 from repro.sim.transport import TRANSPORT_TAG
 from repro.types import Message, ProcessId, Time, make_message
 
@@ -49,34 +49,23 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class DelayModel(abc.ABC):
-    """Maps each sent message to a strictly positive delivery delay."""
-
-    #: True when every draw this model makes goes through ``rng.random()``
-    #: or ``rng.uniform(lo, hi)`` (one underlying uniform double per call).
-    #: The network then serves the shared ``"network"`` stream from a
-    #: prefetched :class:`~repro.sim.rng.BatchedDoubles` view with
-    #: bit-identical results.  Models drawing from any other distribution
-    #: (e.g. lognormal, whose ziggurat consumes a variable number of
-    #: underlying draws) must leave this False — the conservative default
-    #: for external subclasses.
-    uniform_only: bool = False
+    """Maps each sent message to a strictly positive delivery delay,
+    drawn from the run's ``"network"`` stream."""
 
     @abc.abstractmethod
-    def delay(self, msg: Message, now: Time, rng: np.random.Generator) -> Time:
+    def delay(self, msg: Message, now: Time, rng: BatchedDoubles) -> Time:
         """Return the channel delay for ``msg`` sent at time ``now``."""
 
 
 class FixedDelays(DelayModel):
     """Every message takes exactly ``delay`` time units."""
 
-    uniform_only = True  # draws nothing at all
-
     def __init__(self, delay: Time = 1.0) -> None:
         if delay <= 0:
             raise ValueError("delay must be positive")
         self._delay = float(delay)
 
-    def delay(self, msg: Message, now: Time, rng: np.random.Generator) -> Time:
+    def delay(self, msg: Message, now: Time, rng: BatchedDoubles) -> Time:
         return self._delay
 
 
@@ -88,7 +77,7 @@ class AsynchronousDelays(DelayModel):
     straggler contribution.  ``straggler_prob`` of messages take an extra
     uniform(0, straggler_max) delay, modelling arbitrarily slow channels.
     All delays are finite (reliability), but no bound is promised to the
-    algorithms.
+    algorithms.  The body is drawn by inverse CDF from one uniform.
     """
 
     def __init__(
@@ -102,9 +91,17 @@ class AsynchronousDelays(DelayModel):
         self.sigma = float(sigma)
         self.straggler_prob = float(straggler_prob)
         self.straggler_max = float(straggler_max)
+        # Imported here: statistics pulls in decimal and fractions, which
+        # raise every process's RSS, and only a lognormal channel needs it.
+        from statistics import NormalDist
 
-    def delay(self, msg: Message, now: Time, rng: np.random.Generator) -> Time:
-        d = float(rng.lognormal(mean=np.log(self.median), sigma=self.sigma))
+        self._quantile = NormalDist().inv_cdf
+
+    def delay(self, msg: Message, now: Time, rng: BatchedDoubles) -> Time:
+        # random() can return 0.0, where the quantile is -inf; 2**-53 is
+        # the least positive double it returns.
+        z = self._quantile(rng.random() or 2.0 ** -53)
+        d = self.median * math.exp(self.sigma * z)
         if rng.random() < self.straggler_prob:
             d += float(rng.uniform(0.0, self.straggler_max))
         return max(d, 1e-9)
@@ -118,8 +115,6 @@ class PartialSynchronyDelays(DelayModel):
     every delay is at most ``delta``.
     """
 
-    uniform_only = True
-
     def __init__(self, gst: Time, delta: Time = 1.0, pre_gst_max: Time = 30.0) -> None:
         if delta <= 0 or pre_gst_max <= 0:
             raise ValueError("delta and pre_gst_max must be positive")
@@ -127,7 +122,7 @@ class PartialSynchronyDelays(DelayModel):
         self.delta = float(delta)
         self.pre_gst_max = float(pre_gst_max)
 
-    def delay(self, msg: Message, now: Time, rng: np.random.Generator) -> Time:
+    def delay(self, msg: Message, now: Time, rng: BatchedDoubles) -> Time:
         # Each ``lo + (hi - lo) * rng.random()`` is numpy's scalar
         # ``uniform(lo, hi)`` spelled out, so a raw generator and a batched
         # view give the same Python float.
@@ -164,7 +159,6 @@ class Network:
         # Wire RNG views; populated at bind() (send/transmit require it).
         self._rng_faults = None
         self._rng_wire = None
-        self._wire_model: DelayModel | None = None
         self._bind_registry(MetricsRegistry())
         #: Optional hook (msg -> None) observed on every send; used by
         #: tests and metrics, never by algorithms.
@@ -193,19 +187,10 @@ class Network:
     def bind(self, engine: "Engine") -> None:
         self._engine = engine
         self._bind_registry(engine.registry)
-        # Wire-path RNG views, fixed at bind time.  The link-faults stream
-        # only ever sees random() draws, so it is always batchable; the
-        # shared delay stream is batchable only when the delay model
-        # advertises one-uniform-double-per-call draws.
-        self._rng_faults = engine.rng.batched("link-faults")
-        self._rebind_wire_rng()
-
-    def _rebind_wire_rng(self) -> None:
-        self._wire_model = self.delay_model
-        if self.delay_model.uniform_only:
-            self._rng_wire = self._engine.rng.batched("network")
-        else:
-            self._rng_wire = self._engine.rng.stream("network")
+        # Wire-path streams, fixed at bind time: they do not depend on
+        # which delay or fault model is installed.
+        self._rng_faults = engine.rng.stream("link-faults")
+        self._rng_wire = engine.rng.stream("network")
 
     # -- traffic counters (registry-backed views) ----------------------------
 
@@ -298,10 +283,7 @@ class Network:
             return
         self._c_sent.inc(n)
         (self._c_sent_kind.get(kind) or self._sent_kind_counter(kind)).inc(n)
-        delay_model = self.delay_model
-        if delay_model is not self._wire_model:
-            self._rebind_wire_rng()
-        delay = delay_model.delay
+        delay = self.delay_model.delay
         rng = self._rng_wire
         now = engine.clock._now
         heap = engine._heap
@@ -341,8 +323,6 @@ class Network:
                 self._c_duplicated.value += 1.0
             copies = fate.copies
         delay_model = self.delay_model
-        if delay_model is not self._wire_model:
-            self._rebind_wire_rng()
         rng = self._rng_wire
         heap = engine._heap
         on_deliver = engine._on_deliver
@@ -354,16 +334,3 @@ class Network:
                 heappush(heap, (now + delay_model.delay(msg, now, rng),
                                 next(engine._seq), on_deliver, msg))
 
-
-def mean_delay_estimate(model: DelayModel, now: Time, samples: int = 256,
-                        seed: int = 0) -> float:
-    """Monte-Carlo estimate of a model's *mean* delay at time ``now``.
-
-    Test aid.  Note the estimate is the distribution mean, not the median:
-    for :class:`AsynchronousDelays` it approaches
-    ``median * exp(sigma**2 / 2)`` plus the straggler contribution, not the
-    ``median`` parameter itself.
-    """
-    rng = np.random.default_rng(seed)
-    probe = Message(sender="a", receiver="b", tag="t", kind="probe")
-    return float(np.mean([model.delay(probe, now, rng) for _ in range(samples)]))

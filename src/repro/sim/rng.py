@@ -1,7 +1,8 @@
 """Deterministic random-number streams.
 
-A single master seed fans out into named, independent streams (one per
-process, one for the network, one per fault injector, ...).  Stream
+A single master seed fans out into named, independent streams of uniform
+doubles (one per process, one for the network, one per fault injector,
+...), each served as a :class:`BatchedDoubles` view.  Stream
 derivation uses :func:`numpy.random.SeedSequence.spawn`-style keying via
 ``SeedSequence(entropy, spawn_key)`` so that adding a new stream never
 perturbs existing ones — essential for comparing runs across code versions.
@@ -23,18 +24,22 @@ def _stream_key(name: str) -> int:
 
 
 class BatchedDoubles:
-    """Stream-preserving batched view over a generator's uniform doubles.
+    """A stream of uniform doubles, served from prefetched blocks.
 
+    This is the one way a run draws randomness: every named stream of an
+    :class:`RngRegistry` is one of these views, and a draw is either
+    :attr:`random` or :meth:`uniform`.  A draw of any other distribution
+    is computed from uniform doubles by its caller (e.g. a lognormal by
+    inverse CDF), so a schedule is one stream of doubles per name.
+
+    The view serves exactly the doubles the wrapped generator would:
     numpy's ``Generator.random()`` and ``Generator.uniform(lo, hi)`` each
-    consume exactly one underlying double, and scalar ``uniform(lo, hi)``
-    equals ``lo + (hi - lo) * random()`` bit-for-bit.  This wrapper
-    therefore prefetches ``random(size=batch)`` blocks and serves them one
-    at a time: any interleaving of :attr:`random` and :meth:`uniform`
-    calls yields exactly the values the raw generator would have produced
-    for the same call sequence — which is what lets the engine batch its
-    hot streams without perturbing seeded runs.  Hot call sites write
-    ``lo + (hi - lo) * random()`` themselves, which gives the same double
-    on a raw generator and on this view.
+    consume one underlying double, and scalar ``uniform(lo, hi)`` equals
+    ``lo + (hi - lo) * random()`` bit-for-bit.  So any interleaving of
+    :attr:`random` and :meth:`uniform` calls yields the values the raw
+    generator would have produced for the same call sequence.  Hot call
+    sites write ``lo + (hi - lo) * random()`` themselves, which gives the
+    same double.
 
     :attr:`random` is not a method but ``functools.partial(next, it)``
     over one C iterator that flattens ``memoryview(gen.random(batch))``
@@ -45,13 +50,6 @@ class BatchedDoubles:
     ``float``.  The view holds that live iterator, so it is run-local and
     must not be pickled (a copy would fork the stream, and itertools
     iterators stop pickling in Python 3.14).
-
-    The contract is all-or-nothing per stream: once a stream is wrapped,
-    every subsequent draw must go through the wrapper (a direct draw on
-    the raw generator would skip the prefetched-but-unserved tail).
-    Draws that are *not* expressible as one uniform double per call
-    (e.g. ``lognormal``) must keep using the raw generator; see the
-    ``uniform_only`` flags on delay models and step policies.
     """
 
     __slots__ = ("random",)
@@ -72,7 +70,7 @@ class BatchedDoubles:
 
 
 class RngRegistry:
-    """Factory of named, independent :class:`numpy.random.Generator` streams.
+    """Factory of named, independent :class:`BatchedDoubles` streams.
 
     >>> reg = RngRegistry(seed=42)
     >>> a = reg.stream("network")
@@ -83,40 +81,18 @@ class RngRegistry:
 
     def __init__(self, seed: int) -> None:
         self.seed = int(seed)
-        self._streams: dict[str, np.random.Generator] = {}
-        self._batched: dict[str, BatchedDoubles] = {}
+        self._streams: dict[str, BatchedDoubles] = {}
 
-    def stream(self, name: str) -> np.random.Generator:
-        """Return the (cached) generator for ``name``."""
-        gen = self._streams.get(name)
-        if gen is None:
+    def stream(self, name: str) -> BatchedDoubles:
+        """Return the (cached) stream for ``name``."""
+        view = self._streams.get(name)
+        if view is None:
             seq = np.random.SeedSequence(
                 entropy=self.seed, spawn_key=(_stream_key(name),)
             )
-            gen = np.random.default_rng(seq)
-            self._streams[name] = gen
-        return gen
-
-    def batched(self, name: str, batch: int = 256) -> BatchedDoubles:
-        """A (cached) :class:`BatchedDoubles` view of stream ``name``.
-
-        Safe to request after the raw stream has already been consumed —
-        the wrapper prefetches from the generator's *current* state.  All
-        later draws on the stream must then go through the wrapper.
-        """
-        wrapper = self._batched.get(name)
-        if wrapper is None:
-            wrapper = BatchedDoubles(self.stream(name), batch=batch)
-            self._batched[name] = wrapper
-        return wrapper
-
-    def fork(self, salt: str) -> "RngRegistry":
-        """Derive a new registry whose streams are independent of this one.
-
-        Useful when one experiment runs several sub-simulations from a single
-        experiment-level seed.
-        """
-        return RngRegistry(seed=(self.seed * 1_000_003 + _stream_key(salt)) % (2**63))
+            view = BatchedDoubles(np.random.default_rng(seq))
+            self._streams[name] = view
+        return view
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RngRegistry(seed={self.seed}, streams={sorted(self._streams)})"

@@ -19,34 +19,23 @@ from __future__ import annotations
 
 import abc
 
-import numpy as np
-
 from repro.errors import ConfigurationError
+from repro.sim.rng import BatchedDoubles
 from repro.types import ProcessId, Time
 
 
 class StepPolicy(abc.ABC):
-    """Draws the delay before a process's next step."""
-
-    #: True when every draw the policy makes goes through ``rng.random()``
-    #: or ``rng.uniform(lo, hi)`` — i.e. consumes exactly one underlying
-    #: uniform double per call.  The engine then serves such policies from
-    #: a prefetched :class:`~repro.sim.rng.BatchedDoubles` view of the
-    #: per-process stream with bit-identical results.  Policies using any
-    #: other distribution must leave this False (the conservative default
-    #: for external subclasses) to keep their stream scalar.
-    uniform_only: bool = False
+    """Draws the delay before a process's next step from the process's
+    ``step:{pid}`` stream."""
 
     @abc.abstractmethod
     def next_delay(self, pid: ProcessId, now: Time,
-                   rng: np.random.Generator) -> Time:
+                   rng: BatchedDoubles) -> Time:
         """Strictly positive delay until ``pid``'s next step."""
 
 
 class UniformSteps(StepPolicy):
     """Delays uniform in ``[lo, hi]`` (the engine's classic behaviour)."""
-
-    uniform_only = True
 
     def __init__(self, lo: Time = 0.4, hi: Time = 1.2) -> None:
         if not 0 < lo <= hi:
@@ -54,7 +43,7 @@ class UniformSteps(StepPolicy):
         self.lo, self.hi = float(lo), float(hi)
 
     def next_delay(self, pid: ProcessId, now: Time,
-                   rng: np.random.Generator) -> Time:
+                   rng: BatchedDoubles) -> Time:
         return float(rng.uniform(self.lo, self.hi))
 
 
@@ -65,8 +54,6 @@ class BurstySteps(StepPolicy):
     uniform ``[pause_lo, pause_hi]`` span; otherwise it steps quickly
     (uniform ``[lo, hi]``).
     """
-
-    uniform_only = True
 
     def __init__(self, lo: Time = 0.2, hi: Time = 0.6,
                  pause_prob: float = 0.02,
@@ -80,7 +67,7 @@ class BurstySteps(StepPolicy):
         self.pause_lo, self.pause_hi = float(pause_lo), float(pause_hi)
 
     def next_delay(self, pid: ProcessId, now: Time,
-                   rng: np.random.Generator) -> Time:
+                   rng: BatchedDoubles) -> Time:
         if rng.random() < self.pause_prob:
             return float(rng.uniform(self.pause_lo, self.pause_hi))
         return float(rng.uniform(self.lo, self.hi))
@@ -88,8 +75,6 @@ class BurstySteps(StepPolicy):
 
 class GSTSteps(StepPolicy):
     """Chaotic before ``gst`` (pauses up to ``pre_gst_max``), uniform after."""
-
-    uniform_only = True
 
     def __init__(self, gst: Time, lo: Time = 0.4, hi: Time = 1.2,
                  pre_gst_max: Time = 40.0, pause_prob: float = 0.1) -> None:
@@ -101,7 +86,7 @@ class GSTSteps(StepPolicy):
         self.pause_prob = float(pause_prob)
 
     def next_delay(self, pid: ProcessId, now: Time,
-                   rng: np.random.Generator) -> Time:
+                   rng: BatchedDoubles) -> Time:
         if now < self.gst and rng.random() < self.pause_prob:
             # A pre-GST stall, but never past gst by more than one band so
             # the post-GST speed bound holds from gst on.

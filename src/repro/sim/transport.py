@@ -151,7 +151,7 @@ class ReliableTransport:
         self._bind_registry(engine.registry)
         # Retransmission jitter only ever draws single uniform doubles, so
         # the seeded "transport" stream is served batched (bit-identical).
-        self._rng = engine.rng.batched("transport")
+        self._rng = engine.rng.stream("transport")
         return self
 
     # -- counters (registry-backed views) --------------------------------------

@@ -98,8 +98,8 @@ def run_twin(monkeypatch, broadcast, wire="plain", receivers=RECEIVERS):
         "counters": eng.registry.snapshot().counters,
         "rows": [(r.time, r.kind, r.pid, dict(r.data)) for r in eng.trace],
         "hooked": hooked,
-        "next_network": eng.rng.batched("network").random(),
-        "next_faults": eng.rng.batched("link-faults").random(),
+        "next_network": eng.rng.stream("network").random(),
+        "next_faults": eng.rng.stream("link-faults").random(),
         "next_uid": next(types._msg_counter),
     }
 

@@ -1,5 +1,8 @@
 """Tests for channels and delay models: reliability, non-FIFO, GST bounds."""
 
+import math
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,8 @@ from repro.sim.network import (
     AsynchronousDelays,
     FixedDelays,
     PartialSynchronyDelays,
-    mean_delay_estimate,
 )
+from repro.sim.rng import RngRegistry
 from repro.types import Message
 from tests.conftest import make_engine
 
@@ -38,6 +41,31 @@ class TestDelayModels:
         draws = [model.delay(PROBE, 0.0, rng) for _ in range(500)]
         assert max(draws) > 10.0  # heavy tail present
 
+    def test_async_delays_survive_a_zero_draw(self):
+        # random() can return 0.0; the inverse CDF must not see it.
+        class Zeros:
+            def random(self):
+                return 0.0
+
+            def uniform(self, low=0.0, high=1.0):
+                return low
+
+        d = AsynchronousDelays().delay(PROBE, 0.0, Zeros())
+        assert 0.0 < d < math.inf
+
+    def test_async_delays_body_is_lognormal(self):
+        # Kolmogorov-Smirnov distance of 20,000 draws to the lognormal CDF.
+        median, sigma = 1.5, 0.7
+        model = AsynchronousDelays(median=median, sigma=sigma,
+                                   straggler_prob=0.0)
+        rng = RngRegistry(seed=5).stream("network")
+        draws = sorted(model.delay(PROBE, 0.0, rng) for _ in range(20_000))
+        body = NormalDist(math.log(median), sigma)
+        n = len(draws)
+        ks = max(max((i + 1) / n - f, f - i / n)
+                 for i, f in enumerate(body.cdf(math.log(d)) for d in draws))
+        assert ks < 0.015
+
     def test_partial_synchrony_bounded_after_gst(self):
         rng = np.random.default_rng(3)
         model = PartialSynchronyDelays(gst=100.0, delta=2.0)
@@ -61,9 +89,6 @@ class TestDelayModels:
     def test_partial_synchrony_validation(self):
         with pytest.raises(ValueError):
             PartialSynchronyDelays(gst=10.0, delta=0.0)
-
-    def test_mean_delay_estimate(self):
-        assert mean_delay_estimate(FixedDelays(3.0), now=0.0) == pytest.approx(3.0)
 
 
 class Receiver(Component):

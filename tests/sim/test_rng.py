@@ -13,52 +13,55 @@ from repro.sim.transport import ReliableTransport, RetransmitPolicy
 from repro.types import Message
 
 
+def _raw(seed, name):
+    """The raw generator whose doubles ``RngRegistry(seed).stream(name)``
+    serves (the reference the registry's views are checked against)."""
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=seed, spawn_key=(_stream_key(name),)))
+
+
+def _take(view, n):
+    return [view.random() for _ in range(n)]
+
+
 def test_same_name_returns_cached_stream():
     reg = RngRegistry(seed=1)
+    assert isinstance(reg.stream("a"), BatchedDoubles)
     assert reg.stream("a") is reg.stream("a")
 
 
 def test_different_names_give_independent_streams():
     reg = RngRegistry(seed=1)
-    a = reg.stream("a").random(8)
-    b = reg.stream("b").random(8)
+    a = _take(reg.stream("a"), 8)
+    b = _take(reg.stream("b"), 8)
     assert not np.allclose(a, b)
 
 
 def test_same_seed_reproduces_streams():
-    xs = RngRegistry(seed=7).stream("net").random(16)
-    ys = RngRegistry(seed=7).stream("net").random(16)
-    assert np.array_equal(xs, ys)
+    xs = _take(RngRegistry(seed=7).stream("net"), 16)
+    ys = _take(RngRegistry(seed=7).stream("net"), 16)
+    assert xs == ys
 
 
 def test_different_seeds_differ():
-    xs = RngRegistry(seed=7).stream("net").random(16)
-    ys = RngRegistry(seed=8).stream("net").random(16)
-    assert not np.array_equal(xs, ys)
+    xs = _take(RngRegistry(seed=7).stream("net"), 16)
+    ys = _take(RngRegistry(seed=8).stream("net"), 16)
+    assert xs != ys
 
 
 def test_stream_independent_of_creation_order():
     r1 = RngRegistry(seed=3)
-    r1.stream("x")
-    a = r1.stream("y").random(4)
+    r1.stream("x").random()
+    a = _take(r1.stream("y"), 4)
     r2 = RngRegistry(seed=3)
-    b = r2.stream("y").random(4)   # no prior "x" stream
-    assert np.array_equal(a, b)
+    b = _take(r2.stream("y"), 4)   # no prior "x" stream
+    assert a == b
 
 
-def test_fork_gives_uncorrelated_registry():
-    base = RngRegistry(seed=5)
-    forked = base.fork("replica")
-    assert forked.seed != base.seed
-    a = base.stream("s").random(8)
-    b = forked.stream("s").random(8)
-    assert not np.array_equal(a, b)
-
-
-def test_fork_is_deterministic():
-    a = RngRegistry(seed=5).fork("x").stream("s").random(4)
-    b = RngRegistry(seed=5).fork("x").stream("s").random(4)
-    assert np.array_equal(a, b)
+def test_stream_serves_the_keyed_generator_across_blocks():
+    # 700 draws cross two 256-double block boundaries.
+    view = RngRegistry(seed=4).stream("s")
+    assert _draws(view, 700) == _draws(_raw(4, "s"), 700)
 
 
 def test_stream_key_is_stable():
@@ -92,15 +95,13 @@ def test_batched_interleaving_matches_raw_generator(batch):
 
 
 def test_batched_view_continues_a_consumed_stream():
-    reg = RngRegistry(seed=4)
-    raw_prefix = reg.stream("s").random(5).tolist()
-    view = reg.batched("s", batch=3)
-    ref = np.random.default_rng(np.random.SeedSequence(
-        entropy=4, spawn_key=(_stream_key("s"),)))
+    # A view serves its generator's doubles from the generator's state.
+    gen = _raw(4, "s")
+    raw_prefix = gen.random(5).tolist()
+    view = BatchedDoubles(gen, batch=3)
+    ref = _raw(4, "s")
     assert raw_prefix == ref.random(5).tolist()
-    assert [view.random() for _ in range(10)] == [ref.random()
-                                                 for _ in range(10)]
-    assert reg.batched("s") is view
+    assert _take(view, 10) == ref.random(10).tolist()
 
 
 def test_batched_random_is_a_c_callable():
@@ -160,13 +161,13 @@ def _timer_times(engine, transport):
 @pytest.mark.parametrize("now", [0.0, 300.0])
 def test_transport_jitter_same_on_raw_and_batched(now):
     policy = RetransmitPolicy(rto_initial=8.0, rto_max=120.0, jitter=0.25)
-    ref = RngRegistry(seed=9).stream("transport")
+    ref = _raw(9, "transport")
     runs = []
     for raw in (False, True):
         eng = Engine(SimConfig(seed=9), delay_model=FixedDelays(1.0))
         transport = ReliableTransport(policy).install(eng)
         if raw:
-            transport._rng = RngRegistry(seed=9).stream("transport")
+            transport._rng = _raw(9, "transport")
         eng.add_process("a")
         eng.add_process("b")
         eng.clock.advance_to(now)

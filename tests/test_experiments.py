@@ -1,10 +1,10 @@
 """Integration: every experiment harness passes its paper claim.
 
-These reuse the exact code the benchmarks run (with default parameters
-scaled down where the default is slow), so a green run here means
-EXPERIMENTS.md's verdict column is reproducible.  The reduction
-experiments are cheap at their defaults, so their tables are pinned to
-the committed ``benchmarks/results/eN.txt`` byte for byte.
+Each test runs an experiment at its defaults, the exact code the
+benchmarks run, and pins its table to the committed
+``benchmarks/results/eN.txt`` byte for byte.  The table carries the
+verdict, so a green run here means EXPERIMENTS.md's verdict column is
+reproducible, and any change to a run's draws shows up as a table diff.
 """
 
 import pathlib
@@ -74,8 +74,7 @@ def test_e5_liveness():
 
 
 def test_e6_fairness():
-    r = e06_fairness.run()
-    assert r.ok, r.render()
+    assert_committed_table(e06_fairness)
 
 
 def test_e7_trusting():
@@ -83,39 +82,31 @@ def test_e7_trusting():
 
 
 def test_e8_consensus():
-    r = e08_consensus.run()
-    assert r.ok, r.render()
+    assert_committed_table(e08_consensus)
 
 
 def test_e9_wsn():
-    r = e09_wsn.run(seeds=(901,), max_time=1200.0)
-    assert r.ok, r.render()
+    assert_committed_table(e09_wsn)
 
 
 def test_e10_stm():
-    r = e10_stm.run(client_counts=(2, 4), tx_target=8)
-    assert r.ok, r.render()
+    assert_committed_table(e10_stm)
 
 
 def test_e11_native_oracle():
-    r = e11_native_oracle.run(gsts=(100.0, 400.0), max_time=2000.0)
-    assert r.ok, r.render()
+    assert_committed_table(e11_native_oracle)
 
 
 def test_e12_overhead():
-    r = e12_overhead.run(ns=(2, 3), max_time=800.0)
-    assert r.ok, r.render()
+    assert_committed_table(e12_overhead)
 
 
 def test_e13_fair_wrapper():
-    r = e13_fair_wrapper.run(ks=(1, 2), max_time=2000.0)
-    assert r.ok, r.render()
+    assert_committed_table(e13_fair_wrapper)
 
 
 def test_e14_adversary():
-    r = e14_adversary.run(adversaries=("none", "slow-pingack"),
-                          max_time=3000.0)
-    assert r.ok, r.render()
+    assert_committed_table(e14_adversary)
 
 
 def test_e15_statistics():
@@ -123,23 +114,19 @@ def test_e15_statistics():
 
 
 def test_e16_locality():
-    r = e16_locality.run(n=4, max_time=1800.0)
-    assert r.ok, r.render()
+    assert_committed_table(e16_locality)
 
 
 def test_e17_replication():
-    r = e17_replication.run()
-    assert r.ok, r.render()
+    assert_committed_table(e17_replication)
 
 
 def test_e18_dstm():
-    r = e18_dstm.run(client_counts=(2, 4), tx_target=8)
-    assert r.ok, r.render()
+    assert_committed_table(e18_dstm)
 
 
 def test_e19_asynchrony():
-    r = e19_asynchrony.run(horizons=(1500.0, 4000.0))
-    assert r.ok, r.render()
+    assert_committed_table(e19_asynchrony)
 
 
 def test_e20_preliminary():

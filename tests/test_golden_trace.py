@@ -13,9 +13,9 @@ kind, pid, and data — for three representative run shapes:
 * one **sweep shard** (a declarative scenario under a fanout-derived
   seed).
 
-plus one direct-engine run under a step *policy* and the non-batchable
-:class:`~repro.sim.network.AsynchronousDelays` model (lognormal draws
-must stay scalar — batching them would silently shift the stream).
+plus one direct-engine run under a step *policy* and the
+:class:`~repro.sim.network.AsynchronousDelays` model (a lognormal body
+drawn by inverse CDF from one uniform double).
 
 State and suspicion rows see transport timing only indirectly, so three
 further pins hold the wire and the campaign surfaces still:
@@ -264,10 +264,11 @@ class TestSweepShardGolden:
 
 
 class TestPolicyAndAsyncDelaysGolden:
-    """Non-uniform draw paths stay scalar: BurstySteps policy over
-    AsynchronousDelays (lognormal body — not batchable)."""
+    """A step policy over the lognormal channel: BurstySteps over
+    AsynchronousDelays, whose body is drawn by inverse CDF from the
+    ``network`` stream like every other delay."""
 
-    GOLDEN = "5573c4407e8c7571898a0b69dd9c8d696113df71a6617a97d11c78406c2efd87"
+    GOLDEN = "42151bc0162384dd2aab44ad7755152851f752bbf1562435a41186505990557c"
     GOLDEN_EVENTS = 1028
 
     def test_digest_unchanged(self):
