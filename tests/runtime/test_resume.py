@@ -113,14 +113,11 @@ class TestChaosResume:
         assert out.read_text() == ref.read_text()
 
     def test_resume_builds_each_scenario_once(self, tmp_path, monkeypatch):
-        # The key and the StoredVerdict's scenario come from one RunSpec:
-        # a full-store resume expands each run seed exactly once.
+        # The key, the run and the StoredVerdict's scenario come from one
+        # RunSpec: a cold store-backed campaign and a full-store resume
+        # each expand every run seed exactly once.
         from repro import chaos
         from repro.runtime.store import ResultStore
-
-        cfg = chaos.ChaosConfig(campaigns=3, seed=11, max_time=400.0)
-        path = tmp_path / "s.jsonl"
-        fresh = chaos.run_campaign(cfg, store=ResultStore(path))
 
         built = []
         real_build_run = chaos.build_run
@@ -130,6 +127,12 @@ class TestChaosResume:
             return real_build_run(run_seed, run_cfg)
 
         monkeypatch.setattr(chaos, "build_run", counting_build_run)
+        cfg = chaos.ChaosConfig(campaigns=3, seed=11, max_time=400.0)
+        path = tmp_path / "s.jsonl"
+        fresh = chaos.run_campaign(cfg, store=ResultStore(path))
+        assert sorted(built) == sorted(chaos.fanout_seeds(11, 3))
+
+        built.clear()
         store = ResultStore(path)
         resumed = chaos.run_campaign(cfg, store=store, resume=True)
         assert len(built) == cfg.campaigns

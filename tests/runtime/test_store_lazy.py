@@ -173,3 +173,72 @@ def test_get_returns_the_same_object_every_time(tmp_path):
     first = store.get(keys[0])
     assert store.get(keys[0]) is first
     assert dict(store.items())[keys[0]] is first
+
+
+# -- the batched read: get_many is per-key get through one file handle --------
+
+
+def test_get_many_counts_and_returns_what_per_key_get_does(tmp_path):
+    path = tmp_path / "s.jsonl"
+    keys = _framed_store(path)
+    wanted = [keys[3], "absent", keys[0], keys[3], "gone", keys[4]]
+    batched, single = ResultStore(path), ResultStore(path)
+    assert batched.get_many(wanted) == [single.get(key) for key in wanted]
+    assert batched.stats() == single.stats()
+    assert batched.stats()["store.hits"] == 4
+    assert batched.stats()["store.misses"] == 2
+    assert batched.get_many([]) == [] and batched.stats() == single.stats()
+
+
+def test_get_many_opens_the_file_once(tmp_path, monkeypatch):
+    import builtins
+
+    from repro.runtime import store as store_module
+
+    path = tmp_path / "s.jsonl"
+    keys = _framed_store(path)
+    store = ResultStore(path)
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return builtins.open(*args, **kwargs)
+
+    monkeypatch.setattr(store_module, "open", counting_open, raising=False)
+    assert [p["i"] for p in store.get_many(keys)] == [0, 1, 2, 3, 4]
+    assert opened == [path]
+    store.get_many(keys)  # every body is parsed: nothing left to read
+    assert opened == [path]
+
+
+def test_get_many_names_a_damaged_line_as_get_does(tmp_path):
+    path = tmp_path / "s.jsonl"
+    keys = _framed_store(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3].replace(b'"nested":{', b'"nested":{{')
+    path.write_bytes(b"".join(lines))
+
+    where = re.escape(f"{path}:4: corrupt store line")
+    batched, single = ResultStore(path), ResultStore(path)
+    with pytest.raises(ExecutionError, match=where):
+        batched.get_many(keys)
+    with pytest.raises(ExecutionError, match=where):
+        for key in keys:
+            single.get(key)
+    assert batched.stats() == single.stats()
+    assert batched.stats()["store.hits"] == 3
+
+
+def test_get_many_skips_and_counts_a_torn_tail(tmp_path):
+    path = tmp_path / "s.jsonl"
+    keys = _framed_store(path, n=2)
+    with open(path, "ab") as fh:
+        fh.write(b'{"schema":"repro.store.v1","key":"key-2","payload":{"i"')
+    store = ResultStore(path)
+    assert store.get_many(keys + ["key-2"]) == [
+        {"i": 0, "nested": {"values": [0, 1]}},
+        {"i": 1, "nested": {"values": [1, 2]}},
+        None]
+    stats = store.stats()
+    assert stats["store.corrupt_lines"] == 1
+    assert stats["store.hits"] == 2 and stats["store.misses"] == 1
