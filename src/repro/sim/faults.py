@@ -62,7 +62,8 @@ class CrashSchedule:
         k = int(rng.integers(0, max_faulty + 1))
         k = min(k, len(pool))
         chosen = rng.choice(len(pool), size=k, replace=False) if k else []
-        return cls({pool[int(i)]: float(rng.uniform(0.0, horizon)) for i in chosen})
+        # For horizon >= 0 this is the double rng.uniform(0.0, horizon) draws.
+        return cls({pool[int(i)]: horizon * rng.random() for i in chosen})
 
     # -- queries -----------------------------------------------------------------
 
