@@ -28,7 +28,7 @@ This package provides:
 
 from repro.dining.base import DinerComponent, DiningBoxFactory, DiningInstance
 from repro.dining.boxes import box_factory
-from repro.dining.client import EagerClient, PeriodicClient, ScriptedClient
+from repro.dining.client import EagerClient, PeriodicClient
 from repro.dining.deferred import DeferredExclusionDining
 from repro.dining.fair_wrapper import FairDining
 from repro.dining.hygienic import HygienicDining, never_suspect
@@ -56,7 +56,6 @@ __all__ = [
     "ManagerDining",
     "PeriodicClient",
     "PerpetualDining",
-    "ScriptedClient",
     "UnfairManagerDining",
     "WaitFreeEWXDining",
     "WaitFreedomReport",

@@ -12,7 +12,7 @@ correct processes", Section 4).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.dining.base import DinerComponent
 from repro.errors import ConfigurationError
@@ -97,38 +97,6 @@ class PeriodicClient(Component):
         now = self.process.env_now()
         if self._eat_until is None:
             self._eat_until = now + float(self.rng.uniform(*self.eat_time))
-        if now >= self._eat_until:
-            self._eat_until = None
-            self.diner.exit_eating()
-
-
-class ScriptedClient(Component):
-    """Becomes hungry at the scripted times, eating ``eat_time`` each session.
-
-    Deterministic; used by unit tests that need exact contention patterns.
-    """
-
-    def __init__(self, name: str, diner: DinerComponent,
-                 hungry_times: Sequence[Time], eat_time: Time = 3.0) -> None:
-        super().__init__(name)
-        self.diner = diner
-        self.hungry_times = sorted(hungry_times)
-        self.eat_time = float(eat_time)
-        self._idx = 0
-        self._eat_until: Optional[Time] = None
-
-    @action(guard=lambda self: self.diner.state is DinerState.THINKING
-            and self._idx < len(self.hungry_times))
-    def scripted_hunger(self) -> None:
-        if self.process.env_now() >= self.hungry_times[self._idx]:
-            self._idx += 1
-            self.diner.become_hungry()
-
-    @action(guard=lambda self: self.diner.state is DinerState.EATING)
-    def timed_exit(self) -> None:
-        now = self.process.env_now()
-        if self._eat_until is None:
-            self._eat_until = now + self.eat_time
         if now >= self._eat_until:
             self._eat_until = None
             self.diner.exit_eating()

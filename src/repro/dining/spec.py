@@ -281,12 +281,6 @@ def overtakes_of(machine: IntervalMachine) -> list[OvertakeSample]:
     return samples
 
 
-def overtake_samples(trace: Trace, graph: nx.Graph, instance: str,
-                     end_time: Time) -> list[OvertakeSample]:
-    """:func:`overtakes_of` over a replay of ``trace``."""
-    return overtakes_of(judged(trace, graph, instance, None, end_time))
-
-
 def eventual_k_fairness(
     samples: Sequence[OvertakeSample],
     k: int,

@@ -22,7 +22,6 @@ from repro.core.pair import ReductionPair
 from repro.dining.boxes import box_factory
 from repro.experiments.common import ExperimentResult, build_system
 from repro.oracles.properties import false_positive_count, suspicion_series
-from repro.sim.temporal import convergence_time
 
 EXP_ID = "E4"
 TITLE = "Section 3: [8]'s construction fails on a legal box; ours survives"
@@ -42,7 +41,7 @@ def _run(seed: int, construction, box: str,
     mistakes = false_positive_count(trace, "p", "q", system.schedule,
                                     detector=label)
     series = suspicion_series(trace, "p", "q", detector=label)
-    converged = convergence_time(series, lambda s: not s) is not None
+    converged = bool(series) and not series[-1][1]
     return mistakes, converged
 
 

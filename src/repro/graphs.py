@@ -10,8 +10,6 @@ graphs double as process-id sets for the simulator.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import networkx as nx
 import numpy as np
 
@@ -198,8 +196,3 @@ def validate_conflict_graph(g: nx.Graph,
             f"{_component_summary(g)}). Increase the rgg radius / rand edge "
             "probability, or pass --allow-disconnected to monitor each "
             "component independently.")
-
-
-def edge_list(g: nx.Graph) -> list[tuple[str, str]]:
-    """Canonically ordered edges (each as a sorted pair)."""
-    return sorted(tuple(sorted(e)) for e in g.edges)

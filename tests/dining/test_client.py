@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.dining.client import EagerClient, PeriodicClient, ScriptedClient
+from repro.dining.client import EagerClient, PeriodicClient
 from repro.dining.hygienic import HygienicDining
-from repro.dining.spec import eating_intervals, state_series
+from repro.dining.spec import eating_intervals
 from repro.errors import ConfigurationError
 from repro.graphs import pair_graph
 from repro.sim import Engine, FixedDelays, SimConfig
-from repro.types import DinerState
 
 
 def build(client_factory, seed=1, max_time=400.0):
@@ -61,22 +60,3 @@ def test_periodic_client_validates_ranges():
     with pytest.raises(ConfigurationError):
         PeriodicClient("c", None, np.random.default_rng(0),
                        think_time=(5.0, 1.0))
-
-
-def test_scripted_client_hungry_at_times():
-    eng, diners, clients = build(
-        lambda pid, d, e: ScriptedClient(
-            "c", d, hungry_times=[50.0, 200.0] if pid == "a" else [],
-            eat_time=3.0))
-    series = state_series(eng.trace, "DX", "a")
-    hungry_times = [t for t, s in series if s == DinerState.HUNGRY.value]
-    assert len(hungry_times) == 2
-    assert hungry_times[0] >= 50.0 and hungry_times[1] >= 200.0
-    assert diners["a"].sessions_eaten == 2
-
-
-def test_scripted_client_exhausts_script():
-    eng, diners, _ = build(
-        lambda pid, d, e: ScriptedClient("c", d, hungry_times=[10.0]))
-    assert diners["a"].sessions_eaten == 1
-    assert diners["a"].state is DinerState.THINKING

@@ -6,11 +6,11 @@ otherwise our green results elsewhere prove nothing.
 """
 
 from repro.dining.client import EagerClient
-from repro.dining.mutants import LateDining, RecklessDining, SnobbishDining
 from repro.dining.spec import check_exclusion, check_wait_freedom
 from repro.graphs import clique, ring
 from repro.sim import Engine, PartialSynchronyDelays, SimConfig
 from repro.sim.faults import CrashSchedule
+from tests.dining.mutants import LateDining, RecklessDining, SnobbishDining
 
 INSTANCE = "MUT"
 

@@ -9,7 +9,8 @@ from repro.dining.spec import (
     eating_intervals,
     eventual_k_fairness,
     hungry_intervals,
-    overtake_samples,
+    judged,
+    overtakes_of,
 )
 from repro.graphs import pair_graph, path
 from repro.sim.faults import CrashSchedule
@@ -135,7 +136,7 @@ class TestFairness:
             (4.0, "q", "eating"), (5.0, "q", "thinking"),
             (6.0, "p", "eating"),
         ])
-        samples = overtake_samples(t, self.G, "I", 10.0)
+        samples = overtakes_of(judged(t, self.G, "I", None, 10.0))
         p_waits = [s for s in samples if s.waiter == "p" and s.eater == "q"]
         assert len(p_waits) == 1 and p_waits[0].count == 2
 
@@ -144,7 +145,7 @@ class TestFairness:
             (0.5, "q", "eating"), (0.8, "q", "thinking"),   # before hunger
             (1.0, "p", "hungry"), (2.0, "p", "eating"),
         ])
-        samples = overtake_samples(t, self.G, "I", 10.0)
+        samples = overtakes_of(judged(t, self.G, "I", None, 10.0))
         p_waits = [s for s in samples if s.waiter == "p" and s.eater == "q"]
         assert p_waits[0].count == 0
 
@@ -159,7 +160,7 @@ class TestFairness:
             (21.0, "q", "eating"), (22.0, "q", "thinking"),
             (23.0, "p", "eating"),
         ])
-        samples = overtake_samples(t, self.G, "I", 30.0)
+        samples = overtakes_of(judged(t, self.G, "I", None, 30.0))
         ok_all, worst_all = eventual_k_fairness(samples, k=1)
         assert not ok_all and worst_all == 3
         ok_suffix, worst_suffix = eventual_k_fairness(samples, k=1, after=15.0)

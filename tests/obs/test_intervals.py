@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.obs.intervals import IntervalMachine
 from repro.sim.faults import CrashSchedule
-from repro.sim.temporal import convergence_time
+from tests.runtime.reference_judge import convergence_time
 from repro.sim.trace import TraceRecord
 
 BOOLS = st.lists(st.tuples(st.floats(0, 1000), st.booleans()), max_size=40)

@@ -10,7 +10,8 @@ their own copy of the suspicion state machine for the metrics and the
 spans.  The bodies below are those versions, unchanged apart from being
 collected in one module (``records``, ``check_exclusion`` and
 ``overtake_samples`` are the still older scanning versions);
-``test_judge_equivalence`` holds the machine to them.
+``test_judge_equivalence`` holds the machine to them.  ``convergence_time``
+is the finite-series "eventually always" operator the battery was built on.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from repro.oracles.properties import (
 from repro.oracles.registry import BOX_LABEL
 from repro.runtime.builder import INSTANCE
 from repro.sim.faults import CrashSchedule
-from repro.sim.temporal import convergence_time
 from repro.sim.trace import Trace, TraceRecord, intervals_overlap, state_intervals
 from repro.types import DinerState, ProcessId, Time
 
@@ -66,6 +66,34 @@ def records(
             continue
         out.append(r)
     return out
+
+
+def convergence_time(
+    series: Sequence[tuple[Time, Any]],
+    pred: Callable[[Any], bool],
+    initial: Any = None,
+) -> Optional[Time]:
+    """Earliest time after which ``pred(value)`` holds for the rest of the series.
+
+    A series is a time-ordered list of ``(time, value)`` samples, each value
+    persisting until the next sample.  Returns the start of the final
+    maximal suffix in which every sample satisfies ``pred``; ``None`` if the
+    final value violates ``pred``, or the series is empty and ``initial``
+    violates it.  ``0.0`` means the predicate held throughout.
+    """
+    samples = list(series)
+    if initial is not None:
+        samples = [(0.0, initial)] + samples
+    if not samples:
+        return None
+    conv: Optional[Time] = None
+    for ts, v in samples:
+        if pred(v):
+            if conv is None:
+                conv = ts
+        else:
+            conv = None
+    return conv
 
 
 def _clip(intervals: Sequence[Interval], cutoff: Optional[Time]) -> list[Interval]:

@@ -1,9 +1,9 @@
-"""Tests for temporal operators over finite series."""
+"""Tests for the reference judge's eventually-always operator over finite series."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.temporal import convergence_time
+from tests.runtime.reference_judge import convergence_time
 
 BOOLS = st.lists(st.tuples(st.floats(0, 1000), st.booleans()), max_size=40)
 
