@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -64,6 +65,19 @@ def _label_suffix(labels: Mapping[str, str]) -> str:
     inner = ",".join(f'{k}="{escape_label_value(labels[k])}"'
                      for k in sorted(labels))
     return "{" + inner + "}"
+
+
+@lru_cache(maxsize=256)
+def _full_name(key: tuple) -> str:
+    """``name{k="v",...}`` for ``key = (name, (k, str(v)), ...)``.
+
+    Remembered process-wide, so a hot labelled counter (the service's
+    per-route and per-status ones) formats its suffix once, not per call;
+    a name whose labels fail validation raises and is never remembered.
+    Bounded, because a large run's per-process series would otherwise
+    pin one entry each for the life of the process.
+    """
+    return key[0] + _label_suffix(dict(key[1:]))
 
 
 class Counter:
@@ -242,7 +256,8 @@ class MetricsRegistry:
 
     def _get(self, cls: type, name: str, labels: Mapping[str, str],
              **kwargs: Any) -> Any:
-        full = name + _label_suffix({k: str(v) for k, v in labels.items()})
+        full = (_full_name((name, *((k, str(v)) for k, v in labels.items())))
+                if labels else name)
         metric = self._metrics.get(full)
         if metric is None:
             metric = self._metrics[full] = cls(full, **kwargs)

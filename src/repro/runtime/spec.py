@@ -18,12 +18,16 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Mapping, Optional
 
 import networkx as nx
 
 from repro import graphs
+from repro.core.extraction import PairSelection
+from repro.dining.boxes import box_factory
 from repro.errors import ConfigurationError
+from repro.oracles.registry import DetectorSpec
 from repro.sim.trace import validate_retention
 
 
@@ -112,6 +116,17 @@ def parse_graph(spec: str) -> nx.Graph:
         raise ConfigurationError(
             f"bad graph spec {spec!r}: {exc} (expected e.g. {example!r}; "
             f"supported kinds: {_graph_kind_help()})") from exc
+
+
+@lru_cache(maxsize=1024)
+def _check_grammars(pairs: str, algorithm: str) -> None:
+    """Parse the pair selection (:meth:`PairSelection.parse`) and the
+    dining box (:func:`box_factory`, parse only: no provider, nothing
+    built).  Both are pure functions of their string, so a pair of strings
+    that parsed once is remembered; a malformed one raises, is not
+    cached, and raises again on the next construction."""
+    PairSelection.parse(pairs)
+    box_factory(algorithm, None)
 
 
 @dataclass
@@ -207,19 +222,13 @@ class RunSpec:
                     f"{name} must be a probability in [0, 1], got {value}")
         # Detector name/params are owned by the oracle registry; eager
         # validation here means an unknown detector or parameter fails at
-        # spec construction with the full registry enumerated.
-        from repro.oracles.registry import DetectorSpec
-
+        # spec construction with the full registry enumerated.  Checked
+        # every time: the registry is live and the params are a mapping.
         DetectorSpec(self.detector, dict(self.detector_params))
-        # Pair-selection grammar is owned by PairSelection.parse.
-        from repro.core.extraction import PairSelection
-
-        PairSelection.parse(self.pairs)
-        # Dining-box grammar is owned by box_factory (parse only: no
-        # provider, nothing built).
-        from repro.dining.boxes import box_factory
-
-        box_factory(self.algorithm, None)
+        if isinstance(self.pairs, str) and isinstance(self.algorithm, str):
+            _check_grammars(self.pairs, self.algorithm)
+        else:  # not a string, maybe unhashable: uncached, and it fails
+            _check_grammars.__wrapped__(self.pairs, self.algorithm)
         validate_retention(self.trace)
 
     @classmethod

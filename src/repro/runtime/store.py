@@ -86,6 +86,10 @@ def canonical_spec(spec: RunSpec) -> dict[str, Any]:
 
 #: What :func:`spec_hash` walks, listed once instead of once per hash.
 _SPEC_FIELDS = tuple(f.name for f in dataclasses.fields(RunSpec))
+#: ... and the encoder it hashes, built once: these are the arguments
+#: ``json.dumps`` would build a fresh encoder from on every call.
+_SPEC_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                 default=str)
 
 
 def spec_hash(spec: RunSpec) -> str:
@@ -101,8 +105,7 @@ def spec_hash(spec: RunSpec) -> str:
     # without asdict's deep copy (every field is plain JSON data).
     fields = {name: getattr(spec, name) for name in _SPEC_FIELDS}
     payload = {"version": SPEC_HASH_VERSION, "spec": fields}
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=str)
+    blob = _SPEC_ENCODER.encode(payload)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -11,10 +11,11 @@ into a long-running daemon:
   (:func:`~repro.runtime.store.spec_hash`) into the shared
   :class:`~repro.runtime.store.ResultStore`.  A re-submitted spec is a
   cache hit: served straight from the store, no job scheduled, hit
-  counters surfaced on ``/metrics``.  ``GET /v1/runs/<spec_key>``
-  returns the stored payload as deterministic JSON bytes — byte-equal to
-  what a local ``repro.run()`` of the same spec encodes to
-  (:mod:`repro.service.encoding`).
+  counters surfaced on ``/metrics``, its result bytes encoded once per
+  stored payload and shared with the ``GET`` that follows.
+  ``GET /v1/runs/<spec_key>`` returns the stored payload as
+  deterministic JSON bytes — byte-equal to what a local ``repro.run()``
+  of the same spec encodes to (:mod:`repro.service.encoding`).
 * **Execution** — one dispatcher drains the queue; each job runs on the
   existing :class:`~repro.runtime.executor.SupervisedExecutor` pool via
   :func:`~repro.runtime.store.resumable_map`, which serves per-seed
@@ -148,6 +149,9 @@ class CampaignService:
         self._pool: Optional[ThreadPoolExecutor] = None
         self.queue: Optional[asyncio.Queue] = None
         self._shutdown: Optional[asyncio.Event] = None
+        #: key -> (stored payload, its payload_bytes), kept at a key's
+        #: first POST hit; see :meth:`_result_bytes`.
+        self._encoded: dict[str, tuple[dict, bytes]] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -405,9 +409,14 @@ class CampaignService:
         payload = self.store.get(key) if key in self.store else None
         if payload is not None:
             self.registry.counter("service.cache_served").inc()
-            await self._respond(conn, 200, {
-                "cached": True, "spec_key": key, "job": None,
-                "result": payload})
+            # Byte for byte what _respond would write for {"cached": True,
+            # "job": None, "result": payload, "spec_key": key} (sorted
+            # keys, compact separators), around bytes encoded once.
+            await self._respond_raw(conn, 200, b"".join((
+                b'{"cached":true,"job":null,"result":',
+                self._result_bytes(key, payload, keep=True),
+                b',"spec_key":', json.dumps(key).encode("utf-8"), b"}\n")),
+                "application/json")
             return
         job = self._make_job("run", [canonical_spec(spec)], [key])
         if job is None:
@@ -450,8 +459,28 @@ class CampaignService:
             await self._respond(conn, 404, {
                 "error": "result not cached", "spec_key": key})
             return
-        await self._respond_raw(conn, 200, payload_bytes(payload),
+        await self._respond_raw(conn, 200,
+                                self._result_bytes(key, payload, keep=False),
                                 "application/json")
+
+    def _result_bytes(self, key: str, payload: dict, keep: bool) -> bytes:
+        """``payload_bytes(payload)``, encoded at most once per stored
+        payload object that a POST hits.
+
+        The kept bytes are tied to the identity of the object
+        ``store.get`` returned: ``put`` replaces a key's object, so the
+        next hit re-encodes, and the kept reference stops the old object
+        from being freed and its id reused.  ``keep`` is False for a bare
+        GET, so fetching a result no POST has hit (every miss's fetch)
+        keeps nothing.
+        """
+        kept = self._encoded.get(key)
+        if kept is not None and kept[0] is payload:
+            return kept[1]
+        body = payload_bytes(payload)
+        if keep:
+            self._encoded[key] = (payload, body)
+        return body
 
     def _make_job(self, kind: str, specs: list, keys: list) -> Optional[Job]:
         """Enqueue a new job, or None when draining / queue full."""

@@ -120,6 +120,41 @@ class TestRegistry:
         reg = MetricsRegistry()
         assert reg.counter("m", b="2", a="1") is reg.counter("m", a="1", b="2")
 
+    def test_label_values_name_by_their_string(self):
+        reg = MetricsRegistry()
+        assert reg.counter("x", a=1) is reg.counter("x", a="1")
+        assert reg.counter("x", a=1, b=2) is reg.counter("x", b="2", a="1")
+        assert len(reg) == 2
+
+    def test_more_labelled_series_than_remembered_names(self):
+        reg = MetricsRegistry()
+        first = [reg.counter("sim.steps", process=f"p{i}") for i in range(600)]
+        again = [reg.counter("sim.steps", process=f"p{i}") for i in range(600)]
+        assert all(a is b for a, b in zip(first, again))
+        assert len(reg) == 600
+
+    def test_invalid_label_name_raises_on_every_call(self):
+        reg = MetricsRegistry()
+        for _ in range(3):  # a name that failed is never remembered
+            with pytest.raises(ConfigurationError, match="label name"):
+                reg.counter("x", **{"bad-key": "v"})
+        assert len(reg) == 0
+
+    def test_repeated_lookups_leave_snapshot_names_unchanged(self):
+        reg = MetricsRegistry()
+        for _ in range(3):
+            reg.counter("service.requests", route="/v1/runs").inc()
+            reg.counter("service.responses", code=200).inc()
+            reg.gauge("g", path='a"b\\c\n').set(1.0)
+            reg.counter("plain").inc()
+        snap = reg.snapshot()
+        assert snap.counters == {
+            "plain": 3.0,
+            'service.requests{route="/v1/runs"}': 3.0,
+            'service.responses{code="200"}': 3.0,
+        }
+        assert list(snap.gauges) == ['g{path="a\\"b\\\\c\\n"}']
+
     def test_type_conflict_raises(self):
         reg = MetricsRegistry()
         reg.counter("x")

@@ -28,6 +28,21 @@ class TestRunSpecValidation:
         with pytest.raises(ConfigurationError, match=match):
             RunSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"pairs": "neighbors:0"}, "hop count must be >= 1"),
+        ({"pairs": ["all"]}, "pair selection must be a string"),
+        ({"algorithm": ["wf-ewx"]}, "malformed dining box"),
+        ({"pairs": "neighbors:2", "algorithm": "fair:0"},
+         "malformed dining box 'fair:0'"),
+    ])
+    def test_bad_grammar_rejected_on_every_construction(self, kwargs, match):
+        # the parse of a good (pairs, algorithm) pair is remembered; a bad
+        # one never is, whether it was seen before or is unhashable
+        RunSpec(pairs="neighbors:2", algorithm="wf-ewx")
+        for _ in range(3):
+            with pytest.raises(ConfigurationError, match=match):
+                RunSpec(**kwargs)
+
     def test_good_spec_constructs(self):
         spec = RunSpec(graph="ring:5", seed=3, max_time=100.0,
                        trace="counters")
