@@ -100,6 +100,7 @@ class ChaosConfig:
     spans: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "graphs", tuple(self.graphs))
         for name in ("drop_max", "duplicate_max", "partition_prob",
                      "slow_prob"):
             value = getattr(self, name)
@@ -115,32 +116,86 @@ class ChaosConfig:
 
         DetectorSpec(self.detector, dict(self.detector_params))
 
+    @classmethod
+    def from_args(cls, args: Any) -> "ChaosConfig":
+        """The config that ``repro chaos`` arguments parsed from
+        :data:`CHAOS_FLAGS` set; an unset flag keeps its field's default."""
+        return cls(**{name: getattr(args, name) for name, _, _ in CHAOS_FLAGS
+                      if name and getattr(args, name) is not None})
+
     def cli_flags(self) -> str:
-        """The non-default flags needed to reproduce runs of this config."""
+        """The non-default flags needed to reproduce runs of this config
+        (a replay names its run seed, so ``campaigns`` and ``seed`` stay
+        out)."""
         default = ChaosConfig()
         flags = []
-        if tuple(self.graphs) != tuple(default.graphs):
-            flags.append("--graphs " + " ".join(self.graphs))
-        for name, flag in (("drop_max", "--drop-max"),
-                           ("duplicate_max", "--duplicate-max"),
-                           ("partition_prob", "--partition-prob"),
-                           ("max_faulty", "--max-faulty"),
-                           ("slow_prob", "--slow-prob"),
-                           ("max_time", "--max-time")):
+        for name, flag, kwargs in CHAOS_FLAGS:
+            if name in (None, "campaigns", "seed"):
+                continue
             value = getattr(self, name)
-            if value != getattr(default, name):
+            if value == getattr(default, name):
+                continue
+            if "action" in kwargs:  # a switch: the flag alone says it
+                flags.append(flag)
+            elif "nargs" in kwargs:
+                flags.append(" ".join((flag, *value)))
+            else:
                 flags.append(f"{flag} {value}")
-        if not self.transport:
-            flags.append("--no-transport")
-        if self.detector != default.detector:
-            flags.append(f"--detector {self.detector}")
-        if self.pairs != default.pairs:
-            flags.append(f"--pairs {self.pairs}")
-        if self.allow_disconnected:
-            flags.append("--allow-disconnected")
-        if self.spans:
-            flags.append("--spans")
         return " ".join(flags)
+
+
+#: The ``repro chaos`` campaign flags as ``(field, flag, argparse
+#: keywords)`` rows, in ``--help`` order.  The CLI builds its parser from
+#: them, :meth:`ChaosConfig.from_args` reads the parsed values back and
+#: :meth:`ChaosConfig.cli_flags` writes a replay command with them.  Every
+#: default is the field's own (argparse's None means unset); ``--replay``
+#: sets no field.
+CHAOS_FLAGS: tuple[tuple[Optional[str], str, dict[str, Any]], ...] = (
+    ("spans", "--spans", dict(
+        action="store_true",
+        help="collect span-level tracing even without --spans-out (kept in "
+             "--store payloads and replay-run reports)")),
+    ("campaigns", "--campaigns", dict(
+        type=int, help="number of randomized runs (default 20)")),
+    ("seed", "--seed", dict(
+        type=int, help="base seed; each run's seed derives from it")),
+    (None, "--replay", dict(
+        type=int, metavar="RUN_SEED",
+        help="re-run exactly one run from its reported seed")),
+    ("drop_max", "--drop-max", dict(
+        type=float, help="max per-run message drop probability")),
+    ("duplicate_max", "--duplicate-max", dict(
+        type=float, help="max per-run duplication probability")),
+    ("partition_prob", "--partition-prob", dict(
+        type=float, help="probability a run gets a partition window")),
+    ("max_faulty", "--max-faulty", dict(
+        type=int, help="max crashed processes per run")),
+    ("slow_prob", "--slow-prob", dict(
+        type=float,
+        help="probability a run gets a targeted-delay adversary")),
+    ("max_time", "--max-time", dict(
+        type=float, help="virtual horizon per run")),
+    ("transport", "--no-transport", dict(
+        action="store_false",
+        help="expose raw lossy links to the algorithms (negative testing; "
+             "expect invariant failures)")),
+    ("graphs", "--graphs", dict(
+        nargs="+", metavar="SPEC",
+        help="topology pool runs draw from (graph spec strings, e.g. ring:4 "
+             "rgg:100:0.2:7; default: small rings/paths/stars)")),
+    ("detector", "--detector", dict(
+        metavar="NAME",
+        help="failure detector every run uses, by registry name (default "
+             "eventually_perfect; see docs/detectors.md)")),
+    ("pairs", "--pairs", dict(
+        help="detector pair selection: all | neighbors | neighbors:<k> "
+             "(neighbors = conflict-graph-local monitoring; see "
+             "docs/topologies.md)")),
+    ("allow_disconnected", "--allow-disconnected", dict(
+        action="store_true",
+        help="accept disconnected conflict graphs (components monitored "
+             "independently)")),
+)
 
 
 # numpy's ``choice`` and ``uniform`` draws, without their per-call overhead.

@@ -8,7 +8,7 @@ crash-tolerant problems including consensus and stable leader election"
 * :class:`~repro.consensus.chandra_toueg.ChandraTouegConsensus` — the
   rotating-coordinator ◇S consensus protocol (◇P ⪰ ◇S), and
 * :class:`~repro.oracles.omega.OmegaElector` — stable leader election,
-  judged by :func:`repro.oracles.properties.check_leader_agreement`,
+  judged by :func:`repro.oracles.properties.leader_agreement`,
 
 unchanged, because :class:`~repro.core.extraction.ExtractedDetector`
 presents the standard query surface.

@@ -9,8 +9,7 @@ q eats; this allows p to suspect q infinitely often.  To circumvent this,
 p and q compete in two WF-◇WX instances."*
 
 This module implements the rejected sketch so experiment E20 can reproduce
-its failure on a legal-but-unfair box
-(:class:`~repro.dining.unfair.UnfairManagerDining`) — and show the paper's
+its failure on the standard wait-free ◇WX box — and show the paper's
 two-instance reduction surviving the same box.  Output rows carry the
 trace label ``"prelim"``.
 """

@@ -33,7 +33,6 @@ from repro.dining.deferred import DeferredExclusionDining
 from repro.dining.fair_wrapper import FairDining
 from repro.dining.hygienic import HygienicDining, never_suspect
 from repro.dining.manager import ManagerDining
-from repro.dining.unfair import UnfairManagerDining
 from repro.dining.perpetual import PerpetualDining
 from repro.dining.spec import (
     ExclusionReport,
@@ -56,7 +55,6 @@ __all__ = [
     "ManagerDining",
     "PeriodicClient",
     "PerpetualDining",
-    "UnfairManagerDining",
     "WaitFreeEWXDining",
     "WaitFreedomReport",
     "box_factory",

@@ -7,18 +7,10 @@ process is only ever treated as ignorable if it has really crashed, so the
 suspicion override of the hygienic protocol never creates a violation.
 
 This module provides the perpetual-WX black box used by the Section 9
-experiment (applying the paper's reduction to a WX box extracts T):
-
-* :func:`accurate_provider` — suspicion from the P substrate (crash ⟹
-  eventually suspected; never suspects live processes).  P ⪰ (T + S), so a
-  box built on it is a legal FTME solution.
-* :func:`trusting_plus_strong_provider` — the (T + S)-composition rule from
-  the paper: ``q`` is ignorable iff T revoked a previously-granted trust
-  (revocation ⟹ crash, by trusting accuracy) **or** both T and S suspect a
-  never-trusted ``q`` (covering processes that crash before registering;
-  safe only while S's suspicions are crash-accurate — the full FTME
-  protocol removes that caveat with machinery out of scope here, see
-  DESIGN.md §6).
+experiment (applying the paper's reduction to a WX box extracts T).
+``tests/dining/test_perpetual.py`` runs it over two crash-accurate
+providers: the P substrate, and the paper's (T + S) composition (see
+DESIGN.md §6 for what the full FTME protocol adds).
 
 :class:`PerpetualDining` is the hygienic algorithm run with such a
 provider; with crash-accurate suspicion it yields zero exclusion
@@ -31,40 +23,6 @@ import networkx as nx
 
 from repro.dining.base import SuspicionProvider
 from repro.dining.wf_ewx import WaitFreeEWXDining
-from repro.oracles.perfect import PerfectDetector
-from repro.oracles.strong import StrongDetector
-from repro.oracles.trusting import TrustingDetector
-from repro.types import ProcessId
-
-
-def accurate_provider(modules: dict[ProcessId, PerfectDetector]) -> SuspicionProvider:
-    """Suspicion straight from per-process P modules."""
-
-    def provider(pid: ProcessId):
-        module = modules[pid]
-        return lambda q: module.suspected(q)
-
-    return provider
-
-
-def trusting_plus_strong_provider(
-    t_modules: dict[ProcessId, TrustingDetector],
-    s_modules: dict[ProcessId, StrongDetector],
-) -> SuspicionProvider:
-    """The (T + S) ignorability rule described in the module docstring."""
-
-    def provider(pid: ProcessId):
-        t = t_modules[pid]
-        s = s_modules[pid]
-
-        def suspect(q: ProcessId) -> bool:
-            if t.suspected(q) and t.has_trusted(q):
-                return True  # trust revoked: q crashed, by trusting accuracy
-            return t.suspected(q) and s.suspected(q)
-
-        return suspect
-
-    return provider
 
 
 class PerpetualDining(WaitFreeEWXDining):

@@ -13,9 +13,6 @@ ordering empirically:
   wrongful-suspicion churn, message cost, and a per-seed ◇WX verdict per
   detector, rendered as ``repro.lattice.v1`` JSONL, an ASCII table, and
   an SVG dominance grid.  CLI: ``repro lattice``.
-* :mod:`repro.lattice.omega_extraction` composes the paper's
-  ◇P-from-dining reduction with the classical ◇P→Ω derivation, plus the
-  flawed variant whose leader never stabilizes.
 """
 
 from repro.lattice.compare import compare, lattice_config
@@ -28,11 +25,6 @@ from repro.lattice.matrix import (
     cell_from_record,
     dominance_symbol,
 )
-from repro.lattice.omega_extraction import (
-    build_omega_extraction,
-    final_leader,
-    leader_stability_spans,
-)
 
 __all__ = [
     "LATTICE_SCHEMA",
@@ -40,11 +32,8 @@ __all__ = [
     "DetectorRow",
     "LatticeCell",
     "LatticeResult",
-    "build_omega_extraction",
     "cell_from_record",
     "compare",
     "dominance_symbol",
-    "final_leader",
     "lattice_config",
-    "leader_stability_spans",
 ]

@@ -302,13 +302,6 @@ def leader_agreement(machine: IntervalMachine,
     return report
 
 
-def check_leader_agreement(trace: Trace, pids: Sequence[ProcessId],
-                           schedule: CrashSchedule) -> OracleReport:
-    """:func:`leader_agreement` over a replay of ``trace``."""
-    machine = IntervalMachine(schedule)
-    return leader_agreement(machine.replay(trace.records(kind="leader")), pids)
-
-
 # -- detector-specific battery dispatch ---------------------------------------
 
 

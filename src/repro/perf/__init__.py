@@ -23,7 +23,7 @@ from repro.perf.bench import (
     emit_report,
     run_bench,
 )
-from repro.perf.profiler import profile_to, render_profile
+from repro.perf.profiler import profile_to
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -32,6 +32,5 @@ __all__ = [
     "compare_to_baseline",
     "emit_report",
     "profile_to",
-    "render_profile",
     "run_bench",
 ]

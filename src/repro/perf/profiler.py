@@ -8,17 +8,14 @@ Profiling a whole campaign is one context manager::
         run_campaign(cfg)
 
 The dump is a standard :mod:`pstats` file — load it with
-``python -m pstats campaign.prof``, snakeviz, or
-:func:`render_profile` below for a quick cumulative-time table.
+``python -m pstats campaign.prof`` or snakeviz.
 """
 
 from __future__ import annotations
 
 import contextlib
 import cProfile
-import io
 import pathlib
-import pstats
 from typing import Iterator, Optional
 
 
@@ -42,12 +39,3 @@ def profile_to(path: "str | pathlib.Path | None") -> Iterator[Optional[cProfile.
         out = pathlib.Path(path)
         out.parent.mkdir(parents=True, exist_ok=True)
         prof.dump_stats(str(out))
-
-
-def render_profile(path: "str | pathlib.Path", limit: int = 20,
-                   sort: str = "cumulative") -> str:
-    """Top-``limit`` rows of a dumped profile as a text table."""
-    buf = io.StringIO()
-    stats = pstats.Stats(str(path), stream=buf)
-    stats.sort_stats(sort).print_stats(limit)
-    return buf.getvalue()

@@ -240,4 +240,8 @@ class RunSpec:
 
     @classmethod
     def from_json(cls, path: "str | pathlib.Path") -> "RunSpec":
-        return cls.from_dict(json.loads(pathlib.Path(path).read_text()))
+        try:
+            data = json.loads(pathlib.Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: not valid JSON: {exc}") from exc
+        return cls.from_dict(data)

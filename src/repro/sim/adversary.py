@@ -9,8 +9,6 @@ bounds).  This module makes targeted adversaries expressible:
   endpoint, or arbitrary predicate).  Delays stay finite, so channels stay
   reliable — the adversary can slow the reduction's ping/ack traffic or a
   victim process's channels arbitrarily but not break them.
-* :func:`slow_process` — a :class:`~repro.sim.engine.SimConfig` speeds entry
-  making one process's steps k× slower (unbounded *relative* speeds).
 
 Experiment E14 uses these to stress the reduction: its properties must
 survive any such adversary, converging later but still converging.
@@ -19,7 +17,7 @@ survive any such adversary, converging later but still converging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.network import DelayModel
@@ -87,14 +85,6 @@ class TargetedDelays(DelayModel):
                 if rule.extra_max > 0:
                     d += float(rng.uniform(0.0, rule.extra_max))
         return d
-
-
-def slow_process(pid: ProcessId, factor: float) -> Mapping[ProcessId, float]:
-    """A ``SimConfig.speeds`` entry making ``pid`` take steps ``factor``×
-    slower than everyone else."""
-    if factor < 1.0:
-        raise ConfigurationError("slowdown factor must be >= 1")
-    return {pid: float(factor)}
 
 
 class OutageDelays(DelayModel):

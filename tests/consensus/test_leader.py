@@ -1,7 +1,8 @@
 """The Ω contract (stable leader election), judged by
-:func:`repro.oracles.properties.check_leader_agreement`."""
+:func:`repro.oracles.properties.leader_agreement`."""
 
-from repro.oracles.properties import check_leader_agreement
+from repro.obs import IntervalMachine
+from repro.oracles.properties import leader_agreement
 from repro.sim.faults import CrashSchedule
 from repro.sim.trace import Trace
 
@@ -20,8 +21,9 @@ def judge(rows, schedule=None):
     """``(ok, leaders, stabilization)``: the final leaders the verdicts
     name, and the latest verdict time, which is the last leader change
     (``OmegaElector`` records a row only when its leader changes)."""
-    report = check_leader_agreement(synth(rows), ["a", "b"],
-                                    schedule or CrashSchedule.none())
+    machine = IntervalMachine(schedule or CrashSchedule.none())
+    report = leader_agreement(
+        machine.replay(synth(rows).records(kind="leader")), ["a", "b"])
     return report.ok, {p.target for p in report.pairs}, report.convergence
 
 

@@ -3,11 +3,7 @@
 import networkx as nx
 
 from repro.dining.client import EagerClient
-from repro.dining.perpetual import (
-    PerpetualDining,
-    accurate_provider,
-    trusting_plus_strong_provider,
-)
+from repro.dining.perpetual import PerpetualDining
 from repro.dining.spec import check_exclusion, check_wait_freedom
 from repro.graphs import ring
 from repro.oracles import (
@@ -20,6 +16,38 @@ from repro.sim import Engine, PartialSynchronyDelays, SimConfig
 from repro.sim.faults import CrashSchedule
 
 INSTANCE = "PX"
+
+
+def accurate_provider(modules):
+    """Suspicion straight from per-process P modules (crash ⟹ eventually
+    suspected; live processes never suspected).  P ⪰ (T + S), so a box
+    built on it is a legal FTME solution."""
+
+    def provider(pid):
+        module = modules[pid]
+        return lambda q: module.suspected(q)
+
+    return provider
+
+
+def trusting_plus_strong_provider(t_modules, s_modules):
+    """The paper's (T + S) rule: ``q`` is ignorable iff T revoked a
+    previously granted trust (revocation ⟹ crash, by trusting accuracy) or
+    both T and S suspect a never-trusted ``q`` (a process that crashed
+    before registering; safe only while S's suspicions are crash-accurate,
+    a caveat the full FTME protocol removes)."""
+
+    def provider(pid):
+        t, s = t_modules[pid], s_modules[pid]
+
+        def suspect(q):
+            if t.suspected(q) and t.has_trusted(q):
+                return True  # trust revoked: q crashed
+            return t.suspected(q) and s.suspected(q)
+
+        return suspect
+
+    return provider
 
 
 def run_perpetual(provider_kind, seed=1, crash=None, max_time=1500.0):

@@ -1,15 +1,19 @@
 """Ω derived from dining: the sound extraction stabilizes, the flawed
-one keeps flapping — the corrigendum's contrast at the leader level."""
+one keeps flapping — the corrigendum's contrast at the leader level.
 
+◇P is strictly above Ω, so the extraction composed with the classical
+◇P→Ω rule ("elect the smallest unsuspected process") gives leader
+election from nothing but a dining box; over [8]'s construction
+(``FlawedCMPair``) and a deferred-mistake box the leader never settles.
+"""
+
+from repro.core.extraction import build_full_extraction
 from repro.core.flawed_cm import FlawedCMPair
 from repro.core.pair import ReductionPair
 from repro.experiments.common import build_system, deferred_box, wf_box
-from repro.lattice import (
-    build_omega_extraction,
-    final_leader,
-    leader_stability_spans,
-)
-from repro.oracles.properties import check_leader_agreement
+from repro.obs import IntervalMachine
+from repro.oracles.omega import OmegaElector
+from repro.oracles.properties import leader_agreement
 from repro.sim.faults import CrashSchedule
 
 PIDS = ["p1", "p2", "p3"]
@@ -17,18 +21,41 @@ PIDS = ["p1", "p2", "p3"]
 
 def run_extraction(box, construction=ReductionPair, crash=None, seed=11,
                    max_time=2000.0):
+    """An :class:`OmegaElector` per process over the dining-extracted ◇P."""
     system = build_system(PIDS, seed=seed, max_time=max_time, crash=crash)
-    electors = build_omega_extraction(system.engine, PIDS, box(system),
-                                      construction=construction)
+    detectors, _ = build_full_extraction(system.engine, PIDS, box(system),
+                                         construction=construction)
+    electors = {pid: system.engine.process(pid).add_component(
+        OmegaElector("omega.elect", facade))
+        for pid, facade in detectors.items()}
     system.engine.run()
     return system, electors
+
+
+def leader_report(system):
+    machine = IntervalMachine(system.schedule)
+    return leader_agreement(
+        machine.replay(system.engine.trace.records(kind="leader")), PIDS)
+
+
+def leader_stability_spans(trace, owner, end_time):
+    """``(leader, start, end)`` per leader-estimate interval of ``owner``,
+    the last one closed at ``end_time``."""
+    series = trace.series("leader", "leader", pid=owner)
+    ends = [t for t, _ in series[1:]] + [float(end_time)]
+    return [(leader, float(t), float(end))
+            for (t, leader), end in zip(series, ends)]
+
+
+def final_leader(trace, owner):
+    series = trace.series("leader", "leader", pid=owner)
+    return series[-1][1] if series else None
 
 
 class TestSoundExtraction:
     def test_leaders_agree_on_smallest_correct(self):
         system, electors = run_extraction(wf_box)
-        report = check_leader_agreement(system.engine.trace, PIDS,
-                                        system.schedule)
+        report = leader_report(system)
         assert report.ok
         for pid in PIDS:
             assert final_leader(system.engine.trace, pid) == "p1"
@@ -38,8 +65,7 @@ class TestSoundExtraction:
         crash = CrashSchedule({"p1": 600.0})
         system, _ = run_extraction(wf_box, crash=crash)
         correct = [p for p in PIDS if p != "p1"]
-        report = check_leader_agreement(system.engine.trace, PIDS,
-                                        system.schedule)
+        report = leader_report(system)
         assert report.ok
         for pid in correct:
             assert final_leader(system.engine.trace, pid) == "p2"

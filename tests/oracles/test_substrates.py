@@ -167,9 +167,11 @@ class TestOmega:
                 OmegaElector("omega", mods[pid])
             )
         eng.run()
-        from repro.oracles.properties import check_leader_agreement
+        from repro.obs import IntervalMachine
+        from repro.oracles.properties import leader_agreement
 
-        report = check_leader_agreement(eng.trace, PIDS, sched)
+        report = leader_agreement(IntervalMachine(sched).replay(
+            eng.trace.records(kind="leader")), PIDS)
         assert report.ok and {p.target for p in report.pairs} == {"p1"}
         # The latest verdict time is the last leader change.
         assert report.convergence >= 300.0

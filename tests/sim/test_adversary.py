@@ -1,4 +1,4 @@
-"""Tests for adversarial delay models and speed helpers."""
+"""Tests for adversarial delay models."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.sim.adversary import (
     by_endpoint,
     by_kind,
     by_tag_prefix,
-    slow_process,
 )
 from repro.sim.network import FixedDelays
 from repro.types import Message
@@ -98,12 +97,6 @@ class TestDelayRuleUntilBoundary:
 
     def test_predicate_still_gates_before_deadline(self):
         assert not self.RULE.applies(msg("fork"), 50.0)
-
-
-def test_slow_process_helper():
-    assert slow_process("q", 6.0) == {"q": 6.0}
-    with pytest.raises(ConfigurationError):
-        slow_process("q", 0.5)
 
 
 class TestOutageDelays:

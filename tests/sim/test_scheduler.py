@@ -4,22 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.scheduler import BurstySteps, GSTSteps, UniformSteps
+from repro.sim.scheduler import BurstySteps
 
 RNG = np.random.default_rng(0)
-
-
-class TestUniform:
-    def test_range_respected(self):
-        pol = UniformSteps(0.5, 1.5)
-        draws = [pol.next_delay("p", 0.0, RNG) for _ in range(200)]
-        assert all(0.5 <= d <= 1.5 for d in draws)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            UniformSteps(2.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            UniformSteps(0.0, 1.0)
 
 
 class TestBursty:
@@ -39,28 +26,6 @@ class TestBursty:
             BurstySteps(pause_prob=1.0)
         with pytest.raises(ConfigurationError):
             BurstySteps(pause_lo=5.0, pause_hi=1.0)
-
-
-class TestGST:
-    def test_bounded_after_gst(self):
-        pol = GSTSteps(gst=100.0, lo=0.4, hi=1.2)
-        draws = [pol.next_delay("p", 150.0, RNG) for _ in range(200)]
-        assert all(0.4 <= d <= 1.2 for d in draws)
-
-    def test_chaos_before_gst(self):
-        pol = GSTSteps(gst=1000.0, pre_gst_max=50.0, pause_prob=0.5)
-        draws = [pol.next_delay("p", 0.0, RNG) for _ in range(300)]
-        assert max(draws) > 5.0
-
-    def test_pre_gst_stall_cannot_overshoot_far(self):
-        pol = GSTSteps(gst=100.0, pre_gst_max=500.0, pause_prob=1.0)
-        for _ in range(100):
-            d = pol.next_delay("p", 90.0, RNG)
-            assert 90.0 + d <= 100.0 + pol.uniform.hi + 1e-9
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            GSTSteps(gst=10.0, pre_gst_max=0.0)
 
 
 def test_engine_integration_bursty_still_fair():

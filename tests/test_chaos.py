@@ -1,6 +1,10 @@
 """Tests for the seeded chaos campaign runner (:mod:`repro.chaos`)."""
 
 import json
+import shlex
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import (
     ChaosConfig,
@@ -10,7 +14,8 @@ from repro.chaos import (
     run_campaign,
     run_one,
 )
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.oracles.registry import REGISTRY
 
 #: Run seeds that once exposed real defects (clean-fork priority-cycle
 #: deadlock; finite-run grace/deadline artifacts).  Pinned so the fixes
@@ -86,6 +91,31 @@ class TestBuildRun:
         # spans off by default: nothing collected, nothing exported
         plain = run_campaign(ChaosConfig(campaigns=1, seed=9))
         assert plain.span_records() == []
+
+
+_probability = st.floats(0.0, 1.0)
+#: Every config the replay flags can express (``campaigns`` and ``seed``
+#: are not replay flags, so they keep their defaults).
+flag_configs = st.builds(
+    ChaosConfig,
+    spans=st.booleans(),
+    drop_max=_probability, duplicate_max=_probability,
+    partition_prob=_probability, slow_prob=_probability,
+    max_faulty=st.integers(0, 5), max_time=st.floats(1.0, 1e4),
+    transport=st.booleans(),
+    graphs=st.lists(st.sampled_from(["ring:3", "ring:4", "path:4", "star:3",
+                                     "rgg:30:0.3:7", "tree:12:2"]),
+                    min_size=1, max_size=4).map(tuple),
+    detector=st.sampled_from(sorted(REGISTRY)),
+    pairs=st.sampled_from(["all", "neighbors", "neighbors:2"]),
+    allow_disconnected=st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(flag_configs)
+def test_replay_flags_parse_back_to_the_same_config(cfg):
+    args = build_parser().parse_args(["chaos", *shlex.split(cfg.cli_flags())])
+    assert ChaosConfig.from_args(args) == cfg
 
 
 class TestCampaign:

@@ -44,6 +44,39 @@ def test_requires_subcommand():
         main([])
 
 
+@pytest.mark.parametrize("command", [
+    [], ["list"], ["run"], ["scenario"], ["sweep"], ["chaos"], ["lattice"],
+    ["timeline"], ["report"], ["bench"], ["serve"], ["submit"], ["store"],
+    ["store", "ls"]], ids=lambda command: " ".join(command) or "repro")
+def test_every_parser_prints_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: repro")
+
+
+# -- one error boundary: bad input exits 2 with one line, never a traceback ---
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["chaos", "--campaigns", "1", "--graphs", "bogus:1"], None),
+    (["chaos", "--replay", "5", "--graphs", "bogus:1"], None),
+    (["scenario", "missing.json"], None),
+    (["scenario", "mini.json"], {"bogus_key": 1}),
+    (["sweep", "mini.json", "--seeds", "2"], {"algorithm": "wf-ewx:zz"}),
+], ids=["chaos-graph", "replay-graph", "scenario-missing", "scenario-key",
+        "sweep-algorithm"])
+def test_bad_input_is_one_error_line_and_exit_2(argv, spec, tmp_path,
+                                                monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if spec is not None:
+        _scenario_file(tmp_path, **spec)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro {argv[0]}: error: ")
+    assert err.count("\n") == 1
+
+
 # -- the normalized flags, one case per subcommand ---------------------------
 
 
