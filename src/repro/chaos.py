@@ -17,15 +17,24 @@ invariants are checked with the existing trace checkers:
   (:mod:`repro.oracles.properties`).
 
 Because a run is a pure function of its run seed plus the campaign knobs,
-any failure reproduces deterministically: the verdict carries a ready
-``repro chaos --replay <run_seed> ...`` command that rebuilds and re-runs
-exactly that scenario, bit for bit.  The CLI exposes campaigns as
-``repro chaos --campaigns N --seed S`` (JSON summary with ``--json``).
+any failure reproduces deterministically from the one handle that also
+keys the store: its :class:`~repro.runtime.spec.RunSpec`.  A failed row
+prints ``python -m repro chaos --replay '<spec JSON>'``, which re-runs
+exactly that scenario, bit for bit, whatever the campaign's config was
+(``--json`` output maps each failed run seed to the same spec).  The CLI
+exposes campaigns as ``repro chaos --campaigns N --seed S``.
+
+Every verdict is a view of its run's ``repro.result.v1`` payload
+(:func:`~repro.runtime.result.result_payload`), the one shape the store
+keeps, so a run just computed and one read back from the store render
+the same bytes.
 """
 
 from __future__ import annotations
 
 import functools
+import json
+import shlex
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
 
@@ -39,11 +48,17 @@ from repro.runtime import (
     RunSpec,
     SupervisedExecutor,
     execute,
+    execute_payload,
     fanout_seeds,
     parse_graph,
 )
 from repro.runtime.result import result_payload
-from repro.runtime.store import ResultStore, resumable_map, spec_hash
+from repro.runtime.store import (
+    ResultStore,
+    canonical_spec,
+    resumable_map,
+    spec_hash,
+)
 from repro.sim.faults import CrashSchedule
 
 
@@ -123,33 +138,12 @@ class ChaosConfig:
         return cls(**{name: getattr(args, name) for name, _, _ in CHAOS_FLAGS
                       if name and getattr(args, name) is not None})
 
-    def cli_flags(self) -> str:
-        """The non-default flags needed to reproduce runs of this config
-        (a replay names its run seed, so ``campaigns`` and ``seed`` stay
-        out)."""
-        default = ChaosConfig()
-        flags = []
-        for name, flag, kwargs in CHAOS_FLAGS:
-            if name in (None, "campaigns", "seed"):
-                continue
-            value = getattr(self, name)
-            if value == getattr(default, name):
-                continue
-            if "action" in kwargs:  # a switch: the flag alone says it
-                flags.append(flag)
-            elif "nargs" in kwargs:
-                flags.append(" ".join((flag, *value)))
-            else:
-                flags.append(f"{flag} {value}")
-        return " ".join(flags)
-
 
 #: The ``repro chaos`` campaign flags as ``(field, flag, argparse
 #: keywords)`` rows, in ``--help`` order.  The CLI builds its parser from
-#: them, :meth:`ChaosConfig.from_args` reads the parsed values back and
-#: :meth:`ChaosConfig.cli_flags` writes a replay command with them.  Every
-#: default is the field's own (argparse's None means unset); ``--replay``
-#: sets no field.
+#: them and :meth:`ChaosConfig.from_args` reads the parsed values back.
+#: Every default is the field's own (argparse's None means unset);
+#: ``--replay`` sets no field.
 CHAOS_FLAGS: tuple[tuple[Optional[str], str, dict[str, Any]], ...] = (
     ("spans", "--spans", dict(
         action="store_true",
@@ -160,8 +154,9 @@ CHAOS_FLAGS: tuple[tuple[Optional[str], str, dict[str, Any]], ...] = (
     ("seed", "--seed", dict(
         type=int, help="base seed; each run's seed derives from it")),
     (None, "--replay", dict(
-        type=int, metavar="RUN_SEED",
-        help="re-run exactly one run from its reported seed")),
+        metavar="SPEC",
+        help="re-run exactly one run from its RunSpec JSON, as a failed "
+             "run's replay line prints it (campaign flags do not apply)")),
     ("drop_max", "--drop-max", dict(
         type=float, help="max per-run message drop probability")),
     ("duplicate_max", "--duplicate-max", dict(
@@ -282,38 +277,32 @@ def build_run(run_seed: int, cfg: ChaosConfig) -> RunSpec:
 
 @dataclass
 class RunVerdict:
-    """Outcome of one chaos run: invariant failures plus a replay recipe.
+    """Outcome of one chaos run: a view of its ``repro.result.v1`` payload.
 
     Everything it reports is a function of its scenario and the run's
-    ``summary`` — the same function whether the run was just executed or
-    read back from the store (:class:`StoredVerdict`), which is what
-    makes a resumed campaign byte-identical to a fresh one.
+    ``payload`` (:func:`~repro.runtime.result.result_payload`) — the one
+    shape the store keeps, so a run just executed and one read back from
+    the store give the same verdict, which is what makes a resumed
+    campaign byte-identical to a fresh one.
     """
 
     index: int
     run_seed: int
     scenario: RunSpec
-    #: The live result; None on a :class:`StoredVerdict`.
-    report: Optional[RunResult]
-    failures: list[str] = field(default_factory=list)
+    payload: Mapping[str, Any]
+    #: The live result; set only by :func:`run_one`.
+    report: Optional[RunResult] = None
+    failures: list[str] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.failures = check_invariants(self.payload["record"]["summary"])
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    def replay_command(self, cfg: ChaosConfig) -> str:
-        flags = cfg.cli_flags()
-        return ("python -m repro chaos --replay "
-                f"{self.run_seed}{' ' + flags if flags else ''}")
-
-    def _run_summary(self) -> Mapping[str, Any]:
-        return self.report.summary()
-
-    def _record(self) -> dict[str, Any]:
-        return run_record(self.report)
-
     def summary(self) -> dict[str, Any]:
-        run = self._run_summary()
+        run = self.payload["record"]["summary"]
         wait = run["max_hungry_wait"]
         return {
             "index": self.index,
@@ -346,25 +335,28 @@ class RunVerdict:
     def run_record(self) -> dict[str, Any]:
         """The ``--metrics-out`` JSONL record: full metric snapshot plus
         the flat verdict summary."""
-        return {**self._record(), "verdict": self.summary()}
+        return {**self.payload["record"], "verdict": self.summary()}
 
     def span_records(self) -> list[dict[str, Any]]:
         """This run's ``repro.span.v1`` records (empty when the campaign's
         ``spans`` knob is off)."""
-        return self.report.span_records()
+        return [dict(r) for r in self.payload.get("spans", ())]
 
 
-def check_invariants(report: RunResult, cfg: ChaosConfig) -> list[str]:
-    """The per-run invariant battery; empty list = all good.
+#: A verdict served from the store is a plain :class:`RunVerdict`; the
+#: name stays because the perf ledger times its ``__init__`` as
+#: ``store.decode``.
+StoredVerdict = RunVerdict
 
-    An *unchecked* report (a ``counters`` run, which ``execute`` leaves
+
+def check_invariants(run: Mapping[str, Any]) -> list[str]:
+    """The per-run invariant battery over one run ``summary``
+    (:meth:`RunResult.summary`, as its stored record keeps it); empty
+    list = all good.
+
+    An *unchecked* run (a ``counters`` run, which ``execute`` leaves
     unjudged by default) has nothing to judge and reports no failures.
     """
-    return _failures(report.summary())
-
-
-def _failures(run: Mapping[str, Any]) -> list[str]:
-    """The invariant battery over one run ``summary``."""
     if not run["checked"]:
         return []
     failures = []
@@ -385,35 +377,13 @@ def _failures(run: Mapping[str, Any]) -> list[str]:
 
 def run_one(index: int, run_seed: int, cfg: ChaosConfig,
             scenario: Optional[RunSpec] = None) -> RunVerdict:
-    """Build (unless given), run, and judge a single chaos run."""
+    """Build (unless given), run, and judge a single chaos run, keeping
+    the live result as the verdict's ``report``."""
     if scenario is None:
         scenario = build_run(run_seed, cfg)
     report = execute(scenario)
-    return RunVerdict(index=index, run_seed=run_seed, scenario=scenario,
-                      report=report, failures=check_invariants(report, cfg))
-
-
-class StoredVerdict(RunVerdict):
-    """A chaos run served from the :class:`ResultStore` instead of
-    re-simulated: the same views, derived from the stored record's
-    ``summary`` instead of a live report."""
-
-    def __init__(self, index: int, run_seed: int, scenario: RunSpec,
-                 payload: Mapping[str, Any]) -> None:
-        self._payload = payload
-        super().__init__(index, run_seed, scenario, None,
-                         _failures(self._run_summary()))
-
-    def _run_summary(self) -> Mapping[str, Any]:
-        return self._payload["record"]["summary"]
-
-    def _record(self) -> dict[str, Any]:
-        return self._payload["record"]
-
-    def span_records(self) -> list[dict[str, Any]]:
-        """The stored ``repro.span.v1`` records, verbatim (empty for a
-        spans-off run)."""
-        return [dict(r) for r in self._payload.get("spans", ())]
+    return RunVerdict(index, run_seed, scenario, result_payload(report),
+                      report)
 
 
 @dataclass
@@ -454,7 +424,7 @@ class CampaignResult:
             "passed": sum(v.ok for v in self.verdicts),
             "failed": len(self.failed),
             "ok": self.ok,
-            "replay": {str(v.run_seed): v.replay_command(self.cfg)
+            "replay": {str(v.run_seed): canonical_spec(v.scenario)
                        for v in self.failed},
             "telemetry": self.telemetry().summary(),
             "runs": [v.summary() for v in self.verdicts],
@@ -479,23 +449,16 @@ class CampaignResult:
             ])
         lines = [table.render()]
         for v in self.failed:
-            lines.append(f"replay run {v.index}: "
-                         f"{v.replay_command(self.cfg)}")
+            spec = json.dumps(canonical_spec(v.scenario),
+                              separators=(",", ":"))
+            lines.append(f"replay run {v.index}: python -m repro chaos "
+                         f"--replay {shlex.quote(spec)}")
         tele = self.telemetry()
         if tele.with_metrics:
             lines.append(tele.render(title="campaign telemetry"))
         lines.append(
             f"{sum(v.ok for v in self.verdicts)}/{len(self.verdicts)} passed")
         return "\n".join(lines)
-
-
-def _run_one_detached(task: tuple) -> RunVerdict:
-    """Pool task: one chaos run (the :func:`run_one` arguments), trace
-    dropped (verdicts travel, bulk event history does not).  Module-level
-    so it pickles by reference."""
-    verdict = run_one(*task)
-    verdict.report.detach_trace()
-    return verdict
 
 
 def run_campaign(cfg: ChaosConfig, workers: int = 1,
@@ -511,11 +474,13 @@ def run_campaign(cfg: ChaosConfig, workers: int = 1,
     ``workers=4`` reproduces ``workers=1`` exactly, per seed (the
     determinism suite in ``tests/runtime/test_executor.py`` pins this).
 
-    With a ``store``, each run's result envelope
-    (:func:`~repro.runtime.result.result_payload`, the one shape every
-    surface stores) is checkpointed under its content address — the
-    :func:`spec_hash` of the scenario its run seed expands to, so the key
-    captures every campaign knob that shapes the run — the moment it
+    Every run goes through one pool task,
+    :func:`~repro.runtime.builder.execute_payload`, and comes back as its
+    result envelope (:func:`~repro.runtime.result.result_payload`, the one
+    shape every surface stores), which its verdict then views.  With a
+    ``store``, each envelope is checkpointed under its content address —
+    the :func:`spec_hash` of the scenario its run seed expands to, so the
+    key captures every campaign knob that shapes the run — the moment it
     completes, so an interrupted campaign keeps everything already
     computed; with ``resume`` as well, stored runs — whichever of ``repro
     chaos``, ``lattice``, ``sweep`` or ``serve`` computed them — are
@@ -531,27 +496,21 @@ def run_campaign(cfg: ChaosConfig, workers: int = 1,
     :class:`~repro.runtime.progress.ProgressReporter` plugs into.
     """
     seeds = fanout_seeds(cfg.seed, cfg.campaigns)
-    # One build per seed: the run, its key and a stored verdict share it.
-    tasks = [(i, run_seed, cfg, build_run(run_seed, cfg))
-             for i, run_seed in enumerate(seeds)]
-    executor = executor or SupervisedExecutor(workers=workers)
-    if store is None and not resume:
-        fresh = (None if on_result is None
-                 else lambda i, v: on_result(i, v, False))
-        verdicts = executor.map(_run_one_detached, tasks, on_result=fresh)
-    else:
-        verdicts = resumable_map(
-            _run_one_detached, tasks,
-            keys=[spec_hash(task[3]) for task in tasks],
-            encode=lambda verdict: result_payload(verdict.report),
-            decode=lambda payload, i, task: StoredVerdict(
-                task[0], task[1], task[3], payload),
-            store=store, resume=resume, executor=executor,
-            on_result=on_result,
-        )
+    # One build per seed: the run, its key and its verdict share it.
+    specs = [build_run(run_seed, cfg) for run_seed in seeds]
+    verdicts: list[Any] = [None] * len(specs)
+
+    def land(i: int, payload: Mapping[str, Any], cached: bool) -> None:
+        verdicts[i] = verdict = RunVerdict(i, seeds[i], specs[i], payload)
+        if on_result is not None:
+            on_result(i, verdict, cached)
+
+    resumable_map(
+        execute_payload, specs, keys=[spec_hash(spec) for spec in specs],
+        encode=lambda payload: payload,
+        decode=lambda payload, i, spec: payload,
+        store=store, resume=resume,
+        executor=executor or SupervisedExecutor(workers=workers),
+        on_result=land,
+    )
     return CampaignResult(cfg=cfg, verdicts=verdicts)
-
-
-def replay(run_seed: int, cfg: ChaosConfig) -> RunVerdict:
-    """Re-run one chaos run from its reported seed (same config knobs)."""
-    return run_one(0, int(run_seed), cfg)

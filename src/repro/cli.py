@@ -41,11 +41,11 @@ from repro.runtime import (
     RunSpec,
     SupervisedExecutor,
     execute,
+    execute_payload,
     fanout_seeds,
     resumable_map,
     spec_hash,
 )
-from repro.runtime.result import result_payload
 from repro.sim.trace import TRACE_MODES
 
 
@@ -146,9 +146,8 @@ def cmd_run(args) -> int:
     names = list(registry) if args.names == ["all"] else args.names
     unknown = [n for n in names if n not in registry]
     if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print("use 'python -m repro list'", file=sys.stderr)
-        return 2
+        raise ConfigurationError(f"unknown experiment(s): "
+                                 f"{', '.join(unknown)} (see 'repro list')")
     outcomes = SupervisedExecutor(workers=args.workers,
                                   timeout=args.task_timeout).map(
         _run_experiment, names)
@@ -176,9 +175,6 @@ def _load_spec(args) -> RunSpec:
 
 
 def cmd_scenario(args) -> int:
-    if args.workers != 1:
-        print("note: --workers does not apply to a single scenario run; "
-              "ignored", file=sys.stderr)
     report = execute(_load_spec(args))
     print(report.render())
     _export(args.metrics_out, [run_record(report)], "metrics written to {path}")
@@ -186,11 +182,6 @@ def cmd_scenario(args) -> int:
             "{n} span records written to {path}")
     # A counters run is metrics-only: no verdict to gate the exit on.
     return 1 if report.checked and not report.ok else 0
-
-
-def _sweep_one(spec) -> dict:
-    """One sweep run (module-level so worker pools pickle it by reference)."""
-    return result_payload(execute(spec))
 
 
 def _sweep_stats(run: dict) -> dict:
@@ -216,7 +207,7 @@ def cmd_sweep(args) -> int:
     seeds = fanout_seeds(args.seed, args.seeds)
     shards = [dataclasses.replace(base, seed=int(seed)) for seed in seeds]
     rows = _campaign(args, lambda store, on_result: resumable_map(
-        _sweep_one, shards,
+        execute_payload, shards,
         keys=[spec_hash(shard) for shard in shards],
         encode=lambda row: row,
         decode=lambda payload, i, item: payload,
@@ -245,21 +236,36 @@ def cmd_sweep(args) -> int:
     return 0 if stats["wait_free"].mean == 1.0 else 1
 
 
+def _replay_spec(text: str, spans: bool) -> RunSpec:
+    """The ``--replay`` argument: one run's RunSpec JSON, as a failed
+    campaign row prints it."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"--replay: not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigurationError("--replay: expected a RunSpec JSON object, "
+                                 f"got {text!r}")
+    spec = RunSpec.from_dict(data)
+    return dataclasses.replace(spec, spans=True) if spans else spec
+
+
 def cmd_chaos(args) -> int:
     """Run a seeded chaos campaign (or replay a single failed run)."""
-    from repro.chaos import ChaosConfig, replay, run_campaign
+    from repro.chaos import ChaosConfig, run_campaign, run_one
 
     args.spans = args.spans or args.spans_out is not None
     cfg = ChaosConfig.from_args(args)
     if args.replay is not None:
-        outcome = replay(args.replay, cfg)
+        spec = _replay_spec(args.replay, args.spans)
+        outcome = run_one(0, spec.seed, cfg, spec)
         records = [outcome.run_record()]
         if args.json:
             print(json.dumps(outcome.summary(), indent=2))
         else:
             print(outcome.report.render())
             status = "ok" if outcome.ok else "; ".join(outcome.failures)
-            print(f"\nreplay of run seed {args.replay}: {status}")
+            print(f"\nreplay of run seed {spec.seed}: {status}")
     else:
         outcome = _campaign(args, lambda store, on_result: run_campaign(
             cfg, store=store, resume=args.resume,
@@ -316,8 +322,7 @@ def cmd_report(args) -> int:
     runs = [r for r in read_jsonl(args.path)
             if r.get("schema") != EXPERIMENT_SCHEMA]
     if not runs:
-        print(f"repro report: no run records in {args.path}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(f"no run records in {args.path}")
     tele = CampaignTelemetry.from_records(runs)
     if tele.skipped_no_metrics:
         print(f"repro report: warning: {tele.skipped_no_metrics} record(s) "
@@ -393,6 +398,8 @@ def cmd_bench(args) -> int:
     if args.scaling:
         return _cmd_bench_scaling(args)
     baseline = load_baseline(args.baseline)
+    if args.check and baseline is None:
+        raise ConfigurationError("--check requested but no baseline found")
     results = run_bench(args.workloads or None, budget=args.budget)
     speedups = compare_to_baseline(results, baseline)
     payload = emit_report(results, baseline, out=args.out)
@@ -405,10 +412,6 @@ def cmd_bench(args) -> int:
     if args.check:
         failures = check_regressions(results, baseline,
                                      max_regression=args.max_regression)
-        if baseline is None:
-            print("repro bench: --check requested but no baseline found",
-                  file=sys.stderr)
-            return 2
         if failures:
             for failure in failures:
                 print(f"repro bench: regression: {failure}", file=sys.stderr)
@@ -527,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Detector for Wait-Free Dining under Eventual Weak "
                     "Exclusion'",
     )
-    common = _flags(
+    poolp = _flags(
         ("--workers", dict(type=int, default=1,
                            help="worker processes to fan runs over (default "
                                 "1 = serial; per-seed results are "
@@ -536,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="wall-clock budget per pooled run; a "
                                      "hung worker is killed and the run "
                                      "retried with seeded backoff "
-                                     "(docs/reliability.md)")),
+                                     "(docs/reliability.md)")))
+    outp = _flags(
         ("--metrics-out", dict(default=None, metavar="PATH",
                                help="write one JSONL metric record per run "
                                     "(deterministic: independent of "
@@ -572,17 +576,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list experiment ids and titles"
                    ).set_defaults(func=cmd_list)
-    runp = sub.add_parser("run", parents=[common],
+    runp = sub.add_parser("run", parents=[poolp, outp],
                           help="run experiments by id ('all' for every one)")
     runp.set_defaults(func=cmd_run)
     runp.add_argument("names", nargs="+",
                       help="experiment ids, e.g. e1 e4, or 'all'")
-    scen = sub.add_parser("scenario", parents=[common, tracep, spansp],
+    scen = sub.add_parser("scenario", parents=[outp, tracep, spansp],
                           help="run a declarative scenario from a JSON file")
     scen.set_defaults(func=cmd_scenario)
     scen.add_argument("path", help="path to the scenario JSON")
     swp = sub.add_parser("sweep",
-                         parents=[common, tracep, storep, spansp, progp],
+                         parents=[poolp, outp, tracep, storep, spansp,
+                                  progp],
                          help="run a scenario across a seed fanout and "
                               "aggregate statistics")
     swp.set_defaults(func=cmd_sweep)
@@ -591,7 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of derived seeds (default 8)")
     swp.add_argument("--seed", type=int, default=0,
                      help="base seed the fanout derives from (default 0)")
-    cha = sub.add_parser("chaos", parents=[common, storep, spansp, progp],
+    cha = sub.add_parser("chaos",
+                         parents=[poolp, outp, storep, spansp, progp],
                          help="run a seeded randomized fault campaign and "
                               "check dining/oracle invariants per run")
     cha.set_defaults(func=cmd_chaos)

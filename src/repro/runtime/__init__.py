@@ -37,6 +37,7 @@ from repro.runtime.builder import (
     build_client,
     build_system,
     execute,
+    execute_payload,
     instantiate,
     justify_violations,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "build_client",
     "build_system",
     "execute",
+    "execute_payload",
     "fanout_seeds",
     "instantiate",
     "justify_violations",

@@ -9,7 +9,10 @@ All wiring of Engine + Network + oracles + dining stacks lives here:
 * :func:`execute` — instantiate, run to the horizon, and judge: returns
   the :class:`~repro.runtime.result.RunResult` envelope.  It reads the
   verdicts off the run's interval machine; the trace-taking checkers
-  imported here judge a saved trace.
+  imported here judge a saved trace;
+* :func:`execute_payload` — :func:`execute` down to the stored
+  ``repro.result.v1`` envelope: the pool task of ``repro sweep``,
+  ``chaos`` and ``lattice``.
 
 ``execute`` is a pure function of its spec (all randomness flows from
 ``spec.seed``), which is what lets the
@@ -50,7 +53,7 @@ from repro.oracles.registry import (
     InstallContext,
     install_detector,
 )
-from repro.runtime.result import RunResult
+from repro.runtime.result import RunResult, result_payload
 from repro.runtime.spec import RunSpec, parse_graph
 from repro.sim import adversary
 from repro.sim.engine import Engine, SimConfig
@@ -370,3 +373,11 @@ def execute(spec: RunSpec, check: Optional[bool] = None) -> RunResult:
     result.oracle_accuracy_ok = verdicts.accuracy_ok
     result.oracle_completeness_ok = verdicts.completeness_ok
     return result
+
+
+def execute_payload(spec: RunSpec) -> dict[str, Any]:
+    """The one pool task every campaign maps: execute ``spec`` and return
+    its stored form, the ``repro.result.v1`` envelope (module-level, so a
+    worker pool pickles it by reference, and the result ships without its
+    trace)."""
+    return result_payload(execute(spec))

@@ -50,10 +50,10 @@ def progress_sample(value: Any) -> dict[str, Any]:
     """Flat ``{ok, events, convergence_time, wrongful_suspicions}`` view
     of one landed result.
 
-    Duck-types everything the campaign executors hand back: chaos
-    ``RunVerdict`` / ``StoredVerdict`` (via ``run_record()``), bare
-    ``RunResult``-likes (via ``summary()``), and ``repro.result.v1``
-    envelopes from sweeps and the service (the ``record`` block).
+    Duck-types everything the campaign executors hand back: a chaos
+    ``RunVerdict`` (via ``run_record()``), bare ``RunResult``-likes (via
+    ``summary()``), and ``repro.result.v1`` envelopes from sweeps and
+    the service (the ``record`` block).
     Unknown shapes degrade to an empty sample rather than raising —
     progress reporting must never kill a campaign.
     """

@@ -2,9 +2,10 @@
 
 A :class:`RunResult` bundles everything downstream consumers read off a
 finished run: the four dining/oracle verdicts, run metrics, the end time,
-and a handle on the trace.  Chaos
-``RunVerdict`` carries one as its ``report``; :meth:`RunResult.render`
-is the table ``repro scenario`` prints.
+and a handle on the trace.  A chaos
+``RunVerdict`` from ``run_one`` carries one as its ``report``;
+:meth:`RunResult.render` is the table ``repro scenario`` and ``repro
+chaos --replay`` print.
 
 :func:`result_payload` is the one stored form of a run: what every
 surface (``repro sweep``, ``repro chaos`` / ``lattice``, ``repro serve``)

@@ -60,17 +60,28 @@ def test_every_parser_prints_help(command, capsys):
 
 @pytest.mark.parametrize("argv, spec", [
     (["chaos", "--campaigns", "1", "--graphs", "bogus:1"], None),
-    (["chaos", "--replay", "5", "--graphs", "bogus:1"], None),
+    (["chaos", "--replay", '{"graph": "bogus:1"}'], None),
+    (["chaos", "--replay", "{not json"], None),
+    (["chaos", "--replay", "5"], None),
     (["scenario", "missing.json"], None),
     (["scenario", "mini.json"], {"bogus_key": 1}),
     (["sweep", "mini.json", "--seeds", "2"], {"algorithm": "wf-ewx:zz"}),
-], ids=["chaos-graph", "replay-graph", "scenario-missing", "scenario-key",
-        "sweep-algorithm"])
+    (["run", "e99"], None),
+    (["report", "empty.jsonl"], None),
+    (["bench", "--check"], None),
+], ids=["chaos-graph", "replay-graph", "replay-malformed", "replay-not-spec",
+        "scenario-missing", "scenario-key", "sweep-algorithm", "run-unknown",
+        "report-empty", "bench-no-baseline"])
 def test_bad_input_is_one_error_line_and_exit_2(argv, spec, tmp_path,
                                                 monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     if spec is not None:
         _scenario_file(tmp_path, **spec)
+    (tmp_path / "empty.jsonl").write_text("")
+    # No committed baseline: --check must refuse before running anything.
+    monkeypatch.setattr("repro.perf.bench.BASELINE_PATH",
+                        tmp_path / "no-baseline.json")
+    monkeypatch.setattr("repro.perf.bench.run_bench", None)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"repro {argv[0]}: error: ")
@@ -456,10 +467,10 @@ def test_chaos_detector_flag(capsys):
                "--max-time", "300", "--detector", "perfect"])
     assert rc == 0
     assert "chaos campaign: 1 runs" in capsys.readouterr().out
-    # The replay recipe must carry the knob so failures reproduce under
-    # the same detector.
-    from repro.chaos import ChaosConfig
-    assert "--detector perfect" in ChaosConfig(detector="perfect").cli_flags()
+    # The replay handle, the run's spec, carries the knob so failures
+    # reproduce under the same detector.
+    from repro.chaos import ChaosConfig, build_run
+    assert build_run(3, ChaosConfig(detector="perfect")).detector == "perfect"
 
 
 def test_chaos_unknown_detector_is_a_clean_cli_error(capsys):
