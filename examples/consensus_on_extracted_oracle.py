@@ -10,7 +10,8 @@ Run:  python examples/consensus_on_extracted_oracle.py
 
 from repro.consensus.chandra_toueg import check_consensus, setup_consensus
 from repro.core import build_full_extraction
-from repro.experiments.common import build_system, wf_box
+from repro.dining.boxes import box_factory
+from repro.runtime.builder import build_system
 from repro.sim.faults import CrashSchedule
 
 PIDS = ["p0", "p1", "p2", "p3"]
@@ -21,8 +22,8 @@ def main() -> None:
         PIDS, seed=8, gst=120.0, max_time=8000.0,
         crash=CrashSchedule.single("p0", 40.0),   # round-1 coordinator dies
     )
-    detectors, pairs = build_full_extraction(system.engine, PIDS,
-                                             wf_box(system))
+    detectors, pairs = build_full_extraction(
+        system.engine, PIDS, box_factory("wf-ewx", system.provider))
     proposals = {pid: f"value-from-{pid}" for pid in PIDS}
     endpoints = setup_consensus(system.engine, PIDS, detectors, proposals)
 

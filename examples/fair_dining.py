@@ -12,8 +12,8 @@ from repro.dining.fair_wrapper import FairDining
 from repro.dining.fairness import measure_fairness
 from repro.dining.spec import check_exclusion, check_wait_freedom
 from repro.dining.wf_ewx import WaitFreeEWXDining
-from repro.experiments.common import build_system
 from repro.graphs import clique
+from repro.runtime.builder import build_system
 
 N = 3
 INSTANCE = "FAIR"

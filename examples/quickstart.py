@@ -9,11 +9,12 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core import build_full_extraction
-from repro.experiments.common import build_system, wf_box
+from repro.dining.boxes import box_factory
 from repro.oracles.properties import (
     check_eventual_strong_accuracy,
     check_strong_completeness,
 )
+from repro.runtime.builder import build_system
 from repro.sim.faults import CrashSchedule
 
 PIDS = ["alice", "bob", "carol"]
@@ -27,7 +28,8 @@ def main() -> None:
     )
 
     # The reduction is black-box: it only sees the dining client API.
-    detectors, _ = build_full_extraction(system.engine, PIDS, wf_box(system))
+    detectors, _ = build_full_extraction(
+        system.engine, PIDS, box_factory("wf-ewx", system.provider))
 
     def show(moment: str) -> None:
         print(f"t={system.engine.now:7.1f}  ({moment})")

@@ -13,9 +13,10 @@ import pathlib
 from repro.analysis.sessions import analyze_pair_sessions
 from repro.analysis.svg import render_svg_timeline, save_svg
 from repro.core import build_full_extraction
+from repro.dining.boxes import box_factory
 from repro.dining.spec import check_exclusion
-from repro.experiments.common import build_system, wf_box
 from repro.graphs import pair_graph
+from repro.runtime.builder import build_system
 
 OUT = pathlib.Path(__file__).parent / "figure1.svg"
 
@@ -23,7 +24,8 @@ OUT = pathlib.Path(__file__).parent / "figure1.svg"
 def main() -> None:
     system = build_system(["p", "q"], seed=101, gst=150.0, max_time=2500.0)
     _, pairs = build_full_extraction(system.engine, ["p", "q"],
-                                     wf_box(system), monitors=[("p", "q")])
+                                     box_factory("wf-ewx", system.provider),
+                                     monitors=[("p", "q")])
     system.engine.run()
     pair = pairs[("p", "q")]
     end = system.engine.now

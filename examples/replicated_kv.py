@@ -16,7 +16,8 @@ Run:  python examples/replicated_kv.py
 from repro.apps.kv_store import KVReplica, check_replication
 from repro.consensus.atomic_broadcast import setup_atomic_broadcast
 from repro.core import build_full_extraction
-from repro.experiments.common import build_system, wf_box
+from repro.dining.boxes import box_factory
+from repro.runtime.builder import build_system
 from repro.sim.faults import CrashSchedule
 
 PIDS = ["p0", "p1", "p2"]
@@ -26,8 +27,8 @@ CRASH_AT = 260.0
 def main() -> None:
     system = build_system(PIDS, seed=17, max_time=12000.0,
                           crash=CrashSchedule.single("p2", CRASH_AT))
-    detectors, pairs = build_full_extraction(system.engine, PIDS,
-                                             wf_box(system))
+    detectors, pairs = build_full_extraction(
+        system.engine, PIDS, box_factory("wf-ewx", system.provider))
     abcs = setup_atomic_broadcast(system.engine, PIDS, detectors)
     replicas = {
         pid: system.engine.process(pid).add_component(

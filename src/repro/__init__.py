@@ -43,16 +43,15 @@ Quickstart — the one-call front door (:func:`repro.run` /
     matrix = repro.compare(graphs=("ring:6",), seeds=4)  # the lattice
     print(matrix.render())
 
-Going deeper — driving the reduction machinery directly::
+Going deeper — the paper's reduction is a detector like any other:
+Algs. 1/2 extract ◇P from a WF-◇WX box (``box``, in the algorithm
+grammar), and the spec's own dining instance runs on what they extract::
 
-    from repro.experiments.common import build_system, wf_box
-    from repro.core import build_full_extraction
-
-    system = build_system(["p", "q"], seed=1)
-    detectors, _ = build_full_extraction(system.engine, ["p", "q"],
-                                         wf_box(system))
-    system.engine.run()
-    print(detectors["p"].suspects())   # ◇P output extracted from dining
+    result = repro.run(repro.RunSpec(
+        graph="ring:4", seed=7, crashes={"p1": 400.0},
+        detector="extracted", detector_params={"box": "manager"}))
+    assert result.oracle_accuracy_ok and result.oracle_completeness_ok
+    print(result.detector_stats("extracted"))  # ◇P quality of the reduction
 """
 
 from repro.api import DetectorSpec, compare, run, sweep

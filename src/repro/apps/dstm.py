@@ -231,7 +231,7 @@ class SharedMemorySTM:
         import networkx as nx
 
         from repro.dining.wf_ewx import WaitFreeEWXDining
-        from repro.experiments.common import build_system
+        from repro.runtime.builder import build_system
 
         system = build_system(self.client_pids, seed=self.seed, gst=self.gst,
                               max_time=self.max_time, crash=self.crash)

@@ -53,6 +53,7 @@ from repro.runtime import (
     parse_graph,
 )
 from repro.runtime.result import result_payload
+from repro.runtime.spec import check_grammars
 from repro.runtime.store import (
     ResultStore,
     canonical_spec,
@@ -124,12 +125,12 @@ class ChaosConfig:
                     f"{name} must be a probability, got {value}")
         if self.max_time <= 0:
             raise ConfigurationError("max_time must be positive")
-        from repro.core.extraction import PairSelection
-
-        PairSelection.parse(self.pairs)
         from repro.oracles.registry import DetectorSpec
 
         DetectorSpec(self.detector, dict(self.detector_params))
+        box = self.detector_params.get("box")
+        check_grammars(self.pairs, *self.algorithms,
+                       *(() if box is None else (box,)))
 
     @classmethod
     def from_args(cls, args: Any) -> "ChaosConfig":

@@ -284,8 +284,9 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    """Run every registered detector through identical seeded chaos
-    campaigns and print the cross-detector comparison matrix."""
+    """Run the selected detectors (by default every registered one but
+    ``extracted``) through identical seeded chaos campaigns and print the
+    cross-detector comparison matrix."""
     from repro.lattice import compare
 
     result = _campaign(args, lambda store, on_result: compare(
@@ -606,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     cha.add_argument("--json", action="store_true",
                      help="emit a machine-readable campaign summary")
     lat = sub.add_parser("lattice", parents=[storep],
-                         help="compare every registered failure detector "
+                         help="compare the registered failure detectors "
                               "through identical seeded chaos campaigns "
                               "(◇WX verdicts, convergence, churn, message "
                               "cost, dominance grid; docs/detectors.md)")
@@ -621,7 +622,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="base seed the run seeds derive from (default 0)")
     lat.add_argument("--detectors", nargs="+", default=None, metavar="NAME",
                      help="registry names to compare (default: every "
-                          "registered detector)")
+                          "registered detector but extracted, whose two "
+                          "dining instances per monitored pair would "
+                          "change the default lattice's output and cost; "
+                          "name it to rank it)")
     lat.add_argument("--workers", type=int, default=1,
                      help="worker processes per campaign (default 1; "
                           "output is byte-identical to serial)")

@@ -11,9 +11,11 @@ from __future__ import annotations
 from repro.analysis.report import Table
 from repro.analysis.sessions import analyze_pair_sessions
 from repro.core.extraction import build_full_extraction
+from repro.dining.boxes import box_factory
 from repro.dining.spec import check_exclusion
-from repro.experiments.common import ExperimentResult, build_system, wf_box
+from repro.experiments.common import ExperimentResult
 from repro.graphs import pair_graph
+from repro.runtime.builder import build_system
 
 EXP_ID = "E1"
 TITLE = "Figure 1: session alternation and subject hand-off overlap"
@@ -23,7 +25,8 @@ def run(seed: int = 101, max_time: float = 2500.0, gst: float = 150.0,
         washout: float = 200.0) -> ExperimentResult:
     system = build_system(["p", "q"], seed=seed, gst=gst, max_time=max_time)
     _, pairs = build_full_extraction(
-        system.engine, system.pids, wf_box(system), monitors=[("p", "q")])
+        system.engine, system.pids, box_factory("wf-ewx", system.provider),
+        monitors=[("p", "q")])
     system.engine.run()
     end = system.engine.now
     pair = pairs[("p", "q")]

@@ -20,8 +20,9 @@ from repro.core.extraction import build_full_extraction
 from repro.core.flawed_cm import FlawedCMPair
 from repro.core.pair import ReductionPair
 from repro.dining.boxes import box_factory
-from repro.experiments.common import ExperimentResult, build_system
+from repro.experiments.common import ExperimentResult
 from repro.oracles.properties import false_positive_count, suspicion_series
+from repro.runtime.builder import build_system
 
 EXP_ID = "E4"
 TITLE = "Section 3: [8]'s construction fails on a legal box; ours survives"

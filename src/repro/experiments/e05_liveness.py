@@ -20,8 +20,10 @@ from __future__ import annotations
 from repro.analysis.report import Table
 from repro.analysis.sessions import analyze_pair_sessions
 from repro.core.extraction import build_full_extraction
+from repro.dining.boxes import box_factory
 from repro.dining.spec import state_series
-from repro.experiments.common import ExperimentResult, build_system, wf_box
+from repro.experiments.common import ExperimentResult
+from repro.runtime.builder import build_system
 from repro.sim.trace import state_intervals
 from repro.types import DinerState, Time
 
@@ -46,7 +48,8 @@ def _coverage_gaps(intervals: list[tuple[Time, Time]], start: Time,
 def _one_run(seed: int, max_time: float) -> dict:
     system = build_system(["p", "q"], seed=seed, gst=120.0, max_time=max_time)
     _, pairs = build_full_extraction(
-        system.engine, ["p", "q"], wf_box(system), monitors=[("p", "q")])
+        system.engine, ["p", "q"], box_factory("wf-ewx", system.provider),
+        monitors=[("p", "q")])
     system.engine.run()
     pair = pairs[("p", "q")]
     end = system.engine.now

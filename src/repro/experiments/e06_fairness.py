@@ -16,13 +16,8 @@ than k times, for small k.
 from __future__ import annotations
 
 from repro.analysis.report import Table
-from repro.core.extraction import build_full_extraction
-from repro.dining.client import EagerClient
-from repro.dining.fairness import measure_fairness
-from repro.dining.spec import check_exclusion, check_wait_freedom
-from repro.dining.wf_ewx import WaitFreeEWXDining
-from repro.experiments.common import ExperimentResult, build_system, wf_box
-from repro.graphs import clique
+from repro.experiments.common import ExperimentResult
+from repro.runtime import RunSpec, execute
 
 EXP_ID = "E6"
 TITLE = "Section 8: extracted ◇P drives eventually k-fair dining (k <= 2)"
@@ -30,32 +25,15 @@ TITLE = "Section 8: extracted ◇P drives eventually k-fair dining (k <= 2)"
 
 def run(seed: int = 601, n: int = 3, max_time: float = 3000.0,
         washout: float = 250.0, k: int = 2) -> ExperimentResult:
-    pids = [f"p{i}" for i in range(n)]
-    system = build_system(pids, seed=seed, gst=120.0, max_time=max_time)
-
-    # Step 1: the reduction over the black box -> extracted ◇P.
-    detectors, _ = build_full_extraction(system.engine, pids, wf_box(system))
-
-    # Step 2: a fresh dining instance whose oracle is the EXTRACTED detector.
-    app_graph = clique(n)
-    app = WaitFreeEWXDining(
-        "APP", app_graph,
-        lambda pid: (lambda q, d=detectors[pid]: d.suspected(q)),
-    )
-    diners = app.attach(system.engine)
-    for pid in pids:
-        system.engine.process(pid).add_component(
-            EagerClient("client", diners[pid], eat_steps=2)
-        )
-    system.engine.run()
-    end = system.engine.now
-    trace = system.engine.trace
-
-    excl = check_exclusion(trace, app_graph, "APP", system.schedule, end)
+    # The reduction over the black box is the run's detector; the spec's
+    # own dining instance (over a clique, with real client workloads) is
+    # the fresh instance whose oracle is the extracted ◇P.
+    result = execute(RunSpec(
+        name=EXP_ID, graph=f"clique:{n}", seed=seed, gst=120.0,
+        max_time=max_time, grace=100.0, detector="extracted"))
+    end = result.end_time
+    excl, wf, fairness = result.exclusion, result.wait_freedom, result.fairness
     conv = excl.last_violation_end or 0.0
-    wf = check_wait_freedom(trace, app_graph, "APP", system.schedule, end,
-                            grace=100.0)
-    fairness = measure_fairness(trace, app_graph, "APP", end, system.schedule)
     worst_suffix = fairness.worst_after(conv + washout)
     worst_all = fairness.worst_overall()
 
@@ -71,7 +49,7 @@ def run(seed: int = 601, n: int = 3, max_time: float = 3000.0,
     table.add_row(["worst overtaking over whole run (may exceed k)",
                    worst_all, True])
 
-    sessions = ", ".join(f"{p}:{wf.sessions[p]}" for p in pids)
+    sessions = ", ".join(f"{p}:{m}" for p, m in sorted(wf.sessions.items()))
     return ExperimentResult(
         exp_id=EXP_ID, title=TITLE, ok=ok_wf and ok_excl and ok_fair,
         table=table,

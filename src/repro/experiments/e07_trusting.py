@@ -20,11 +20,12 @@ from repro.core.extraction import build_full_extraction
 from repro.core.pair import TRUSTING_LABEL, ReductionPair
 from repro.dining.perpetual import PerpetualDining
 from repro.dining.spec import check_exclusion
-from repro.experiments.common import ExperimentResult, build_system
+from repro.experiments.common import ExperimentResult
 from repro.oracles.properties import (
     check_strong_completeness,
     check_trusting_accuracy,
 )
+from repro.runtime.builder import build_system
 from repro.sim.faults import CrashSchedule
 
 EXP_ID = "E7"

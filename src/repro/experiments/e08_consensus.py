@@ -11,7 +11,9 @@ from __future__ import annotations
 from repro.analysis.report import Table
 from repro.consensus.chandra_toueg import check_consensus, setup_consensus
 from repro.core.extraction import build_full_extraction
-from repro.experiments.common import ExperimentResult, build_system, wf_box
+from repro.dining.boxes import box_factory
+from repro.experiments.common import ExperimentResult
+from repro.runtime.builder import build_system
 from repro.sim.faults import CrashSchedule
 
 EXP_ID = "E8"
@@ -24,8 +26,8 @@ def _one(seed: int, n: int, use_extraction: bool, crash_at: float,
     system = build_system(pids, seed=seed, gst=120.0, max_time=max_time,
                           crash=CrashSchedule.single(pids[0], crash_at))
     if use_extraction:
-        detectors, _ = build_full_extraction(system.engine, pids,
-                                             wf_box(system))
+        detectors, _ = build_full_extraction(
+            system.engine, pids, box_factory("wf-ewx", system.provider))
     else:
         detectors = system.box_modules
     proposals = {pid: f"v{i}" for i, pid in enumerate(pids)}

@@ -9,13 +9,14 @@ finite and convergence that tracks GST.
 from __future__ import annotations
 
 from repro.analysis.report import Table
-from repro.experiments.common import ExperimentResult, build_system
+from repro.experiments.common import ExperimentResult
 from repro.oracles.properties import (
     check_eventual_strong_accuracy,
     check_strong_completeness,
     false_positive_count,
 )
 from repro.oracles.registry import DetectorSpec
+from repro.runtime.builder import build_system
 from repro.sim.faults import CrashSchedule
 
 EXP_ID = "E11"

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from repro.analysis.report import Table
 from repro.core.extraction import build_full_extraction
-from repro.experiments.common import ExperimentResult, build_system, wf_box
+from repro.dining.boxes import box_factory
+from repro.experiments.common import ExperimentResult
+from repro.runtime.builder import build_system
 from repro.sim.metrics import collect_metrics
 
 EXP_ID = "E12"
@@ -29,7 +31,8 @@ def run(seed: int = 1201, ns: tuple[int, ...] = (2, 3, 4),
     for n in ns:
         pids = [f"p{i}" for i in range(n)]
         system = build_system(pids, seed=seed, gst=100.0, max_time=max_time)
-        _, pairs = build_full_extraction(system.engine, pids, wf_box(system))
+        _, pairs = build_full_extraction(
+            system.engine, pids, box_factory("wf-ewx", system.provider))
         system.engine.run()
         m = collect_metrics(system.engine)
         n_pairs = n * (n - 1)

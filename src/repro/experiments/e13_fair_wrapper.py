@@ -14,39 +14,23 @@ ablation sweeps the overtake budget ``k``, measuring
 from __future__ import annotations
 
 from repro.analysis.report import Table
-from repro.dining.boxes import box_factory
-from repro.dining.client import EagerClient
-from repro.dining.fairness import measure_fairness
-from repro.dining.spec import check_exclusion, check_wait_freedom
-from repro.experiments.common import ExperimentResult, build_system
-from repro.graphs import clique
+from repro.experiments.common import ExperimentResult
+from repro.runtime import RunSpec, execute
 
 EXP_ID = "E13"
 TITLE = "Ablation: eventually k-fair wrapper (Section 8 / [13]) — k sweep"
-INSTANCE = "FAIR"
 
 
 def _one(seed: int, k: int | None, n: int, max_time: float, washout: float):
-    g = clique(n)
-    pids = sorted(g.nodes)
-    system = build_system(pids, seed=seed, max_time=max_time)
-    box = "wf-ewx" if k is None else f"fair:{k}"
-    diners = box_factory(box, system.provider)(INSTANCE, g).attach(
-        system.engine)
-    for pid in pids:
-        system.engine.process(pid).add_component(
-            EagerClient("cl", diners[pid], eat_steps=2))
-    system.engine.run()
-    eng = system.engine
-    wf = check_wait_freedom(eng.trace, g, INSTANCE, system.schedule, eng.now,
-                            grace=150.0)
-    excl = check_exclusion(eng.trace, g, INSTANCE, system.schedule, eng.now)
+    result = execute(RunSpec(
+        name=EXP_ID, graph=f"clique:{n}", seed=seed, gst=150.0,
+        max_time=max_time, grace=150.0,
+        algorithm="wf-ewx" if k is None else f"fair:{k}"))
+    wf, excl, fairness = result.wait_freedom, result.exclusion, result.fairness
     conv = (excl.last_violation_end or 0.0) + washout
-    fairness = measure_fairness(eng.trace, g, INSTANCE, eng.now,
-                                system.schedule)
     return {
         "wf": wf.ok,
-        "ewx": excl.eventually_exclusive_by(eng.now * 0.6),
+        "ewx": excl.eventually_exclusive_by(result.end_time * 0.6),
         "suffix_overtake": fairness.worst_after(conv),
         "overall_overtake": fairness.worst_overall(),
         "sessions": sum(wf.sessions.values()),

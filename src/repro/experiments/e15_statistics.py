@@ -11,17 +11,21 @@ from __future__ import annotations
 from repro.analysis.report import Table
 from repro.analysis.stats import sweep_many
 from repro.core.extraction import build_full_extraction
-from repro.experiments.common import BOX_BUILDERS, build_system
+from repro.dining.boxes import box_factory
 from repro.experiments.common import ExperimentResult
 from repro.oracles.properties import (
     check_eventual_strong_accuracy,
     check_strong_completeness,
     false_positive_count,
 )
+from repro.runtime.builder import build_system
 from repro.sim.faults import CrashSchedule
 
 EXP_ID = "E15"
 TITLE = "Statistics: extraction convergence across seeds (both boxes)"
+
+#: The two black boxes, by table name.
+BOXES = {"wf": "wf-ewx", "deferred": "deferred:150"}
 
 
 def _metrics(seed: int, box_name: str, crash_at: float,
@@ -29,7 +33,7 @@ def _metrics(seed: int, box_name: str, crash_at: float,
     # Accuracy run.
     system = build_system(["p", "q"], seed=seed, max_time=max_time)
     build_full_extraction(system.engine, ["p", "q"],
-                          BOX_BUILDERS[box_name](system),
+                          box_factory(BOXES[box_name], system.provider),
                           monitors=[("p", "q")])
     system.engine.run()
     acc = check_eventual_strong_accuracy(
@@ -42,7 +46,7 @@ def _metrics(seed: int, box_name: str, crash_at: float,
     system2 = build_system(["p", "q"], seed=seed + 5000, max_time=max_time,
                            crash=sched)
     build_full_extraction(system2.engine, ["p", "q"],
-                          BOX_BUILDERS[box_name](system2),
+                          box_factory(BOXES[box_name], system2.provider),
                           monitors=[("p", "q")])
     system2.engine.run()
     comp = check_strong_completeness(
@@ -63,7 +67,7 @@ def run(base_seed: int = 1500, n_seeds: int = 8, crash_at: float = 700.0,
                   title=TITLE)
     ok_all = True
     seeds = range(base_seed, base_seed + n_seeds)
-    for box_name in ("wf", "deferred"):
+    for box_name in BOXES:
         stats = sweep_many(
             lambda seed: _metrics(seed, box_name, crash_at, max_time),
             list(seeds),

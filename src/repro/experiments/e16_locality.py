@@ -14,16 +14,14 @@ from __future__ import annotations
 import networkx as nx
 
 from repro.analysis.report import Table
-from repro.dining.boxes import box_factory
-from repro.dining.client import EagerClient
 from repro.dining.spec import hungry_intervals
-from repro.experiments.common import ExperimentResult, build_system
+from repro.experiments.common import ExperimentResult
 from repro.graphs import path
-from repro.sim.faults import CrashSchedule
+from repro.runtime import RunSpec, execute
+from repro.runtime.builder import INSTANCE
 
 EXP_ID = "E16"
 TITLE = "Failure locality: crash impact radius, hygienic vs ◇P dining"
-INSTANCE = "CHAIN"
 
 
 def _run(seed: int, algorithm: str, n: int, crash_at: float,
@@ -31,25 +29,21 @@ def _run(seed: int, algorithm: str, n: int, crash_at: float,
     g = path(n)
     pids = sorted(g.nodes)
     victim = pids[0]
-    system = build_system(pids, seed=seed, max_time=max_time,
-                          crash=CrashSchedule.single(victim, crash_at))
-    inst = box_factory(algorithm, system.provider)(INSTANCE, g)
-    diners = inst.attach(system.engine)
-    for pid in pids:
-        system.engine.process(pid).add_component(
-            EagerClient("cl", diners[pid], eat_steps=2))
-    system.engine.run()
-    eng = system.engine
+    result = execute(RunSpec(
+        name=EXP_ID, graph=f"path:{n}", seed=seed, gst=150.0,
+        max_time=max_time, algorithm=algorithm,
+        crashes={victim: crash_at}))
+    end = result.end_time
 
     dist = nx.single_source_shortest_path_length(g, victim)
     rows = []
     for pid in pids[1:]:
-        ivs = [iv for iv in hungry_intervals(eng.trace, INSTANCE, pid, eng.now)
+        ivs = [iv for iv in hungry_intervals(result.trace, INSTANCE, pid, end)
                if iv[1] > crash_at]
         max_wait = max((b - a for a, b in ivs), default=0.0)
         # Starving: still hungry at the end with hunger from long before.
-        starving = bool(ivs) and ivs[-1][1] >= eng.now and \
-            ivs[-1][0] < eng.now - 300.0
+        starving = bool(ivs) and ivs[-1][1] >= end and \
+            ivs[-1][0] < end - 300.0
         rows.append((dist[pid], pid, starving, max_wait))
     return rows
 

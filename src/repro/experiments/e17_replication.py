@@ -17,7 +17,9 @@ from repro.consensus.atomic_broadcast import (
     setup_atomic_broadcast,
 )
 from repro.core.extraction import build_full_extraction
-from repro.experiments.common import ExperimentResult, build_system, wf_box
+from repro.dining.boxes import box_factory
+from repro.experiments.common import ExperimentResult
+from repro.runtime.builder import build_system
 from repro.sim.faults import CrashSchedule
 
 EXP_ID = "E17"
@@ -32,8 +34,8 @@ def run(seed: int = 1701, n: int = 3, n_commands: int = 5,
     system = build_system(pids, seed=seed, max_time=max_time,
                           crash=CrashSchedule.single(faulty, crash_at))
     if use_extraction:
-        detectors, _ = build_full_extraction(system.engine, pids,
-                                             wf_box(system))
+        detectors, _ = build_full_extraction(
+            system.engine, pids, box_factory("wf-ewx", system.provider))
     else:
         detectors = system.box_modules
     abcs = setup_atomic_broadcast(system.engine, pids, detectors)

@@ -21,8 +21,10 @@ from repro.analysis.report import Table
 from repro.core.extraction import build_full_extraction
 from repro.core.pair import ReductionPair
 from repro.core.preliminary import PreliminaryPair
-from repro.experiments.common import ExperimentResult, build_system, wf_box
+from repro.dining.boxes import box_factory
+from repro.experiments.common import ExperimentResult
 from repro.oracles.properties import false_positive_count, suspicion_series
+from repro.runtime.builder import build_system
 
 EXP_ID = "E20"
 TITLE = "Section 5.1 ablation: one dining instance is not enough"
@@ -31,7 +33,7 @@ TITLE = "Section 5.1 ablation: one dining instance is not enough"
 def _one(seed: int, horizon: float, construction) -> tuple[int, float]:
     system = build_system(["p", "q"], seed=seed, max_time=horizon)
     _, pairs = build_full_extraction(
-        system.engine, ["p", "q"], wf_box(system),
+        system.engine, ["p", "q"], box_factory("wf-ewx", system.provider),
         construction=construction, monitors=[("p", "q")])
     label = pairs[("p", "q")].output.detector_label
     system.engine.run()

@@ -7,7 +7,8 @@ by the extraction, necessary — it is the weakest), P/T/S sit above it,
 ordering empirically:
 
 * :func:`~repro.lattice.compare.compare` runs every registered detector
-  (:data:`repro.oracles.registry.REGISTRY`) through *identical* seeded
+  but ``extracted`` (:data:`~repro.lattice.compare.DEFAULT_DETECTORS`;
+  name it to rank the reduction) through *identical* seeded
   chaos campaigns and assembles a
   :class:`~repro.lattice.matrix.LatticeResult` — convergence time,
   wrongful-suspicion churn, message cost, and a per-seed ◇WX verdict per

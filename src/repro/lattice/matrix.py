@@ -254,7 +254,7 @@ def dominance_symbol(a: frozenset, b: frozenset) -> str:
 
 @dataclass
 class LatticeResult:
-    """The full comparison: every registered detector over identical
+    """The full comparison: every compared detector over identical
     seeded chaos scenarios."""
 
     rows: list[DetectorRow]

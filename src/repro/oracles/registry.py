@@ -16,7 +16,8 @@ unifies them behind one surface:
   Unknown names fail with an error enumerating every registered detector
   with an example — the same idiom as ``GRAPH_KINDS``.
 
-Registered detectors (the comparison lattice ``repro lattice`` runs):
+Registered detectors (``repro lattice`` runs all but ``extracted`` by
+default):
 
 ======================  =====================================================
 ``eventually_perfect``  ◇P from partial synchrony (heartbeats + adaptive
@@ -37,6 +38,10 @@ Registered detectors (the comparison lattice ``repro lattice`` runs):
                         ordered pair over an adversarial-but-legal deferred
                         box.  Deliberately fails ◇P accuracy — the
                         lattice's negative reference point.
+``extracted``           The paper's reduction (Algs. 1/2): one pair of
+                        dining instances per ordered pair over a WF-◇WX
+                        box (``box``), which runs on its own heartbeat ◇P.
+                        Claims ◇P's battery and passes it.
 ======================  =====================================================
 """
 
@@ -257,16 +262,20 @@ def _install_omega(ctx: InstallContext, params: Mapping[str, Any]):
     return modules
 
 
-def _install_flawed_cm(ctx: InstallContext, params: Mapping[str, Any]):
+def _install_reduction(label: str, ctx: InstallContext,
+                       params: Mapping[str, Any]):
+    # The two reduction entries share this hook and differ in their pair
+    # construction: Algs. 1/2 for ``extracted``, [8]'s for ``flawed_cm``.
     # Local imports: repro.core / repro.dining sit above the oracle layer.
     from repro.core.extraction import build_full_extraction
-    from repro.core.flawed_cm import FlawedCMPair
+    from repro.core.flawed_cm import FLAWED_LABEL, FlawedCMPair
+    from repro.core.pair import ReductionPair
     from repro.dining.boxes import box_factory
 
     substrate = attach_detectors(
         ctx.engine, ctx.pids,
         lambda owner, peers: EventuallyPerfectDetector(
-            "flawed.sub", peers, heartbeat_period=4, initial_timeout=10),
+            f"{label}.sub", peers, heartbeat_period=4, initial_timeout=10),
         peers_of=ctx.peers_of,
     )
 
@@ -274,10 +283,12 @@ def _install_flawed_cm(ctx: InstallContext, params: Mapping[str, Any]):
         module = substrate[pid]
         return lambda q: module.suspected(q)
 
+    construction = (
+        partial(FlawedCMPair, heartbeat_period=int(params["heartbeat_period"]))
+        if label == FLAWED_LABEL else ReductionPair)
     return build_full_extraction(
         ctx.engine, ctx.pids, box_factory(params["box"], provider),
-        construction=partial(FlawedCMPair,
-                             heartbeat_period=int(params["heartbeat_period"])),
+        construction=construction,
         monitors=[(p, q) for p in ctx.pids for q in ctx.peers(p)])[0]
 
 
@@ -376,7 +387,19 @@ _register(DetectorEntry(
     # accuracy half: that failure is the corrigendum's Section 3 point.
     assumptions=DetectorAssumptions(accuracy="eventual_strong",
                                     completeness="strong", label="flawed"),
-    install=_install_flawed_cm,
+    install=partial(_install_reduction, "flawed"),
+))
+
+_register(DetectorEntry(
+    name="extracted",
+    summary="the paper's reduction: ◇P extracted by Algs. 1/2 from a "
+            "WF-◇WX box on a heartbeat ◇P",
+    example='detector="extracted", detector_params={"box": "manager"}',
+    label="extracted",
+    defaults={"box": "wf-ewx"},
+    assumptions=DetectorAssumptions(accuracy="eventual_strong",
+                                    completeness="strong", label="extracted"),
+    install=partial(_install_reduction, "extracted"),
 ))
 
 

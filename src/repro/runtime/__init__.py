@@ -9,8 +9,8 @@ wired, executed, and judged:
 * :mod:`~repro.runtime.builder` — the canonical builder
   (:func:`~repro.runtime.builder.build_system`,
   :func:`~repro.runtime.builder.instantiate`,
-  :func:`~repro.runtime.builder.execute`) that ``chaos``,
-  ``experiments/common`` and the benchmarks all build through;
+  :func:`~repro.runtime.builder.execute`) that ``chaos``, the
+  experiments and the benchmarks all build through;
 * :class:`~repro.runtime.result.RunResult` — the uniform outcome envelope
   (verdicts, metrics, trace handle);
 * :class:`~repro.runtime.executor.SupervisedExecutor` — deterministic,

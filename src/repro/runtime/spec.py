@@ -118,15 +118,19 @@ def parse_graph(spec: str) -> nx.Graph:
             f"supported kinds: {_graph_kind_help()})") from exc
 
 
-@lru_cache(maxsize=1024)
-def _check_grammars(pairs: str, algorithm: str) -> None:
-    """Parse the pair selection (:meth:`PairSelection.parse`) and the
+def check_grammars(pairs: str, *boxes: str) -> None:
+    """Parse the pair selection (:meth:`PairSelection.parse`) and each
     dining box (:func:`box_factory`, parse only: no provider, nothing
-    built).  Both are pure functions of their string, so a pair of strings
-    that parsed once is remembered; a malformed one raises, is not
-    cached, and raises again on the next construction."""
+    built); a malformed one raises :class:`ConfigurationError`."""
     PairSelection.parse(pairs)
-    box_factory(algorithm, None)
+    for box in boxes:
+        box_factory(box, None)
+
+
+#: :func:`check_grammars`, remembered: both parses are pure functions of
+#: their strings, and a ``RunSpec`` is built per service request.  A
+#: malformed string raises, is not cached, and raises again next time.
+_check_grammars = lru_cache(maxsize=1024)(check_grammars)
 
 
 @dataclass
@@ -190,11 +194,12 @@ class RunSpec:
     #: Which failure detector drives the run, by registry name
     #: (:data:`repro.oracles.registry.REGISTRY`): ``eventually_perfect`` |
     #: ``eventually_strong`` | ``strong`` | ``perfect`` | ``trusting`` |
-    #: ``omega`` | ``flawed_cm``.  The default is the historical heartbeat
-    #: ◇P, bit-identical to pre-registry runs (golden traces pin it).
+    #: ``omega`` | ``flawed_cm`` | ``extracted``.  The default is the
+    #: historical heartbeat ◇P, bit-identical to pre-registry runs (golden
+    #: traces pin it).
     detector: str = "eventually_perfect"
     #: Per-detector parameter overrides (e.g. ``{"initial_timeout": 20}``
-    #: for ◇P, ``{"box": "deferred:150"}`` for ``flawed_cm``); unknown
+    #: for ◇P, ``{"box": "manager"}`` for ``extracted``); unknown
     #: keys fail eagerly naming the accepted ones.  Defaults come from the
     #: registry entry.
     detector_params: Mapping[str, Any] = field(default_factory=dict)
@@ -225,10 +230,15 @@ class RunSpec:
         # spec construction with the full registry enumerated.  Checked
         # every time: the registry is live and the params are a mapping.
         DetectorSpec(self.detector, dict(self.detector_params))
-        if isinstance(self.pairs, str) and isinstance(self.algorithm, str):
-            _check_grammars(self.pairs, self.algorithm)
-        else:  # not a string, maybe unhashable: uncached, and it fails
-            _check_grammars.__wrapped__(self.pairs, self.algorithm)
+        # A reduction detector's ``box`` is in the same grammar as
+        # ``algorithm``, so a malformed one fails here, not in a worker.
+        box = self.detector_params.get("box")
+        grammars = ((self.pairs, self.algorithm) if box is None
+                    else (self.pairs, self.algorithm, box))
+        try:
+            _check_grammars(*grammars)
+        except TypeError:  # an unhashable value: parsed uncached, and fails
+            check_grammars(*grammars)
         validate_retention(self.trace)
 
     @classmethod

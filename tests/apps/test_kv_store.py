@@ -9,7 +9,7 @@ from repro.apps.kv_store import (
 )
 from repro.consensus.atomic_broadcast import setup_atomic_broadcast
 from repro.errors import ConfigurationError
-from repro.experiments.common import build_system
+from repro.runtime.builder import build_system
 from repro.sim.faults import CrashSchedule
 
 

@@ -6,7 +6,7 @@ from repro.consensus.atomic_broadcast import (
     check_total_order,
     setup_atomic_broadcast,
 )
-from repro.experiments.common import build_system
+from repro.runtime.builder import build_system
 from repro.sim.faults import CrashSchedule
 from repro.sim.trace import Trace
 

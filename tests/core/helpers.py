@@ -6,7 +6,8 @@ from repro.core.pair import EXTRACTED_LABEL
 from repro.core.subject import SubjectShared, SubjectThread
 from repro.core.witness import ExtractedPairModule, WitnessShared, WitnessThread
 from repro.dining.base import DinerComponent
-from repro.experiments.common import System, build_system, deferred_box, wf_box
+from repro.dining.boxes import box_factory
+from repro.runtime.builder import build_system
 from tests.conftest import make_engine
 
 
@@ -77,8 +78,8 @@ def run_pair_system(seed: int = 1, crash=None, max_time: float = 2500.0,
 
     system = build_system(["p", "q"], seed=seed, gst=gst, max_time=max_time,
                           crash=crash)
-    factory = (wf_box(system) if box == "wf"
-               else deferred_box(system, horizon=horizon))
+    factory = box_factory("wf-ewx" if box == "wf" else f"deferred:{horizon}",
+                          system.provider)
     detectors, pairs = build_full_extraction(
         system.engine, ["p", "q"], factory, monitors=[("p", "q")])
     system.engine.run()

@@ -11,12 +11,13 @@ from repro.core.extraction import (
     PairSelection,
     build_full_extraction,
 )
+from repro.dining.boxes import box_factory
 from repro.errors import ConfigurationError, InvariantViolation
-from repro.experiments.common import build_system, wf_box
 from repro.oracles.properties import (
     check_eventual_strong_accuracy,
     check_strong_completeness,
 )
+from repro.runtime.builder import build_system
 from repro.sim.faults import CrashSchedule
 from repro.types import DinerState
 
@@ -24,8 +25,8 @@ from repro.types import DinerState
 def run_full(n=3, seed=100, crash=None, max_time=2500.0):
     pids = [f"p{i}" for i in range(n)]
     system = build_system(pids, seed=seed, max_time=max_time, crash=crash)
-    detectors, pairs = build_full_extraction(system.engine, pids,
-                                             wf_box(system))
+    detectors, pairs = build_full_extraction(
+        system.engine, pids, box_factory("wf-ewx", system.provider))
     system.engine.run()
     return system, pids, detectors, pairs
 
@@ -41,7 +42,8 @@ def test_monitors_subset():
     pids = ["a", "b", "c"]
     system = build_system(pids, seed=1, max_time=10.0)
     detectors, pairs = build_full_extraction(
-        system.engine, pids, wf_box(system), monitors=[("a", "b")])
+        system.engine, pids, box_factory("wf-ewx", system.provider),
+        monitors=[("a", "b")])
     assert list(pairs) == [("a", "b")]
     # Every pid gets a facade; one that monitors nobody gets an empty one.
     assert list(detectors) == pids
@@ -51,7 +53,7 @@ def test_monitors_subset():
 def test_lemma_monitors_armed_by_default():
     system = build_system(["p", "q"], seed=1, max_time=10.0)
     _, pairs = build_full_extraction(system.engine, ["p", "q"],
-                                     wf_box(system))
+                                     box_factory("wf-ewx", system.provider))
     subject = pairs[("p", "q")].subjects[0]
     assert subject.diner.state is DinerState.THINKING
     subject.shared.ping[0] = False
@@ -148,7 +150,7 @@ class TestPairSelection:
         system = build_system(pids, seed=9, max_time=10.0)
         g = graphs.path(4)
         detectors, pairs = build_full_extraction(
-            system.engine, pids, wf_box(system),
+            system.engine, pids, box_factory("wf-ewx", system.provider),
             selection="neighbors", graph=g)
         assert len(pairs) == 2 * g.number_of_edges()
         assert set(detectors["p0"].monitored) == {"p1"}
@@ -159,7 +161,7 @@ class TestPairSelection:
         system = build_system(pids, seed=1, max_time=10.0)
         with pytest.raises(ConfigurationError, match="not both"):
             build_full_extraction(
-                system.engine, pids, wf_box(system),
+                system.engine, pids, box_factory("wf-ewx", system.provider),
                 monitors=[("a", "b")], selection="neighbors",
                 graph=graphs.pair_graph("a", "b"))
 

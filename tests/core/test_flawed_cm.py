@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.flawed_cm import FlawedCMPair
+from repro.dining.boxes import box_factory
 from repro.errors import ConfigurationError
-from repro.experiments.common import build_system, deferred_box, wf_box
 from repro.oracles.properties import (
     false_positive_count,
     suspicion_series,
 )
+from repro.runtime.builder import build_system
 from repro.sim.faults import CrashSchedule
 from tests.runtime.reference_judge import convergence_time
 
@@ -16,8 +17,8 @@ from tests.runtime.reference_judge import convergence_time
 def run_flawed(seed=1, box="wf", crash=None, max_time=2000.0, horizon=150.0):
     system = build_system(["p", "q"], seed=seed, gst=100.0,
                           max_time=max_time, crash=crash)
-    factory = (wf_box(system) if box == "wf"
-               else deferred_box(system, horizon=horizon))
+    factory = box_factory("wf-ewx" if box == "wf" else f"deferred:{horizon}",
+                          system.provider)
     pair = FlawedCMPair("p", "q", factory)
     pair.attach(system.engine)
     system.engine.run()
@@ -38,7 +39,7 @@ def test_heartbeat_period_validated():
 
 def test_double_attach_rejected():
     system = build_system(["p", "q"], seed=1, max_time=10.0)
-    pair = FlawedCMPair("p", "q", wf_box(system))
+    pair = FlawedCMPair("p", "q", box_factory("wf-ewx", system.provider))
     pair.attach(system.engine)
     with pytest.raises(ConfigurationError):
         pair.attach(system.engine)

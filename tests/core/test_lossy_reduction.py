@@ -10,11 +10,12 @@ only engine-level fault/transport configuration added.
 """
 
 from repro.core.extraction import build_full_extraction
-from repro.experiments.common import build_system, wf_box
+from repro.dining.boxes import box_factory
 from repro.oracles.properties import (
     check_eventual_strong_accuracy,
     check_strong_completeness,
 )
+from repro.runtime.builder import build_system
 from repro.sim.faults import CrashSchedule
 from repro.sim.link_faults import LinkFaultModel, Partition
 from repro.sim.transport import RetransmitPolicy
@@ -33,7 +34,8 @@ def run_lossy_pair(seed=3, crash=None, max_time=2500.0, drop=0.12,
                           max_time=max_time, crash=crash,
                           fault_model=faults, transport=POLICY)
     detectors, pairs = build_full_extraction(
-        system.engine, ["p", "q"], wf_box(system), monitors=[("p", "q")])
+        system.engine, ["p", "q"], box_factory("wf-ewx", system.provider),
+        monitors=[("p", "q")])
     system.engine.run()
     return system, detectors, pairs[("p", "q")]
 
@@ -95,7 +97,8 @@ class TestRawLossyWireBreaksAssumptions:
         faults = LinkFaultModel(drop=0.3)
         system = build_system(["p", "q"], seed=3, max_time=800.0,
                               fault_model=faults)
-        build_full_extraction(system.engine, ["p", "q"], wf_box(system),
+        build_full_extraction(system.engine, ["p", "q"],
+                              box_factory("wf-ewx", system.provider),
                               monitors=[("p", "q")])
         system.engine.run()
         net = system.engine.network

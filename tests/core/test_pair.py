@@ -18,10 +18,11 @@ def test_self_monitoring_rejected():
 
 
 def test_double_attach_rejected():
-    from repro.experiments.common import build_system, wf_box
+    from repro.dining.boxes import box_factory
+    from repro.runtime.builder import build_system
 
     system = build_system(["p", "q"], seed=1, max_time=10.0)
-    pair = ReductionPair("p", "q", wf_box(system))
+    pair = ReductionPair("p", "q", box_factory("wf-ewx", system.provider))
     pair.attach(system.engine)
     with pytest.raises(ConfigurationError):
         pair.attach(system.engine)
@@ -34,10 +35,11 @@ def test_unattached_query_rejected():
 
 
 def test_pair_creates_two_instances_and_four_threads():
-    from repro.experiments.common import build_system, wf_box
+    from repro.dining.boxes import box_factory
+    from repro.runtime.builder import build_system
 
     system = build_system(["p", "q"], seed=1, max_time=10.0)
-    pair = ReductionPair("p", "q", wf_box(system))
+    pair = ReductionPair("p", "q", box_factory("wf-ewx", system.provider))
     pair.attach(system.engine)
     assert len(pair.instances) == 2
     assert len(pair.witnesses) == 2 and len(pair.subjects) == 2

@@ -3,20 +3,21 @@
 import pytest
 
 from repro.core.preliminary import PreliminaryPair
+from repro.dining.boxes import box_factory
 from repro.errors import ConfigurationError
-from repro.experiments.common import build_system, wf_box
 from repro.oracles.properties import (
     check_strong_completeness,
     false_positive_count,
     suspicion_series,
 )
+from repro.runtime.builder import build_system
 from repro.sim.faults import CrashSchedule
 
 
 def run_prelim(seed=1, crash=None, max_time=2000.0):
     system = build_system(["p", "q"], seed=seed, max_time=max_time,
                           crash=crash)
-    pair = PreliminaryPair("p", "q", wf_box(system))
+    pair = PreliminaryPair("p", "q", box_factory("wf-ewx", system.provider))
     pair.attach(system.engine)
     system.engine.run()
     return system, pair
@@ -29,7 +30,7 @@ def test_self_monitoring_rejected():
 
 def test_double_attach_rejected():
     system = build_system(["p", "q"], seed=1, max_time=10.0)
-    pair = PreliminaryPair("p", "q", wf_box(system))
+    pair = PreliminaryPair("p", "q", box_factory("wf-ewx", system.provider))
     pair.attach(system.engine)
     with pytest.raises(ConfigurationError):
         pair.attach(system.engine)

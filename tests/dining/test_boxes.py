@@ -4,8 +4,8 @@ import pytest
 
 from repro.dining import box_factory
 from repro.errors import ConfigurationError
-from repro.experiments.common import build_system
 from repro.runtime import parse_graph
+from repro.runtime.builder import build_system
 
 
 def test_box_factory_covers_all_algorithms():

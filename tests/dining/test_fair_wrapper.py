@@ -8,8 +8,8 @@ from repro.dining.fairness import measure_fairness
 from repro.dining.spec import check_exclusion, check_wait_freedom
 from repro.dining.wf_ewx import WaitFreeEWXDining
 from repro.errors import ConfigurationError
-from repro.experiments.common import build_system
 from repro.graphs import clique, ring
+from repro.runtime.builder import build_system
 from repro.sim.faults import CrashSchedule
 
 INSTANCE = "FAIR"

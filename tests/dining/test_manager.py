@@ -74,17 +74,19 @@ class TestReductionOverManagerBox:
     @pytest.mark.parametrize("crashed", [False, True])
     def test_extraction_properties(self, crashed):
         from repro.core.extraction import build_full_extraction
-        from repro.experiments.common import build_system, manager_box
+        from repro.dining.boxes import box_factory
         from repro.oracles.properties import (
             check_eventual_strong_accuracy,
             check_strong_completeness,
         )
+        from repro.runtime.builder import build_system
 
         crash = CrashSchedule.single("q", 600.0) if crashed else None
         system = build_system(["p", "q"], seed=426 + crashed,
                               max_time=2500.0, crash=crash)
         build_full_extraction(system.engine, ["p", "q"],
-                              manager_box(system), monitors=[("p", "q")])
+                              box_factory("manager", system.provider),
+                              monitors=[("p", "q")])
         system.engine.run()
         if crashed:
             rep = check_strong_completeness(

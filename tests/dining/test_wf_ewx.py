@@ -175,8 +175,8 @@ class TestStaleGrantRegression:
     def test_ring3_seed8_no_deadlock(self):
         from repro.dining.client import EagerClient
         from repro.dining.fair_wrapper import FairDining
-        from repro.experiments.common import build_system
         from repro.graphs import ring as ring_graph
+        from repro.runtime.builder import build_system
 
         g = ring_graph(3)
         pids = sorted(g.nodes)

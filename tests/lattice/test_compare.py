@@ -25,6 +25,18 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="seeds"):
             compare(detectors=["perfect"], seeds=0)
 
+    def test_default_detectors_are_the_seven_in_registry_order(self):
+        # ``extracted`` is left out, so the default lattice's output and
+        # cost stay as pinned.
+        from repro.lattice.compare import DEFAULT_DETECTORS
+        from repro.oracles.registry import REGISTRY
+
+        assert DEFAULT_DETECTORS == (
+            "eventually_perfect", "perfect", "trusting", "strong",
+            "eventually_strong", "omega", "flawed_cm")
+        assert [n for n in REGISTRY if n in DEFAULT_DETECTORS] == \
+            list(DEFAULT_DETECTORS)
+
     def test_lattice_config_is_benign_chaos(self):
         cfg = lattice_config("omega", graphs=("ring:6",), seeds=4, seed=0,
                              max_time=600.0, client="periodic",

@@ -10,10 +10,11 @@ election from nothing but a dining box; over [8]'s construction
 from repro.core.extraction import build_full_extraction
 from repro.core.flawed_cm import FlawedCMPair
 from repro.core.pair import ReductionPair
-from repro.experiments.common import build_system, deferred_box, wf_box
+from repro.dining.boxes import box_factory
 from repro.obs import IntervalMachine
 from repro.oracles.omega import OmegaElector
 from repro.oracles.properties import leader_agreement
+from repro.runtime.builder import build_system
 from repro.sim.faults import CrashSchedule
 
 PIDS = ["p1", "p2", "p3"]
@@ -23,8 +24,9 @@ def run_extraction(box, construction=ReductionPair, crash=None, seed=11,
                    max_time=2000.0):
     """An :class:`OmegaElector` per process over the dining-extracted ◇P."""
     system = build_system(PIDS, seed=seed, max_time=max_time, crash=crash)
-    detectors, _ = build_full_extraction(system.engine, PIDS, box(system),
-                                         construction=construction)
+    detectors, _ = build_full_extraction(
+        system.engine, PIDS, box_factory(box, system.provider),
+        construction=construction)
     electors = {pid: system.engine.process(pid).add_component(
         OmegaElector("omega.elect", facade))
         for pid, facade in detectors.items()}
@@ -54,7 +56,7 @@ def final_leader(trace, owner):
 
 class TestSoundExtraction:
     def test_leaders_agree_on_smallest_correct(self):
-        system, electors = run_extraction(wf_box)
+        system, electors = run_extraction("wf-ewx")
         report = leader_report(system)
         assert report.ok
         for pid in PIDS:
@@ -63,7 +65,7 @@ class TestSoundExtraction:
 
     def test_crash_of_leader_forces_reelection(self):
         crash = CrashSchedule({"p1": 600.0})
-        system, _ = run_extraction(wf_box, crash=crash)
+        system, _ = run_extraction("wf-ewx", crash=crash)
         correct = [p for p in PIDS if p != "p1"]
         report = leader_report(system)
         assert report.ok
@@ -71,7 +73,7 @@ class TestSoundExtraction:
             assert final_leader(system.engine.trace, pid) == "p2"
 
     def test_stability_spans_end_with_an_unbounded_suffix(self):
-        system, _ = run_extraction(wf_box)
+        system, _ = run_extraction("wf-ewx")
         end = system.engine.now
         for pid in PIDS:
             spans = leader_stability_spans(system.engine.trace, pid, end)
@@ -89,8 +91,8 @@ class TestFlawedExtraction:
         # wrongfully suspects forever, so the derived leader keeps
         # flapping: many short spans all the way to the horizon, against
         # the sound extraction's single long suffix.
-        sound, _ = run_extraction(wf_box)
-        flawed, _ = run_extraction(deferred_box, FlawedCMPair)
+        sound, _ = run_extraction("wf-ewx")
+        flawed, _ = run_extraction("deferred", FlawedCMPair)
         end_s, end_f = sound.engine.now, flawed.engine.now
 
         def last_span_len(system, end):
@@ -105,7 +107,7 @@ class TestFlawedExtraction:
         assert sound_len > flawed_len
 
     def test_flawed_flapping_continues_into_the_suffix(self):
-        system, _ = run_extraction(deferred_box, FlawedCMPair)
+        system, _ = run_extraction("deferred", FlawedCMPair)
         end = system.engine.now
         # p1 trivially elects itself forever (it never self-suspects);
         # the flapping shows at the owners above it in the id order.

@@ -16,11 +16,14 @@ from repro.oracles.registry import (
     detector_kind_help,
     resolve_detector,
 )
-from repro.runtime.builder import execute, instantiate
+from repro.runtime.builder import execute
 from repro.runtime.spec import RunSpec
 
 EXPECTED_NAMES = {"eventually_perfect", "perfect", "trusting", "strong",
-                  "eventually_strong", "omega", "flawed_cm"}
+                  "eventually_strong", "omega", "flawed_cm", "extracted"}
+
+#: The WF-◇WX boxes of the box grammar: what ``extracted`` may run over.
+LEGAL_BOXES = ["wf-ewx", "deferred:150", "manager"]
 
 
 def _digest(result) -> str:
@@ -83,10 +86,40 @@ class TestRunSpecIntegration:
 
     @pytest.mark.parametrize("box", ["deferred:abc", "wf"])
     def test_flawed_cm_box_uses_the_dining_grammar(self, box):
-        spec = RunSpec(graph="ring:3", detector="flawed_cm",
-                       detector_params={"box": box})
+        # Refused when the spec is built, before any worker sees it.
         with pytest.raises(ConfigurationError, match="deferred\\[:horizon\\]"):
-            instantiate(spec)
+            RunSpec(graph="ring:3", detector="flawed_cm",
+                    detector_params={"box": box})
+
+
+class TestExtracted:
+    """The paper's reduction, registered: ◇P extracted by Algs. 1/2 from a
+    WF-◇WX box claims ◇P's battery and keeps it over every legal box."""
+
+    @pytest.mark.parametrize("box", LEGAL_BOXES)
+    def test_accurate_over_every_legal_box(self, box):
+        result = execute(RunSpec(graph="ring:4", detector="extracted",
+                                 detector_params={"box": box}))
+        assert result.oracle_accuracy_ok
+
+    @pytest.mark.parametrize("box", LEGAL_BOXES)
+    def test_complete_and_wait_free_with_one_crash(self, box):
+        result = execute(RunSpec(graph="ring:4", detector="extracted",
+                                 detector_params={"box": box},
+                                 crashes={"p1": 400.0}))
+        assert result.oracle_accuracy_ok
+        assert result.oracle_completeness_ok
+        assert result.wait_freedom.ok
+
+    def test_shares_the_reduction_hook_with_flawed_cm(self):
+        hooks = {REGISTRY[name].install.func
+                 for name in ("extracted", "flawed_cm")}
+        assert len(hooks) == 1
+
+    def test_substrate_runs_under_its_own_label(self):
+        result = execute(RunSpec(graph="ring:4", max_time=400.0,
+                                 detector="extracted"))
+        assert result.detector_stats("extracted.sub")["suspicion_churn"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
@@ -99,8 +132,9 @@ def test_every_detector_executes_a_real_run(name):
     # process is eventually suspected by everyone live.
     assert result.oracle_completeness_ok
     entry = REGISTRY[name]
-    assert entry.label == (BOX_LABEL if name not in ("omega", "flawed_cm")
-                           else entry.label)
+    assert entry.label == (
+        BOX_LABEL if name not in ("omega", "flawed_cm", "extracted")
+        else entry.label)
     if name == "flawed_cm":
         # The corrigendum's point: the [8] extraction claims ◇P accuracy
         # and fails it over the adversarial-but-legal deferred box.

@@ -95,12 +95,26 @@ class TestSingleCanonicalBuilder:
         report = run_one(0, 7, ChaosConfig(max_time=200.0)).report
         assert type(report) is RunResult
 
-    def test_experiments_common_delegates(self):
-        from repro.experiments import common
-        from repro.runtime import builder
+    def test_spec_experiments_wire_nothing_by_hand(self):
+        """The experiments built from specs run through ``execute`` only:
+        no engine, extraction, instance or client of their own; and
+        ``experiments/common.py`` holds only the result record."""
+        import pathlib
 
-        assert common.build_system is builder.build_system
-        assert common.System is builder.System
+        import repro
+        from repro.experiments import common
+
+        root = pathlib.Path(repro.__file__).parent / "experiments"
+        for name in ("e02_completeness", "e03_accuracy", "e06_fairness",
+                     "e13_fair_wrapper", "e16_locality"):
+            source = (root / f"{name}.py").read_text()
+            assert "execute(RunSpec(" in source, name
+            for needle in ("build_system", "build_full_extraction",
+                           ".attach(", "add_component"):
+                assert needle not in source, f"{name} still wires {needle}"
+        own = [name for name, value in vars(common).items()
+               if getattr(value, "__module__", None) == common.__name__]
+        assert own == ["ExperimentResult"]
 
     def test_no_engine_wiring_outside_runtime(self):
         """Grep-checkable acceptance criterion: chaos.py and

@@ -23,6 +23,10 @@ class TestRunSpecValidation:
         ({"trace": "laserdisc"}, "unknown trace sink"),
         ({"algorithm": "nope"}, "malformed dining box 'nope'"),
         ({"algorithm": "deferred:abc"}, "malformed dining box 'deferred:abc'"),
+        ({"detector": "flawed_cm", "detector_params": {"box": "bogus"}},
+         "malformed dining box 'bogus'"),
+        ({"detector": "extracted", "detector_params": {"box": "fair:0"}},
+         "malformed dining box 'fair:0'"),
     ])
     def test_bad_field_rejected_eagerly(self, kwargs, match):
         with pytest.raises(ConfigurationError, match=match):
@@ -34,6 +38,8 @@ class TestRunSpecValidation:
         ({"algorithm": ["wf-ewx"]}, "malformed dining box"),
         ({"pairs": "neighbors:2", "algorithm": "fair:0"},
          "malformed dining box 'fair:0'"),
+        ({"detector": "extracted", "detector_params": {"box": ["wf-ewx"]}},
+         "malformed dining box"),
     ])
     def test_bad_grammar_rejected_on_every_construction(self, kwargs, match):
         # the parse of a good (pairs, algorithm) pair is remembered; a bad
@@ -42,6 +48,15 @@ class TestRunSpecValidation:
         for _ in range(3):
             with pytest.raises(ConfigurationError, match=match):
                 RunSpec(**kwargs)
+
+    def test_box_param_parse_is_remembered(self):
+        from repro.runtime.spec import _check_grammars
+
+        spec = dict(detector="extracted", detector_params={"box": "manager"})
+        RunSpec(**spec)
+        hits = _check_grammars.cache_info().hits
+        RunSpec(**spec)
+        assert _check_grammars.cache_info().hits == hits + 1
 
     def test_good_spec_constructs(self):
         spec = RunSpec(graph="ring:5", seed=3, max_time=100.0,

@@ -124,7 +124,8 @@ def test_metrics_surface(service):
 def test_bad_requests(service):
     client, _ = service
     for bad in ({"max_time": -1.0}, {"algorithm": "nope"},
-                {"algorithm": "deferred:abc"}):
+                {"algorithm": "deferred:abc"},
+                {"detector": "flawed_cm", "detector_params": {"box": "bogus"}}):
         with pytest.raises(ServiceError) as err:
             client.submit_run({"graph": "ring:3", **bad})
         assert err.value.status == 400

@@ -14,6 +14,7 @@ from repro.chaos import (
     run_one,
 )
 from repro.cli import main
+from repro.errors import ConfigurationError
 from repro.lattice import lattice_config
 from repro.runtime import RunSpec, execute
 from repro.runtime.store import canonical_spec
@@ -38,6 +39,22 @@ class TestSeedFanout:
 
     def test_empty(self):
         assert fanout_seeds(3, 0) == []
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"detector": "flawed_cm", "detector_params": {"box": "bogus"}},
+        {"detector": "extracted", "detector_params": {"box": "deferred:x"}},
+        {"algorithms": ("wf-ewx", "nope")},
+    ])
+    def test_malformed_box_refused_at_construction(self, kwargs):
+        with pytest.raises(ConfigurationError, match="malformed dining box"):
+            ChaosConfig(**kwargs)
+
+    def test_legal_box_accepted(self):
+        cfg = ChaosConfig(detector="extracted",
+                          detector_params={"box": "manager"})
+        assert build_run(7, cfg).detector_params == {"box": "manager"}
 
 
 class TestBuildRun:

@@ -1,21 +1,12 @@
-"""Tests for the shared experiment scaffolding."""
+"""Tests for the shared experiment scaffolding: the result record, and
+the substrate builder the experiments that read reduction internals use."""
 
 import pytest
 
-from repro.experiments.common import (
-    BOX_BUILDERS,
-    ExperimentResult,
-    build_system,
-    deferred_box,
-    manager_box,
-    wf_box,
-)
 from repro.analysis.report import Table
+from repro.experiments.common import ExperimentResult
+from repro.runtime.builder import build_system
 from repro.sim.faults import CrashSchedule
-
-
-def test_box_builders_registry():
-    assert set(BOX_BUILDERS) == {"wf", "deferred", "manager"}
 
 
 def test_build_system_wires_processes_and_oracles():
@@ -39,17 +30,6 @@ def test_build_system_rejects_unknown_oracle():
 
     with pytest.raises(ConfigurationError, match="registered detectors"):
         build_system(["a", "b"], seed=1, detector="psychic")
-
-
-@pytest.mark.parametrize("builder", [wf_box, deferred_box, manager_box])
-def test_box_factories_produce_attachable_instances(builder):
-    from repro.graphs import pair_graph
-
-    system = build_system(["a", "b"], seed=2, max_time=10.0)
-    factory = builder(system)
-    instance = factory("T", pair_graph("a", "b"))
-    diners = instance.attach(system.engine)
-    assert set(diners) == {"a", "b"}
 
 
 def test_experiment_result_render():

@@ -73,10 +73,12 @@ class TestReductionRunGolden:
 
     def test_digest_unchanged(self):
         from repro.core import build_full_extraction
-        from repro.experiments.common import build_system, wf_box
+        from repro.dining.boxes import box_factory
+        from repro.runtime.builder import build_system
 
         system = build_system(["p", "q"], seed=5, max_time=400.0)
-        build_full_extraction(system.engine, ["p", "q"], wf_box(system))
+        build_full_extraction(system.engine, ["p", "q"],
+                              box_factory("wf-ewx", system.provider))
         system.engine.run()
         assert system.engine.events_processed == self.GOLDEN_EVENTS
         assert trace_digest(system.engine.trace) == self.GOLDEN

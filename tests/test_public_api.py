@@ -26,15 +26,12 @@ def test_quickstart_snippet_from_docstring():
 
 
 def test_deep_dive_snippet_from_docstring():
-    """The reduction-machinery example in the package docstring."""
-    from repro.core import build_full_extraction
-    from repro.experiments.common import build_system, wf_box
-
-    system = build_system(["p", "q"], seed=1, max_time=300.0)
-    detectors, _ = build_full_extraction(system.engine, ["p", "q"],
-                                         wf_box(system))
-    system.engine.run()
-    assert detectors["p"].suspects() <= {"q"}
+    """The reduction example in the package docstring."""
+    result = repro.run(repro.RunSpec(
+        graph="ring:4", seed=7, crashes={"p1": 400.0},
+        detector="extracted", detector_params={"box": "manager"}))
+    assert result.oracle_accuracy_ok and result.oracle_completeness_ok
+    assert result.detector_stats("extracted")["converged_at"] is not None
 
 
 def test_run_accepts_a_spec_dict():
