@@ -9,13 +9,15 @@ interrupted.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import cProfile
 import dataclasses
 import json
 import os
 import pathlib
 import sys
 import time
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.chaos import CHAOS_FLAGS
 from repro.errors import (
@@ -34,7 +36,6 @@ from repro.obs import (
     write_jsonl,
     write_prometheus,
 )
-from repro.perf.profiler import profile_to
 from repro.runtime import (
     ProgressReporter,
     ResultStore,
@@ -361,68 +362,6 @@ def cmd_timeline(args) -> int:
     return 0
 
 
-def _cmd_bench_scaling(args) -> int:
-    """The events/sec-vs-n scaling curve (``repro bench --scaling``)."""
-    from repro.perf.scaling import (
-        SCALING_PATH,
-        emit_scaling_report,
-        render_scaling,
-        run_scaling,
-    )
-
-    out = args.out if args.out is not None else str(SCALING_PATH)
-    _check_out_path(out, "--out")
-    kwargs = {"families": args.workloads or None}
-    if args.ns:
-        kwargs["ns"] = args.ns
-    points = run_scaling(**kwargs)
-    payload = emit_scaling_report(points, out=out)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(render_scaling(points))
-        print(f"scaling report written to {out}")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    """Run the engine microbench harness (see docs/performance.md)."""
-    from repro.perf.bench import (
-        check_regressions,
-        compare_to_baseline,
-        emit_report,
-        load_baseline,
-        render_results,
-        run_bench,
-    )
-
-    if args.scaling:
-        return _cmd_bench_scaling(args)
-    baseline = load_baseline(args.baseline)
-    if args.check and baseline is None:
-        raise ConfigurationError("--check requested but no baseline found")
-    results = run_bench(args.workloads or None, budget=args.budget)
-    speedups = compare_to_baseline(results, baseline)
-    payload = emit_report(results, baseline, out=args.out)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(render_results(results, speedups))
-        if args.out:
-            print(f"bench report written to {args.out}")
-    if args.check:
-        failures = check_regressions(results, baseline,
-                                     max_regression=args.max_regression)
-        if failures:
-            for failure in failures:
-                print(f"repro bench: regression: {failure}", file=sys.stderr)
-            return 1
-        if not args.json:
-            print(f"no regression beyond {args.max_regression:g}x "
-                  "vs baseline")
-    return 0
-
-
 def cmd_serve(args) -> int:
     """Run the persistent campaign service (docs/service.md)."""
     from repro.service.server import ServiceConfig, serve_forever
@@ -675,38 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--prom-out", default=None, metavar="PATH",
                      help="also write the merged campaign snapshot as a "
                           "Prometheus textfile")
-    ben = sub.add_parser("bench",
-                         help="run the engine microbench harness and "
-                              "compare against the committed baseline")
-    ben.set_defaults(func=cmd_bench)
-    ben.add_argument("--workloads", nargs="*", default=None,
-                     help="workload names (default: all; see "
-                          "repro.perf.bench.WORKLOADS)")
-    ben.add_argument("--budget", type=float, default=1.5,
-                     help="timed seconds per workload (default 1.5)")
-    ben.add_argument("--out", default=None, metavar="PATH",
-                     help="write the BENCH_engine.json payload to PATH")
-    ben.add_argument("--baseline", default=None, metavar="PATH",
-                     help="baseline JSON to compare against (default: the "
-                          "committed BENCH_engine_baseline.json)")
-    ben.add_argument("--check", action="store_true",
-                     help="exit nonzero on a --max-regression-fold slowdown "
-                          "vs the baseline")
-    ben.add_argument("--max-regression", type=float, default=3.0,
-                     help="tolerated slowdown factor for --check "
-                          "(default 3.0; bench hosts vary)")
-    ben.add_argument("--json", action="store_true",
-                     help="emit the bench payload as JSON")
-    ben.add_argument("--scaling", action="store_true",
-                     help="measure the events/sec-vs-n scaling curve on "
-                          "sparse families (pairs=neighbors) instead of the "
-                          "fixed microbenchmarks; writes BENCH_scaling.json "
-                          "(with --scaling, --workloads selects families "
-                          "and --out overrides the artifact path)")
-    ben.add_argument("--ns", nargs="*", type=int, default=None,
-                     metavar="N",
-                     help="system sizes for --scaling "
-                          "(default: 16 64 256 1000)")
     srv = sub.add_parser("serve",
                          help="run the persistent campaign service: HTTP "
                               "RunSpec submissions, async job queue, "
@@ -766,6 +673,23 @@ def build_parser() -> argparse.ArgumentParser:
     stols.add_argument("--json", action="store_true",
                        help="emit the listing as JSON")
     return parser
+
+
+@contextlib.contextmanager
+def profile_to(path: str | None) -> Iterator[None]:
+    """cProfile the enclosed block into ``path``, a standard
+    :mod:`pstats` dump (``python -m pstats PATH``); a no-op when ``path``
+    is None, so ``main`` wraps every command in it unconditionally."""
+    if path is None:
+        yield
+        return
+    prof = cProfile.Profile()
+    prof.enable()
+    try:
+        yield
+    finally:
+        prof.disable()
+        prof.dump_stats(path)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

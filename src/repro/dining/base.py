@@ -136,7 +136,8 @@ class DiningInstance(abc.ABC):
         return f"{self.instance_id}:diner"
 
     def attach(self, engine: Engine) -> Mapping[ProcessId, DinerComponent]:
-        """Install one diner per vertex onto the engine's processes."""
+        """Install one diner per vertex onto the engine's processes, and
+        count the instance in the run's ``dining.instances``."""
         if self.diners:
             raise ConfigurationError(
                 f"instance {self.instance_id} already attached"
@@ -145,6 +146,7 @@ class DiningInstance(abc.ABC):
             diner = self.build_diner(pid, tuple(self.adjacency[pid]))
             engine.process(pid).add_component(diner)
             self.diners[pid] = diner
+        engine.registry.counter("dining.instances").inc()
         return self.diners
 
     def diner(self, pid: ProcessId) -> DinerComponent:

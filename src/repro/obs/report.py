@@ -46,10 +46,11 @@ _COST_COUNTERS = (
 #: Histograms merged bucket-wise across runs.
 _MERGED_HISTOGRAMS = ("dining.hungry_to_eating", "core.ping_rtt")
 
-#: Monitoring-cost counters (published at build time by the runtime
-#: builder): how many ordered (witness, subject) pairs the detectors
-#: monitor, and how many dining instances run — the numbers that make
-#: sparse (``pairs=neighbors``) vs full-square campaign cost visible.
+#: Monitoring-cost counters (published at build time): how many ordered
+#: (witness, subject) pairs the detectors monitor, and how many dining
+#: instances run (the box's and any its detector attaches) — the numbers
+#: that make sparse (``pairs=neighbors``) vs full-square campaign cost
+#: visible.
 _MONITOR_COUNTERS = (
     ("pairs_monitored", "monitor.pairs_monitored"),
     ("dining_instances", "dining.instances"),

@@ -286,13 +286,12 @@ def instantiate(spec: RunSpec) -> BuiltRun:
     for pid in pids:
         system.engine.process(pid).add_component(
             build_client(spec.client, pid, diners[pid], system.engine))
-    # Cost-visibility counters (repro report): how many ordered pairs the
-    # oracle actually monitors, and how many dining instances run.
+    # Cost-visibility counter (repro report): how many ordered pairs the
+    # oracle actually monitors.  DiningInstance.attach counts the dining
+    # instances, the box's and any its detector or wrapper runs.
     n_pairs = (len(pids) * (len(pids) - 1) if monitors is None
                else len(monitors))
-    registry = system.engine.registry
-    registry.counter("monitor.pairs_monitored").inc(n_pairs)
-    registry.counter("dining.instances").inc(1)
+    system.engine.registry.counter("monitor.pairs_monitored").inc(n_pairs)
     return BuiltRun(spec=spec, graph=graph, system=system,
                     instance=instance, diners=diners, monitors=monitors)
 

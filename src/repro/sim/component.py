@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro import types as _types
 from repro.errors import ConfigurationError, SimulationError
@@ -199,33 +199,3 @@ class Component:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         owner = self.process.pid if self.process else "<detached>"
         return f"{type(self).__name__}({self.name!r}@{owner})"
-
-
-class FunctionalComponent(Component):
-    """A component assembled from plain callables (no subclassing needed).
-
-    Handy in tests::
-
-        comp = FunctionalComponent("c", internal=[("tick", guard, effect)])
-    """
-
-    def __init__(
-        self,
-        name: str,
-        internal: Iterable[tuple[str, Callable, Callable]] = (),
-        receives: Iterable[tuple[str, str, Callable]] = (),
-    ) -> None:
-        super().__init__(name)
-        self._internal = list(internal)
-        self._receives = list(receives)
-
-    def bound_actions(self) -> list[BoundAction]:
-        out = [
-            BoundAction(self, name, "internal", guard, effect)
-            for name, guard, effect in self._internal
-        ]
-        out += [
-            BoundAction(self, name, "receive", None, effect, message_kind=kind)
-            for name, kind, effect in self._receives
-        ]
-        return out

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dining import box_factory
 from repro.errors import ConfigurationError
-from repro.runtime import parse_graph
+from repro.runtime import RunSpec, instantiate, parse_graph
 from repro.runtime.builder import build_system
 
 
@@ -16,6 +16,20 @@ def test_box_factory_covers_all_algorithms():
         instance = box_factory(algo, system.provider)(algo, graph)
         diners = instance.attach(system.engine)
         assert set(diners) == set(graph.nodes)
+
+
+@pytest.mark.parametrize("field, value, instances", [
+    ("algorithm", "wf-ewx", 1), ("algorithm", "hygienic", 1),
+    ("algorithm", "deferred", 1), ("algorithm", "manager", 1),
+    ("algorithm", "fair", 2),              # the wrapper and its inner box
+    ("detector", "extracted", 13),         # 2·n·(n−1) pair instances + box
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_dining_instances_counts_every_attached_instance(field, value,
+                                                         instances):
+    built = instantiate(RunSpec(graph="ring:3", max_time=200.0,
+                                **{field: value}))
+    assert built.engine.registry.counter(
+        "dining.instances").value == instances
 
 
 @pytest.mark.parametrize("spec", [

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.component import Component, FunctionalComponent, action, receive
+from repro.sim.component import Component, action, receive
 from repro.sim.process import Process
 from repro.types import Message
 
@@ -89,17 +89,6 @@ def test_action_list_is_cached_per_class_and_bound_per_instance():
     a, b = Counter("a"), Counter("b")
     assert [x.effect.__self__ for x in a.bound_actions()] == [a, a]
     assert [x.effect.__self__ for x in b.bound_actions()] == [b, b]
-
-
-def test_functional_component_actions():
-    log = []
-    comp = FunctionalComponent(
-        "f",
-        internal=[("go", lambda c: True, lambda: log.append("go"))],
-        receives=[("msg", "ping", lambda m: log.append("ping"))],
-    )
-    acts = comp.bound_actions()
-    assert [a.kind for a in acts] == ["internal", "receive"]
 
 
 def test_other_component_lookup():

@@ -46,7 +46,7 @@ def test_requires_subcommand():
 
 @pytest.mark.parametrize("command", [
     [], ["list"], ["run"], ["scenario"], ["sweep"], ["chaos"], ["lattice"],
-    ["timeline"], ["report"], ["bench"], ["serve"], ["submit"], ["store"],
+    ["timeline"], ["report"], ["serve"], ["submit"], ["store"],
     ["store", "ls"]], ids=lambda command: " ".join(command) or "repro")
 def test_every_parser_prints_help(command, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -68,20 +68,15 @@ def test_every_parser_prints_help(command, capsys):
     (["sweep", "mini.json", "--seeds", "2"], {"algorithm": "wf-ewx:zz"}),
     (["run", "e99"], None),
     (["report", "empty.jsonl"], None),
-    (["bench", "--check"], None),
 ], ids=["chaos-graph", "replay-graph", "replay-malformed", "replay-not-spec",
         "scenario-missing", "scenario-key", "sweep-algorithm", "run-unknown",
-        "report-empty", "bench-no-baseline"])
+        "report-empty"])
 def test_bad_input_is_one_error_line_and_exit_2(argv, spec, tmp_path,
                                                 monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     if spec is not None:
         _scenario_file(tmp_path, **spec)
     (tmp_path / "empty.jsonl").write_text("")
-    # No committed baseline: --check must refuse before running anything.
-    monkeypatch.setattr("repro.perf.bench.BASELINE_PATH",
-                        tmp_path / "no-baseline.json")
-    monkeypatch.setattr("repro.perf.bench.run_bench", None)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"repro {argv[0]}: error: ")
@@ -152,43 +147,6 @@ def test_chaos_bad_pairs_is_a_clean_cli_error(capsys):
     rc = main(["chaos", "--campaigns", "1", "--pairs", "everyone"])
     assert rc == 2
     assert "pair selection" in capsys.readouterr().err
-
-
-def test_bench_scaling_writes_report(tmp_path, capsys):
-    """bench --scaling: tiny curve lands in --out as valid JSON."""
-    out = tmp_path / "scaling.json"
-    rc = main(["bench", "--scaling", "--ns", "8", "16",
-               "--workloads", "tree", "--out", str(out)])
-    assert rc == 0
-    payload = json.loads(out.read_text())
-    assert payload["schema"] == "repro.bench.scaling.v1"
-    points = payload["families"]["tree"]
-    assert [p["n"] for p in points] == [8, 16]
-    assert all(p["events_per_sec"] > 0 for p in points)
-    assert "events/sec" in capsys.readouterr().out
-
-
-def test_bench_scaling_rgg_points_are_connected(tmp_path):
-    """The rgg family walks seeds to a connected draw and runs it under
-    the default (reject-disconnected) validation."""
-    import networkx as nx
-
-    from repro.perf.scaling import connected_rgg_spec
-    from repro.runtime.spec import parse_graph
-
-    assert connected_rgg_spec(1000) == "rgg:1000:0.0564:8"   # the ledger's
-    out = tmp_path / "scaling.json"
-    assert main(["bench", "--scaling", "--ns", "8", "16",
-                 "--workloads", "rgg", "--out", str(out), "--json"]) == 0
-    for point in json.loads(out.read_text())["families"]["rgg"]:
-        assert nx.is_connected(parse_graph(point["graph"]))
-
-
-def test_bench_scaling_unknown_family_is_a_clean_error(tmp_path, capsys):
-    rc = main(["bench", "--scaling", "--workloads", "hypercube",
-               "--out", str(tmp_path / "s.json")])
-    assert rc == 2
-    assert "hypercube" in capsys.readouterr().err
 
 
 def test_run_normalized_flags(tmp_path, capsys):
