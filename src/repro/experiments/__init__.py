@@ -1,9 +1,10 @@
 """Experiment harnesses: one module per paper artifact (see DESIGN.md §4).
 
 Each experiment exposes ``run(**params) -> ExperimentResult`` and is invoked
-both by its ``benchmarks/test_eNN_*.py`` wrapper and by the CLI
-(``python -m repro run e4``).  Results carry paper-style table rows plus an
-overall ``ok`` verdict asserting the paper's qualitative claim.
+by the CLI (``python -m repro run e4``) and by ``tests/test_experiments.py``,
+which pins its table to ``benchmarks/results/eN.txt``.  Results carry
+paper-style table rows plus an overall ``ok`` verdict asserting the paper's
+qualitative claim.
 """
 
 from repro.experiments import (

@@ -90,7 +90,7 @@ class IntervalMachine:
     """
 
     #: The record kinds :meth:`on_record` folds — the subscription filter,
-    #: so a trace that keeps no rows can still elide every other kind.
+    #: so the trace calls it for no other kind.
     KINDS = frozenset({"suspect", "state", "crash", "ping", "ack", "leader"})
 
     def __init__(self, schedule: CrashSchedule | None = None,

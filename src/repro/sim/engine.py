@@ -60,26 +60,32 @@ from repro.sim.transport import TRANSPORT_TAG as _TRANSPORT_TAG
 from repro.types import Message, ProcessId, Time
 
 
+#: Bounds of the delay between consecutive steps of a process, scaled by
+#: that process's ``SimConfig.speeds`` factor (default 1.0).
+STEP_MIN: Time = 0.4
+STEP_MAX: Time = 1.2
+#: Hard cap on the events one run processes, as a runaway guard.
+MAX_EVENTS = 50_000_000
+#: :meth:`Engine.run` polls its ``stop_when`` once per this many events.
+STOP_CHECK_EVERY = 64
+
+
 @dataclass
 class SimConfig:
     """Knobs for a simulation run.
 
-    ``step_min``/``step_max`` bound the delay between consecutive steps of a
-    process, scaled by that process's ``speeds`` factor (default 1.0).
+    A process waits between :data:`STEP_MIN` and :data:`STEP_MAX` between
+    consecutive steps, scaled by its ``speeds`` factor (default 1.0).
     Unequal speed factors model unbounded *relative* process speeds.
     """
 
     seed: int = 0
     max_time: Time = 10_000.0
-    step_min: Time = 0.4
-    step_max: Time = 1.2
     record_messages: bool = False
     speeds: Mapping[ProcessId, float] = field(default_factory=dict)
-    #: Optional step-scheduling policy; overrides step_min/step_max when set
+    #: Optional step-scheduling policy; overrides STEP_MIN/STEP_MAX when set
     #: (the per-process ``speeds`` factor still applies on top).
     step_policy: Optional[StepPolicy] = None
-    #: Hard cap on processed events, as a runaway guard.
-    max_events: int = 50_000_000
     #: Trace retention: ``"full"`` keeps every row, ``"counters"`` keeps
     #: none and bounds trace memory on long runs (see :class:`Trace`).
     trace_sink: str = "full"
@@ -155,7 +161,7 @@ class Engine:
         proc = Process(pid)
         proc.bind(self)
         self.processes[pid] = proc
-        jitter = self.rng.stream(f"step:{pid}").uniform(0.0, self.config.step_max)
+        jitter = self.rng.stream(f"step:{pid}").uniform(0.0, STEP_MAX)
         self._push(self.clock.now + jitter, self._on_step, proc)
         crash_at = self.crash_schedule.crash_time(pid)
         if crash_at is not None:
@@ -204,12 +210,11 @@ class Engine:
         self,
         until: Time | None = None,
         stop_when: Callable[[], bool] | None = None,
-        check_every_events: int = 64,
     ) -> Trace:
         """Process events until ``until`` (default ``config.max_time``).
 
-        ``stop_when`` is polled every ``check_every_events`` processed events
-        and ends the run early when it returns True.
+        ``stop_when`` is polled every :data:`STOP_CHECK_EVERY` processed
+        events and ends the run early when it returns True.
         """
         horizon = self.config.max_time if until is None else float(until)
         self._stopped = False
@@ -222,7 +227,8 @@ class Engine:
         heap = self._heap
         pop = heapq.heappop
         clock = self.clock
-        max_events = self.config.max_events
+        cap = MAX_EVENTS
+        check_every = STOP_CHECK_EVERY
         events = self.events_processed
         try:
             while heap and not self._stopped:
@@ -236,16 +242,16 @@ class Engine:
                 clock._now = t
                 handler(arg)
                 events += 1
-                if events >= max_events:
+                if events >= cap:
                     raise SimulationError(
-                        f"event cap exceeded ({self.config.max_events}) "
+                        f"event cap exceeded ({cap}) "
                         f"after {self.trace.total_recorded} trace records "
                         "— runaway simulation? (infinite action loop, or a "
                         "retransmission storm — check transport "
                         "backoff/rto_max)"
                     )
                 since_check += 1
-                if stop_when is not None and since_check >= check_every_events:
+                if stop_when is not None and since_check >= check_every:
                     since_check = 0
                     if stop_when():
                         break
@@ -285,8 +291,7 @@ class Engine:
         speed = float(config.speeds.get(pid, 1.0))
         rng = self.rng.stream(f"step:{pid}")
         if policy is None:
-            entry: tuple = (rng.random, config.step_min,
-                            config.step_max - config.step_min, speed)
+            entry: tuple = (rng.random, STEP_MIN, STEP_MAX - STEP_MIN, speed)
         else:
             entry = (rng, None, None, speed)
         self._step_cache[proc] = entry

@@ -13,15 +13,14 @@ A :class:`LinkFaultModel` composes with any
 surviving copy arrives, the fault model decides *how many* copies survive
 (0 = dropped, 1 = normal, 2 = duplicated).  Supported faults:
 
-* per-message **drop** probability, globally, per message kind, and per
-  directed link;
+* per-message **drop** probability;
 * **duplication** probability (the duplicate gets an independent delay,
   so duplicates also arrive out of order);
 * scheduled **partitions** — time-windowed bipartitions of the process
   set that drop *all* crossing traffic for their duration.
 
 Fairness guarantee: random losses on a link never exceed
-``max_consecutive_drops`` in a row, so infinitely many sends imply
+:data:`MAX_CONSECUTIVE_DROPS` in a row, so infinitely many sends imply
 infinitely many deliveries (fair-lossy).  Partition windows are finite by
 construction and therefore cannot violate eventual fairness either.
 All randomness is drawn from the engine's seeded ``"link-faults"``
@@ -30,8 +29,8 @@ stream, so faulty runs replay bit-for-bit from their seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.rng import BatchedDoubles
@@ -39,6 +38,10 @@ from repro.types import Message, ProcessId, Time
 
 #: A directed link, ``(sender, receiver)``.
 Link = tuple[ProcessId, ProcessId]
+
+#: The fair-lossy floor: after this many consecutive *random* losses on
+#: one directed link, the next message is forcibly delivered.
+MAX_CONSECUTIVE_DROPS = 25
 
 
 @dataclass(frozen=True)
@@ -119,64 +122,26 @@ class LinkFaultModel:
     Parameters
     ----------
     drop:
-        Base probability that any message is lost.
+        Probability that any message is lost.  Random losses on one
+        directed link never exceed :data:`MAX_CONSECUTIVE_DROPS` in a row.
     duplicate:
         Probability that a surviving message is delivered twice (the extra
         copy gets its own independent channel delay).
-    drop_by_kind:
-        Extra per-``Message.kind`` drop probabilities; the effective loss
-        rate for a message is ``max(drop, drop_by_kind[kind])``.
-    drop_by_link:
-        Extra per-directed-link drop probabilities keyed by
-        ``(sender, receiver)``; combined with the above via ``max``.
     partitions:
         Scheduled :class:`Partition` windows.  Crossing traffic is dropped
         deterministically while a window is active.
-    max_consecutive_drops:
-        Fair-lossy enforcement: after this many consecutive *random*
-        losses on one directed link, the next message is forcibly
-        delivered.  ``None`` disables the floor (the link may then be
-        unfair if a drop probability is 1.0 — useful only for modelling
-        permanently dead links; prefer partitions for that).
     """
 
     def __init__(
         self,
         drop: float = 0.0,
         duplicate: float = 0.0,
-        drop_by_kind: Mapping[str, float] | None = None,
-        drop_by_link: Mapping[Link, float] | None = None,
         partitions: Sequence[Partition] = (),
-        max_consecutive_drops: int | None = 25,
     ) -> None:
         self.drop = _check_prob("drop", drop)
         self.duplicate = _check_prob("duplicate", duplicate)
-        self.drop_by_kind = {
-            k: _check_prob(f"drop_by_kind[{k!r}]", p)
-            for k, p in (drop_by_kind or {}).items()
-        }
-        self.drop_by_link = {
-            link: _check_prob(f"drop_by_link[{link!r}]", p)
-            for link, p in (drop_by_link or {}).items()
-        }
         self.partitions = list(partitions)
-        if max_consecutive_drops is not None and max_consecutive_drops < 1:
-            raise ConfigurationError("max_consecutive_drops must be >= 1 or None")
-        self.max_consecutive_drops = max_consecutive_drops
         self._drop_streak: dict[Link, int] = {}
-
-    # -- queries ---------------------------------------------------------------
-
-    def drop_probability(self, msg: Message) -> float:
-        """The effective random-loss probability for ``msg``."""
-        p = self.drop
-        if self.drop_by_kind:
-            p = max(p, self.drop_by_kind.get(msg.kind, 0.0))
-        if self.drop_by_link:
-            p = max(p, self.drop_by_link.get((msg.sender, msg.receiver), 0.0))
-        return p
-
-    # -- the verdict -----------------------------------------------------------
 
     def fate(self, msg: Message, now: Time, rng: BatchedDoubles) -> Fate:
         """Decide how many copies of ``msg`` (sent at ``now``) to deliver.
@@ -185,8 +150,7 @@ class LinkFaultModel:
         fair-lossy streak (a forced delivery would breach the partition);
         random drops do, and the streak cap forces delivery once reached.
         """
-        # Partition.severs and drop_probability() inlined: this runs once
-        # per wire transmission.
+        # Partition.severs inlined: this runs once per wire transmission.
         sender = msg.sender
         receiver = msg.receiver
         for part in self.partitions:
@@ -194,16 +158,10 @@ class LinkFaultModel:
                     and (sender in part.side) != (receiver in part.side)):
                 return _FATE_PARTITION
         p = self.drop
-        if self.drop_by_kind:
-            p = max(p, self.drop_by_kind.get(msg.kind, 0.0))
-        if self.drop_by_link:
-            p = max(p, self.drop_by_link.get((sender, receiver), 0.0))
         if p > 0.0:
             link = (sender, receiver)
             streak = self._drop_streak.get(link, 0)
-            forced = (self.max_consecutive_drops is not None
-                      and streak >= self.max_consecutive_drops)
-            if not forced and rng.random() < p:
+            if streak < MAX_CONSECUTIVE_DROPS and rng.random() < p:
                 self._drop_streak[link] = streak + 1
                 return _FATE_LOSS
             self._drop_streak[link] = 0
@@ -214,7 +172,5 @@ class LinkFaultModel:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"LinkFaultModel(drop={self.drop}, duplicate={self.duplicate}, "
-            f"kinds={sorted(self.drop_by_kind)}, "
-            f"links={sorted(self.drop_by_link)}, "
             f"partitions={len(self.partitions)})"
         )

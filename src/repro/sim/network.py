@@ -34,7 +34,7 @@ from __future__ import annotations
 import abc
 import math
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro import types as _types
 from repro.obs.registry import Counter, MetricsRegistry
@@ -160,9 +160,6 @@ class Network:
         self._rng_faults = None
         self._rng_wire = None
         self._bind_registry(MetricsRegistry())
-        #: Optional hook (msg -> None) observed on every send; used by
-        #: tests and metrics, never by algorithms.
-        self.on_send: Optional[Callable[[Message], None]] = None
 
     def _bind_registry(self, registry: MetricsRegistry) -> None:
         """Report into ``registry`` (the engine's, once bound).
@@ -239,8 +236,6 @@ class Network:
         kind = msg.kind
         c_kind = self._c_sent_kind.get(kind) or self._sent_kind_counter(kind)
         c_kind.value += 1.0
-        if self.on_send is not None:
-            self.on_send(msg)
         if engine.config.record_messages:
             engine.trace.record(
                 "send", pid=msg.sender, to=msg.receiver, tag=msg.tag,
@@ -266,14 +261,14 @@ class Network:
         Observably a loop of :meth:`send` over fresh envelopes: uids,
         ``network``-stream draws and heap sequence numbers are taken per
         receiver in list order.  On the plain wire (no transport, fault
-        model, ``on_send`` hook or message recording) the per-message
+        model or message recording) the per-message
         bookkeeping is hoisted out of the loop and deliveries go straight
         onto the engine's heap.
         """
         engine = self._engine
         assert engine is not None, "network not bound to an engine"
         if (self.transport is not None or self.fault_model is not None
-                or self.on_send is not None or engine.config.record_messages):
+                or engine.config.record_messages):
             for to in receivers:
                 self.send(make_message((sender, to, tag, kind, payload,
                                         next(_types._msg_counter))))

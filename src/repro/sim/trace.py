@@ -97,10 +97,6 @@ class Trace:
         self._observers: list[
             tuple[Callable[[TraceRecord], None], Optional[frozenset]]
         ] = []
-        # Union of all subscribed kind filters; None once any subscriber
-        # wants everything.  When no rows are kept, records whose kind is
-        # outside this set are never constructed (lazy fast path).
-        self._needed_kinds: Optional[set[str]] = set()
         # The query index over the rows (see records()): None until a
         # kind-filtered query builds it, dropped by every append.
         self._index: Optional[dict[Any, list[TraceRecord]]] = None
@@ -118,16 +114,10 @@ class Trace:
         run-local and are not pickled with the trace.
 
         ``kinds``, when given, restricts delivery to records of those
-        kinds.  Declaring the filter matters beyond skipping callbacks:
-        when every subscriber is filtered and the trace keeps no rows
-        (``counters``), records of unwanted kinds are never even built.
+        kinds.
         """
-        ks = None if kinds is None else frozenset(kinds)
-        self._observers.append((observer, ks))
-        if ks is None:
-            self._needed_kinds = None
-        elif self._needed_kinds is not None:
-            self._needed_kinds |= ks
+        self._observers.append(
+            (observer, None if kinds is None else frozenset(kinds)))
 
     # -- retention ----------------------------------------------------------
 
@@ -157,33 +147,18 @@ class Trace:
         state = dict(self.__dict__)
         state["_now_fn"] = None   # bound clock closures don't pickle
         state["_observers"] = []  # run-local; may close over live objects
-        state["_needed_kinds"] = set()
         state["_index"] = None    # rebuilt on the first query
         return state
 
     # -- writing ------------------------------------------------------------
 
-    def record(self, kind: str, pid: ProcessId,
-               **data: Any) -> Optional[TraceRecord]:
-        """Append one record; returns it, or None when it was elided.
+    def record(self, kind: str, pid: ProcessId, **data: Any) -> TraceRecord:
+        """Append one record, stamped with the bound clock, and return it.
 
-        Elision (the lazy fast path) happens only when the trace keeps no
-        rows *and* no subscriber asked for this ``kind`` — the
-        aggregate views (totals, kind histogram, crash times, last time)
-        are still maintained exactly, so nothing observable about the
-        trace changes besides the saved construction cost.
+        The row is built in both modes: ``counters`` keeps none, but the
+        subscribers and the aggregate views still see every one.
         """
         t = self._now_fn() if self._now_fn is not None else 0.0
-        needed = self._needed_kinds
-        if (needed is not None and kind not in needed
-                and self._rows is None):
-            self._total += 1
-            self._last_time = t
-            counts = self._kind_counts
-            counts[kind] = counts.get(kind, 0) + 1
-            if kind == "crash":
-                self._crash_times[pid] = t
-            return None
         rec = TraceRecord(t, kind, pid, data)
         self._append(rec)
         return rec

@@ -679,9 +679,8 @@ class RunProbes:
     gauges (convergence and stabilization times, open-state counts).
     """
 
-    #: The record kinds :meth:`on_record` dispatches on.  Passed as the
-    #: subscription filter so the trace can elide records of other kinds
-    #: entirely under non-retaining sinks.
+    #: The record kinds :meth:`on_record` dispatches on, passed as the
+    #: subscription filter.
     KINDS = frozenset({"suspect", "state", "crash", "ping", "ack"})
 
     def __init__(self, registry: MetricsRegistry) -> None:
@@ -864,8 +863,7 @@ class SpanProbe:
     """
 
     #: Record kinds :meth:`on_record` dispatches on — the subscription
-    #: filter, so unrelated kinds can still be elided by the lazy trace
-    #: fast path under non-retaining sinks.
+    #: filter.
     KINDS = frozenset({"suspect", "state", "crash"})
 
     def __init__(self) -> None:

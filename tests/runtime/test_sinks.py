@@ -46,15 +46,19 @@ class TestCounterSink:
         assert len(t) == 0 and t.records() == []
         assert t.evicted == 8 and t.truncated
 
-    def test_lazy_path_builds_only_subscribed_kinds(self):
-        seen = []
+    def test_record_returns_a_row_in_both_modes(self):
+        seen, views = [], []
         for mode in ("counters", "full"):
             t = Trace(mode)
+            t.bind_clock(lambda: 4.0)
             t.subscribe(seen.append, kinds=["a"])
-            elided = t.record("b", pid="p") is None
-            assert elided == (mode == "counters")
-            assert t.record("a", pid="p") is not None
-            assert t.kinds() == {"a": 1, "b": 1} and t.total_recorded == 2
+            for kind in ("b", "a", "crash"):
+                rec = t.record(kind, pid="p")
+                assert (rec.time, rec.kind, rec.pid) == (4.0, kind, "p")
+            views.append((t.kinds(), t.total_recorded, t.crash_times(),
+                          t.last_time()))
+        assert views[0] == views[1] == (
+            {"a": 1, "b": 1, "crash": 1}, 3, {"p": 4.0}, 4.0)
         assert [r.kind for r in seen] == ["a", "a"]
 
 
@@ -112,11 +116,12 @@ class TestJustifyViolationsOnTruncatedTraces:
 
 
 class TestEngineReportsSinkMode:
-    def test_event_budget_error_counts_records(self):
+    def test_event_budget_error_counts_records(self, monkeypatch):
         from repro.sim import Engine, FixedDelays, SimConfig
+        from repro.sim import engine
 
-        eng = Engine(SimConfig(seed=0, max_time=1e9, max_events=100,
-                               trace_sink="counters"),
+        monkeypatch.setattr(engine, "MAX_EVENTS", 100)
+        eng = Engine(SimConfig(seed=0, max_time=1e9, trace_sink="counters"),
                      delay_model=FixedDelays(1.0))
         eng.add_process("p")
         eng.add_process("q")

@@ -59,20 +59,19 @@ def lossy():
     return LinkFaultModel(drop=0.3, duplicate=0.2)
 
 
-#: name -> (fault model factory, install a transport, record_messages, on_send)
+#: name -> (fault model factory, install a transport, record_messages)
 WIRES = {
-    "plain": (None, False, False, False),
-    "fault-model": (lossy, False, False, False),
-    "transport": (lossy, True, False, False),
-    "record-messages": (None, False, True, False),
-    "on-send-hook": (None, False, False, True),
+    "plain": (None, False, False),
+    "fault-model": (lossy, False, False),
+    "transport": (lossy, True, False),
+    "record-messages": (None, False, True),
 }
 
 
 def run_twin(monkeypatch, broadcast, wire="plain", receivers=RECEIVERS):
     """Build, run and summarise one twin; uids restart at 0 for each."""
     monkeypatch.setattr(types, "_msg_counter", itertools.count())
-    faults, transport, record_messages, hook = WIRES[wire]
+    faults, transport, record_messages = WIRES[wire]
     eng = Engine(
         SimConfig(seed=11, max_time=80.0, record_messages=record_messages),
         delay_model=PartialSynchronyDelays(gst=20.0, delta=1.0,
@@ -81,9 +80,6 @@ def run_twin(monkeypatch, broadcast, wire="plain", receivers=RECEIVERS):
     )
     if transport:
         ReliableTransport().install(eng)
-    hooked = []
-    if hook:
-        eng.network.on_send = lambda m: hooked.append((m.receiver, m.uid))
     eng.add_process("a").add_component(Fan(receivers, broadcast))
     sinks = {q: eng.add_process(q).add_component(Sink()) for q in RECEIVERS}
 
@@ -97,7 +93,6 @@ def run_twin(monkeypatch, broadcast, wire="plain", receivers=RECEIVERS):
         "receipts": {q: s.log for q, s in sinks.items()},
         "counters": eng.registry.snapshot().counters,
         "rows": [(r.time, r.kind, r.pid, dict(r.data)) for r in eng.trace],
-        "hooked": hooked,
         "next_network": eng.rng.stream("network").random(),
         "next_faults": eng.rng.stream("link-faults").random(),
         "next_uid": next(types._msg_counter),
@@ -118,10 +113,9 @@ def test_send_all_equals_loop_of_send(monkeypatch, wire):
         assert looped["counters"]["net.messages_duplicated"] > 0
     if wire == "transport":
         assert looped["counters"]["transport.retransmissions"] > 0
-    if wire == "on-send-hook":
-        assert len(looped["hooked"]) == 6 * len(RECEIVERS)
     if wire == "record-messages":
-        assert any(kind == "send" for _, kind, _, _ in looped["rows"])
+        sends = [row for row in looped["rows"] if row[1] == "send"]
+        assert len(sends) == 6 * len(RECEIVERS)
 
 
 def test_empty_receiver_list_is_a_no_op(monkeypatch):

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim import Engine, FixedDelays, SimConfig
+from repro.sim import engine as engine_module
+from repro.sim.engine import STOP_CHECK_EVERY
 from repro.sim.component import Component, action
 from repro.sim.faults import CrashSchedule
 from tests.conftest import make_engine
@@ -114,8 +116,10 @@ def test_schedule_call_in_the_past_fails_at_the_call():
 def test_stop_when_halts_early():
     eng = make_engine(max_time=1000.0)
     s = eng.add_process("p").add_component(Stepper())
-    eng.run(stop_when=lambda: s.count >= 10, check_every_events=1)
-    assert 10 <= s.count < 15
+    eng.run(stop_when=lambda: s.count >= 10)
+    # Polled once per STOP_CHECK_EVERY events: the first poll stops it.
+    assert 10 <= s.count <= STOP_CHECK_EVERY
+    assert eng.events_processed == STOP_CHECK_EVERY
     assert eng.now < 1000.0
 
 
@@ -148,8 +152,9 @@ def test_determinism_same_seed():
     assert world(9) != world(10)
 
 
-def test_event_cap_raises():
-    eng = Engine(SimConfig(seed=0, max_time=1e9, max_events=100),
+def test_event_cap_raises(monkeypatch):
+    monkeypatch.setattr(engine_module, "MAX_EVENTS", 100)
+    eng = Engine(SimConfig(seed=0, max_time=1e9),
                  delay_model=FixedDelays(1.0))
     eng.add_process("p").add_component(Stepper())
     with pytest.raises(SimulationError):

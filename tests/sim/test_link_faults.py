@@ -1,10 +1,13 @@
 """Tests for the link-fault layer: drops, duplication, partitions, fairness."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim import Engine, FixedDelays, LinkFaultModel, Partition, SimConfig
+from repro.sim import link_faults
 from repro.sim.component import Component, action, receive
 from repro.types import Message
 
@@ -15,24 +18,23 @@ def msg(kind="data", sender="a", receiver="b", tag="t"):
     return Message(sender=sender, receiver=receiver, tag=tag, kind=kind)
 
 
+def set_floor(monkeypatch, cap):
+    """Run the test under a fair-lossy floor of ``cap`` random drops."""
+    monkeypatch.setattr(link_faults, "MAX_CONSECUTIVE_DROPS", cap)
+
+
 class TestValidation:
     def test_probabilities_must_be_probabilities(self):
         with pytest.raises(ConfigurationError):
             LinkFaultModel(drop=1.5)
         with pytest.raises(ConfigurationError):
             LinkFaultModel(duplicate=-0.1)
-        with pytest.raises(ConfigurationError):
-            LinkFaultModel(drop_by_kind={"ping": 2.0})
 
     def test_partition_window_must_be_nonempty(self):
         with pytest.raises(ConfigurationError):
             Partition.of(["a"], start=10.0, end=10.0)
         with pytest.raises(ConfigurationError):
             Partition.of([], start=0.0, end=1.0)
-
-    def test_fairness_floor_validation(self):
-        with pytest.raises(ConfigurationError):
-            LinkFaultModel(max_consecutive_drops=0)
 
 
 class TestPartition:
@@ -55,8 +57,9 @@ class TestFate:
         fate = LinkFaultModel().fate(msg(), 0.0, RNG)
         assert fate.copies == 1 and fate.reason is None
 
-    def test_drop_rate_respected(self):
-        model = LinkFaultModel(drop=0.5, max_consecutive_drops=None)
+    def test_drop_rate_respected(self, monkeypatch):
+        set_floor(monkeypatch, sys.maxsize)
+        model = LinkFaultModel(drop=0.5)
         fates = [model.fate(msg(), 0.0, RNG) for _ in range(2000)]
         dropped = sum(f.dropped for f in fates)
         assert 850 < dropped < 1150
@@ -69,25 +72,6 @@ class TestFate:
         assert 480 < dups < 720
         assert all(f.copies == 2 for f in fates if f.duplicated)
 
-    def test_drop_by_kind_targets_only_that_kind(self):
-        model = LinkFaultModel(drop_by_kind={"ping": 1.0},
-                               max_consecutive_drops=None)
-        assert model.fate(msg("ping"), 0.0, RNG).dropped
-        assert not model.fate(msg("fork"), 0.0, RNG).dropped
-
-    def test_drop_by_link_is_directional(self):
-        model = LinkFaultModel(drop_by_link={("a", "b"): 1.0},
-                               max_consecutive_drops=None)
-        assert model.fate(msg(sender="a", receiver="b"), 0.0, RNG).dropped
-        assert not model.fate(msg(sender="b", receiver="a"), 0.0, RNG).dropped
-
-    def test_effective_probability_is_max_of_layers(self):
-        model = LinkFaultModel(drop=0.1, drop_by_kind={"ping": 0.6},
-                               drop_by_link={("a", "b"): 0.3})
-        assert model.drop_probability(msg("ping")) == 0.6
-        assert model.drop_probability(msg("fork")) == 0.3
-        assert model.drop_probability(msg("fork", sender="b", receiver="a")) == 0.1
-
     def test_partition_drop_is_deterministic_and_labelled(self):
         model = LinkFaultModel(
             partitions=[Partition.of(["a"], start=0.0, end=100.0)])
@@ -98,8 +82,15 @@ class TestFate:
 
 
 class TestFairness:
-    def test_consecutive_random_drops_are_capped(self):
-        model = LinkFaultModel(drop=1.0, max_consecutive_drops=5)
+    def test_default_floor_forces_the_26th_message_through(self):
+        model = LinkFaultModel(drop=1.0)
+        fates = [model.fate(msg(), 0.0, RNG) for _ in range(26)]
+        assert all(f.dropped for f in fates[:25])
+        assert not fates[25].dropped
+
+    def test_consecutive_random_drops_are_capped(self, monkeypatch):
+        set_floor(monkeypatch, 5)
+        model = LinkFaultModel(drop=1.0)
         fates = [model.fate(msg(), 0.0, RNG) for _ in range(60)]
         streak = longest = 0
         for f in fates:
@@ -108,8 +99,9 @@ class TestFairness:
         assert longest == 5
         assert sum(not f.dropped for f in fates) == 10
 
-    def test_streaks_tracked_per_link(self):
-        model = LinkFaultModel(drop=1.0, max_consecutive_drops=3)
+    def test_streaks_tracked_per_link(self, monkeypatch):
+        set_floor(monkeypatch, 3)
+        model = LinkFaultModel(drop=1.0)
         for _ in range(3):
             assert model.fate(msg(sender="a", receiver="b"), 0.0, RNG).dropped
         # A different link's streak is independent: still dropping.
@@ -117,9 +109,10 @@ class TestFairness:
         # The saturated a->b link is forced through.
         assert not model.fate(msg(sender="a", receiver="b"), 0.0, RNG).dropped
 
-    def test_partition_drops_do_not_consume_fairness_credit(self):
+    def test_partition_drops_do_not_consume_fairness_credit(self, monkeypatch):
+        set_floor(monkeypatch, 2)
         model = LinkFaultModel(
-            drop=1.0, max_consecutive_drops=2,
+            drop=1.0,
             partitions=[Partition.of(["a"], start=100.0, end=200.0)])
         crossing = msg(sender="a", receiver="b")
         assert model.fate(crossing, 0.0, RNG).dropped   # loss (streak 1)

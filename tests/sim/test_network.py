@@ -159,12 +159,11 @@ class TestNetworkSemantics:
         eng.run()
         assert eng.network.sent_by_kind["data"] == 7
 
-    def test_on_send_hook_invoked(self):
-        eng = make_engine(seed=6, max_time=100.0)
-        seen = []
-        eng.network.on_send = seen.append
+    def test_record_messages_logs_every_send(self):
+        eng = make_engine(seed=6, max_time=100.0, record_messages=True)
         a = eng.add_process("a")
         eng.add_process("b").add_component(Receiver())
         a.add_component(Burster(3))
         eng.run()
-        assert len(seen) == 3
+        sends = eng.trace.records(kind="send")
+        assert [(r.pid, r["to"]) for r in sends] == [("a", "b")] * 3

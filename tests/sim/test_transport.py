@@ -1,5 +1,7 @@
 """Tests for ReliableTransport: exactly-once delivery over fair-lossy links."""
 
+import sys
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -13,6 +15,7 @@ from repro.sim import (
     SimConfig,
 )
 from repro.sim.component import Component, action, receive
+from repro.sim import link_faults
 from repro.sim.faults import CrashSchedule
 from repro.sim.network import AsynchronousDelays
 
@@ -91,13 +94,14 @@ class TestReliableDelivery:
         assert transport.duplicates_suppressed > 0
 
     def test_lost_acks_recovered_by_reack(self):
-        # Drop only acks: data always arrives, every retransmission is a
-        # wire duplicate the receiver must suppress and re-ack.
-        eng, transport = build(
-            LinkFaultModel(drop_by_kind={"rtp.ack": 0.6}), max_time=3000.0)
+        # Uniform loss drops acks too: every retransmission of data that
+        # already arrived is a wire duplicate the receiver must suppress
+        # and re-ack.
+        eng, transport = build(LinkFaultModel(drop=0.6), max_time=3000.0)
         eng.add_process("a").add_component(Burster(50))
         rx = eng.add_process("b").add_component(Receiver())
         eng.run()
+        assert eng.network.dropped_by_kind["rtp.ack"] > 0
         assert sorted(rx.got) == list(range(50)) and len(rx.got) == 50
         assert transport.duplicates_suppressed > 0
         assert transport.in_flight() == 0
@@ -137,11 +141,11 @@ class TestReliableDelivery:
 
 
 class TestBackoff:
-    def test_rto_grows_and_caps(self):
+    def test_rto_grows_and_caps(self, monkeypatch):
+        monkeypatch.setattr(link_faults, "MAX_CONSECUTIVE_DROPS", sys.maxsize)
         policy = RetransmitPolicy(rto_initial=2.0, rto_max=16.0, backoff=2.0,
                                   jitter=0.0)
-        eng, transport = build(LinkFaultModel(drop=1.0,
-                                              max_consecutive_drops=None),
+        eng, transport = build(LinkFaultModel(drop=1.0),
                                policy=policy, max_time=200.0)
         eng.add_process("a")
         eng.add_process("b").add_component(Receiver())
@@ -151,12 +155,12 @@ class TestBackoff:
         assert entry.rto == 16.0                      # capped
         assert transport.retransmissions >= 6
 
-    def test_retry_traffic_stays_bounded(self):
+    def test_retry_traffic_stays_bounded(self, monkeypatch):
         # A saturated dead link must not blow the event budget: backoff
         # caps the retry rate at ~1/rto_max per pending message.
+        monkeypatch.setattr(link_faults, "MAX_CONSECUTIVE_DROPS", sys.maxsize)
         policy = RetransmitPolicy(rto_initial=2.0, rto_max=50.0, jitter=0.0)
-        eng, transport = build(LinkFaultModel(drop=1.0,
-                                              max_consecutive_drops=None),
+        eng, transport = build(LinkFaultModel(drop=1.0),
                                policy=policy, max_time=5000.0)
         eng.add_process("a").add_component(Burster(5))
         eng.add_process("b").add_component(Receiver())
