@@ -12,27 +12,27 @@ from repro.consensus.chandra_toueg import check_consensus, setup_consensus
 from repro.core import build_full_extraction
 from repro.dining.boxes import box_factory
 from repro.runtime.builder import build_system
-from repro.sim.faults import CrashSchedule
+from repro.runtime.spec import RunSpec
 
-PIDS = ["p0", "p1", "p2", "p3"]
 
 
 def main() -> None:
-    system = build_system(
-        PIDS, seed=8, gst=120.0, max_time=8000.0,
-        crash=CrashSchedule.single("p0", 40.0),   # round-1 coordinator dies
-    )
+    system = build_system(RunSpec(
+        graph="clique:4", seed=8, gst=120.0, max_time=8000.0,
+        crashes={"p0": 40.0},   # round-1 coordinator dies
+    ))
+    pids = system.pids
     detectors, pairs = build_full_extraction(
-        system.engine, PIDS, box_factory("wf-ewx", system.provider))
-    proposals = {pid: f"value-from-{pid}" for pid in PIDS}
-    endpoints = setup_consensus(system.engine, PIDS, detectors, proposals)
+        system.engine, pids, box_factory("wf-ewx", system.provider))
+    proposals = {pid: f"value-from-{pid}" for pid in pids}
+    endpoints = setup_consensus(system.engine, pids, detectors, proposals)
 
     system.engine.run(stop_when=lambda: all(
         system.engine.process(p).crashed or endpoints[p].decided is not None
-        for p in PIDS
+        for p in pids
     ))
 
-    result = check_consensus(system.engine.trace, PIDS, system.schedule,
+    result = check_consensus(system.engine.trace, pids, system.schedule,
                              proposals)
     print(f"{len(pairs)} reduction pairs "
           f"({2 * len(pairs)} dining instances) fed the oracle\n")

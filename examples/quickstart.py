@@ -15,25 +15,25 @@ from repro.oracles.properties import (
     check_strong_completeness,
 )
 from repro.runtime.builder import build_system
-from repro.sim.faults import CrashSchedule
+from repro.runtime.spec import RunSpec
 
-PIDS = ["alice", "bob", "carol"]
 CRASH_AT = 900.0
 
 
 def main() -> None:
-    system = build_system(
-        PIDS, seed=42, gst=150.0, max_time=2500.0,
-        crash=CrashSchedule.single("carol", CRASH_AT),
-    )
+    # Three processes p0, p1, p2 on a clique; p2 crashes at CRASH_AT.
+    system = build_system(RunSpec(graph="clique:3", seed=42, gst=150.0,
+                                  max_time=2500.0,
+                                  crashes={"p2": CRASH_AT}))
+    pids = system.pids
 
     # The reduction is black-box: it only sees the dining client API.
     detectors, _ = build_full_extraction(
-        system.engine, PIDS, box_factory("wf-ewx", system.provider))
+        system.engine, pids, box_factory("wf-ewx", system.provider))
 
     def show(moment: str) -> None:
         print(f"t={system.engine.now:7.1f}  ({moment})")
-        for pid in PIDS:
+        for pid in pids:
             if system.engine.process(pid).crashed:
                 print(f"    {pid:>6}: <crashed>")
             else:
@@ -43,15 +43,15 @@ def main() -> None:
     system.engine.run(until=CRASH_AT - 50.0)
     show("before the crash")
     system.engine.run(until=CRASH_AT + 120.0)
-    show("shortly after carol crashed")
+    show("shortly after p2 crashed")
     system.engine.run()
     show("end of run")
 
     # The formal verdicts, straight from the trace.
     trace = system.engine.trace
-    comp = check_strong_completeness(trace, PIDS, PIDS, system.schedule,
+    comp = check_strong_completeness(trace, pids, pids, system.schedule,
                                      detector="extracted")
-    acc = check_eventual_strong_accuracy(trace, PIDS, PIDS, system.schedule,
+    acc = check_eventual_strong_accuracy(trace, pids, pids, system.schedule,
                                          detector="extracted")
     print()
     print(comp.format_table())

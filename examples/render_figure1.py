@@ -15,15 +15,16 @@ from repro.analysis.svg import render_svg_timeline, save_svg
 from repro.core import build_full_extraction
 from repro.dining.boxes import box_factory
 from repro.dining.spec import check_exclusion
-from repro.graphs import pair_graph
 from repro.runtime.builder import build_system
+from repro.runtime.spec import RunSpec
 
 OUT = pathlib.Path(__file__).parent / "figure1.svg"
 
 
 def main() -> None:
-    system = build_system(["p", "q"], seed=101, gst=150.0, max_time=2500.0)
-    _, pairs = build_full_extraction(system.engine, ["p", "q"],
+    system = build_system(RunSpec(graph="pair:p,q", seed=101, gst=150.0,
+                                  max_time=2500.0))
+    _, pairs = build_full_extraction(system.engine, system.pids,
                                      box_factory("wf-ewx", system.provider),
                                      monitors=[("p", "q")])
     system.engine.run()
@@ -32,7 +33,7 @@ def main() -> None:
 
     conv = 0.0
     for iid in pair.instance_ids():
-        rep = check_exclusion(system.engine.trace, pair_graph("p", "q"), iid,
+        rep = check_exclusion(system.engine.trace, system.graph, iid,
                               system.schedule, end)
         if rep.last_violation_end is not None:
             conv = max(conv, rep.last_violation_end)

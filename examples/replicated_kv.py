@@ -18,22 +18,23 @@ from repro.consensus.atomic_broadcast import setup_atomic_broadcast
 from repro.core import build_full_extraction
 from repro.dining.boxes import box_factory
 from repro.runtime.builder import build_system
-from repro.sim.faults import CrashSchedule
+from repro.runtime.spec import RunSpec
 
-PIDS = ["p0", "p1", "p2"]
 CRASH_AT = 260.0
 
 
 def main() -> None:
-    system = build_system(PIDS, seed=17, max_time=12000.0,
-                          crash=CrashSchedule.single("p2", CRASH_AT))
+    system = build_system(RunSpec(graph="clique:3", seed=17, gst=150.0,
+                                  max_time=12000.0,
+                                  crashes={"p2": CRASH_AT}))
+    pids = system.pids
     detectors, pairs = build_full_extraction(
-        system.engine, PIDS, box_factory("wf-ewx", system.provider))
-    abcs = setup_atomic_broadcast(system.engine, PIDS, detectors)
+        system.engine, pids, box_factory("wf-ewx", system.provider))
+    abcs = setup_atomic_broadcast(system.engine, pids, detectors)
     replicas = {
         pid: system.engine.process(pid).add_component(
             KVReplica("kv", abcs[pid]))
-        for pid in PIDS
+        for pid in pids
     }
 
     sent = []
@@ -57,7 +58,7 @@ def main() -> None:
 
     print(f"{len(pairs)} reduction pairs feed the oracle; "
           f"p2 crashed at t={CRASH_AT}\n")
-    for pid in PIDS:
+    for pid in pids:
         r = replicas[pid]
         status = "crashed" if system.engine.process(pid).crashed else "ok"
         print(f"  {pid} [{status}]: applied {r.applied} commands, "

@@ -28,7 +28,7 @@ because the victim's commit CAS fails).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from repro.dining.base import DinerComponent
 from repro.errors import ConfigurationError
@@ -209,7 +209,8 @@ class SharedMemorySTM:
     """Builds and runs one shared-memory DSTM scenario.
 
     Clients share the objects (default: one counter — a clique conflict
-    graph for the CM).  Pass a crash schedule to exercise the
+    graph for the CM), named ``p0..p{n-1}``.  Pass ``crashes`` (pid ->
+    crash time) to exercise the
     suspicion-gated orec stealing: a client crashed mid-transaction leaves
     its orecs behind, and survivors reclaim them once their ◇P suspects it.
     """
@@ -217,36 +218,32 @@ class SharedMemorySTM:
     def __init__(self, n_clients: int = 4, tx_target: int = 15,
                  seed: int = 0, gst: float = 100.0, max_time: float = 8000.0,
                  objects: Sequence[str] = ("counter",),
-                 crash=None) -> None:
+                 crashes: Optional[Mapping[str, float]] = None) -> None:
         self.n_clients = n_clients
         self.tx_target = tx_target
         self.seed = seed
         self.gst = gst
         self.max_time = max_time
         self.objects = tuple(objects)
-        self.crash = crash
-        self.client_pids = [f"c{i}" for i in range(n_clients)]
+        self.crashes = dict(crashes or {})
 
     def run(self, with_cm: bool) -> DSTMReport:
-        import networkx as nx
-
         from repro.dining.wf_ewx import WaitFreeEWXDining
         from repro.runtime.builder import build_system
+        from repro.runtime.spec import RunSpec
 
-        system = build_system(self.client_pids, seed=self.seed, gst=self.gst,
-                              max_time=self.max_time, crash=self.crash)
+        system = build_system(RunSpec(
+            graph=f"clique:{self.n_clients}", seed=self.seed, gst=self.gst,
+            max_time=self.max_time, crashes=self.crashes))
         shm = SharedMemory()
         diners = {}
         if with_cm:
-            graph = nx.complete_graph(self.n_clients)
-            graph = nx.relabel_nodes(graph,
-                                     dict(enumerate(self.client_pids)))
-            cm = WaitFreeEWXDining("CM", graph, system.provider)
+            cm = WaitFreeEWXDining("CM", system.graph, system.provider)
             diners = dict(cm.attach(system.engine))
 
         owner_of = lambda txid: txid.split("#", 1)[0]  # noqa: E731
         clients = {}
-        for pid in self.client_pids:
+        for pid in system.pids:
             suspect = system.provider(pid)
             clients[pid] = system.engine.process(pid).add_component(
                 DSTMClient("dstm", shm, self.objects, self.tx_target,
@@ -256,7 +253,7 @@ class SharedMemorySTM:
         def finished() -> bool:
             return all(
                 system.engine.process(pid).crashed or clients[pid].done
-                for pid in self.client_pids
+                for pid in system.pids
             )
 
         system.engine.run(stop_when=finished)

@@ -2,7 +2,7 @@
 
 Experiments build their runs with :class:`~repro.runtime.spec.RunSpec`
 and :func:`~repro.runtime.builder.execute` where a spec can say what they
-run, and with :func:`~repro.runtime.builder.build_system` plus
+run, and with a spec's :func:`~repro.runtime.builder.build_system` plus
 :func:`repro.dining.box_factory` where they read the reduction's
 internals.
 """

@@ -14,8 +14,8 @@ from repro.core.extraction import build_full_extraction
 from repro.dining.boxes import box_factory
 from repro.dining.spec import check_exclusion
 from repro.experiments.common import ExperimentResult
-from repro.graphs import pair_graph
 from repro.runtime.builder import build_system
+from repro.runtime.spec import RunSpec
 
 EXP_ID = "E1"
 TITLE = "Figure 1: session alternation and subject hand-off overlap"
@@ -23,7 +23,8 @@ TITLE = "Figure 1: session alternation and subject hand-off overlap"
 
 def run(seed: int = 101, max_time: float = 2500.0, gst: float = 150.0,
         washout: float = 200.0) -> ExperimentResult:
-    system = build_system(["p", "q"], seed=seed, gst=gst, max_time=max_time)
+    system = build_system(RunSpec(graph="pair:p,q", seed=seed, gst=gst,
+                                  max_time=max_time))
     _, pairs = build_full_extraction(
         system.engine, system.pids, box_factory("wf-ewx", system.provider),
         monitors=[("p", "q")])
@@ -35,7 +36,7 @@ def run(seed: int = 101, max_time: float = 2500.0, gst: float = 150.0,
     # Empirical convergence: last exclusion violation across both instances.
     conv = 0.0
     for iid in pair.instance_ids():
-        rep = check_exclusion(system.engine.trace, pair_graph("p", "q"), iid,
+        rep = check_exclusion(system.engine.trace, system.graph, iid,
                               system.schedule, end)
         if rep.last_violation_end is not None:
             conv = max(conv, rep.last_violation_end)

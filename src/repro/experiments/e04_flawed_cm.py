@@ -23,6 +23,7 @@ from repro.dining.boxes import box_factory
 from repro.experiments.common import ExperimentResult
 from repro.oracles.properties import false_positive_count, suspicion_series
 from repro.runtime.builder import build_system
+from repro.runtime.spec import RunSpec
 
 EXP_ID = "E4"
 TITLE = "Section 3: [8]'s construction fails on a legal box; ours survives"
@@ -32,9 +33,10 @@ def _run(seed: int, construction, box: str,
          max_time: float) -> tuple[int, bool]:
     """Run one construction (p monitors q) over ``box``; return
     (wrongful suspicions, converged)."""
-    system = build_system(["p", "q"], seed=seed, gst=100.0, max_time=max_time)
+    system = build_system(RunSpec(graph="pair:p,q", seed=seed, gst=100.0,
+                                  max_time=max_time))
     _, pairs = build_full_extraction(
-        system.engine, ["p", "q"], box_factory(box, system.provider),
+        system.engine, system.pids, box_factory(box, system.provider),
         construction=construction, monitors=[("p", "q")])
     system.engine.run()
     trace = system.engine.trace

@@ -24,6 +24,7 @@ from repro.dining.boxes import box_factory
 from repro.dining.spec import state_series
 from repro.experiments.common import ExperimentResult
 from repro.runtime.builder import build_system
+from repro.runtime.spec import RunSpec
 from repro.sim.trace import state_intervals
 from repro.types import DinerState, Time
 
@@ -46,9 +47,10 @@ def _coverage_gaps(intervals: list[tuple[Time, Time]], start: Time,
 
 
 def _one_run(seed: int, max_time: float) -> dict:
-    system = build_system(["p", "q"], seed=seed, gst=120.0, max_time=max_time)
+    system = build_system(RunSpec(graph="pair:p,q", seed=seed, gst=120.0,
+                                  max_time=max_time))
     _, pairs = build_full_extraction(
-        system.engine, ["p", "q"], box_factory("wf-ewx", system.provider),
+        system.engine, system.pids, box_factory("wf-ewx", system.provider),
         monitors=[("p", "q")])
     system.engine.run()
     pair = pairs[("p", "q")]

@@ -26,7 +26,7 @@ from repro.oracles.properties import (
     check_trusting_accuracy,
 )
 from repro.runtime.builder import build_system
-from repro.sim.faults import CrashSchedule
+from repro.runtime.spec import RunSpec
 
 EXP_ID = "E7"
 TITLE = "Section 9: reduction over a perpetual-WX box extracts T"
@@ -34,11 +34,10 @@ TITLE = "Section 9: reduction over a perpetual-WX box extracts T"
 
 def run(seed: int = 701, n: int = 3, crash_at: float = 700.0,
         max_time: float = 2500.0) -> ExperimentResult:
-    pids = [f"p{i}" for i in range(n)]
-    system = build_system(
-        pids, seed=seed, max_time=max_time, detector="perfect",
-        crash=CrashSchedule.single(pids[-1], crash_at),
-    )
+    system = build_system(RunSpec(
+        graph=f"clique:{n}", seed=seed, gst=150.0, max_time=max_time,
+        detector="perfect", crashes={f"p{n - 1}": crash_at}))
+    pids = system.pids
     box = lambda iid, g: PerpetualDining(iid, g, system.provider)  # noqa: E731
     _, pairs = build_full_extraction(
         system.engine, pids, box,

@@ -14,7 +14,7 @@ from repro.core.extraction import build_full_extraction
 from repro.dining.boxes import box_factory
 from repro.experiments.common import ExperimentResult
 from repro.runtime.builder import build_system
-from repro.sim.faults import CrashSchedule
+from repro.runtime.spec import RunSpec
 
 EXP_ID = "E8"
 TITLE = "Extracted ◇P drives Chandra-Toueg consensus to a decision"
@@ -22,9 +22,10 @@ TITLE = "Extracted ◇P drives Chandra-Toueg consensus to a decision"
 
 def _one(seed: int, n: int, use_extraction: bool, crash_at: float,
          max_time: float) -> tuple[bool, dict]:
-    pids = [f"p{i}" for i in range(n)]
-    system = build_system(pids, seed=seed, gst=120.0, max_time=max_time,
-                          crash=CrashSchedule.single(pids[0], crash_at))
+    system = build_system(RunSpec(graph=f"clique:{n}", seed=seed, gst=120.0,
+                                  max_time=max_time,
+                                  crashes={"p0": crash_at}))
+    pids = system.pids
     if use_extraction:
         detectors, _ = build_full_extraction(
             system.engine, pids, box_factory("wf-ewx", system.provider))

@@ -15,9 +15,8 @@ from repro.oracles.properties import (
     check_strong_completeness,
     false_positive_count,
 )
-from repro.oracles.registry import DetectorSpec
 from repro.runtime.builder import build_system
-from repro.sim.faults import CrashSchedule
+from repro.runtime.spec import RunSpec
 
 EXP_ID = "E11"
 TITLE = "Native heartbeat ◇P: completeness, accuracy, finite mistakes"
@@ -31,16 +30,11 @@ def run(seed: int = 1101, n: int = 3,
                    "mistakes"], title=TITLE)
     ok_all = True
     for k, gst in enumerate(gsts):
-        pids = [f"p{i}" for i in range(n)]
-        system = build_system(
-            pids, seed=seed + k, gst=gst, max_time=max_time,
-            crash=CrashSchedule.single(pids[-1], crash_at),
-            detector=DetectorSpec(
-                "eventually_perfect",
-                {"initial_timeout": 8, "heartbeat_period": 6},
-                seed=seed + k),
-            pre_gst_max=60.0,
-        )
+        system = build_system(RunSpec(
+            graph=f"clique:{n}", seed=seed + k, gst=gst, max_time=max_time,
+            crashes={f"p{n - 1}": crash_at},
+            detector_params={"initial_timeout": 8, "heartbeat_period": 6}))
+        pids = system.pids
         system.engine.run()
         trace = system.engine.trace
         comp = check_strong_completeness(trace, pids, pids, system.schedule,

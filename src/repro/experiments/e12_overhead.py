@@ -16,6 +16,7 @@ from repro.core.extraction import build_full_extraction
 from repro.dining.boxes import box_factory
 from repro.experiments.common import ExperimentResult
 from repro.runtime.builder import build_system
+from repro.runtime.spec import RunSpec
 from repro.sim.metrics import collect_metrics
 
 EXP_ID = "E12"
@@ -29,10 +30,10 @@ def run(seed: int = 1201, ns: tuple[int, ...] = (2, 3, 4),
                    "events"], title=TITLE)
     per_sample_cost = []
     for n in ns:
-        pids = [f"p{i}" for i in range(n)]
-        system = build_system(pids, seed=seed, gst=100.0, max_time=max_time)
+        system = build_system(RunSpec(graph=f"clique:{n}", seed=seed,
+                                      gst=100.0, max_time=max_time))
         _, pairs = build_full_extraction(
-            system.engine, pids, box_factory("wf-ewx", system.provider))
+            system.engine, system.pids, box_factory("wf-ewx", system.provider))
         system.engine.run()
         m = collect_metrics(system.engine)
         n_pairs = n * (n - 1)

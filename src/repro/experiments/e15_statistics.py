@@ -19,7 +19,7 @@ from repro.oracles.properties import (
     false_positive_count,
 )
 from repro.runtime.builder import build_system
-from repro.sim.faults import CrashSchedule
+from repro.runtime.spec import RunSpec
 
 EXP_ID = "E15"
 TITLE = "Statistics: extraction convergence across seeds (both boxes)"
@@ -31,8 +31,9 @@ BOXES = {"wf": "wf-ewx", "deferred": "deferred:150"}
 def _metrics(seed: int, box_name: str, crash_at: float,
              max_time: float) -> dict:
     # Accuracy run.
-    system = build_system(["p", "q"], seed=seed, max_time=max_time)
-    build_full_extraction(system.engine, ["p", "q"],
+    system = build_system(RunSpec(graph="pair:p,q", seed=seed, gst=150.0,
+                                  max_time=max_time))
+    build_full_extraction(system.engine, system.pids,
                           box_factory(BOXES[box_name], system.provider),
                           monitors=[("p", "q")])
     system.engine.run()
@@ -42,15 +43,16 @@ def _metrics(seed: int, box_name: str, crash_at: float,
     mistakes = false_positive_count(system.engine.trace, "p", "q",
                                     system.schedule, detector="extracted")
     # Completeness run.
-    sched = CrashSchedule.single("q", crash_at)
-    system2 = build_system(["p", "q"], seed=seed + 5000, max_time=max_time,
-                           crash=sched)
-    build_full_extraction(system2.engine, ["p", "q"],
+    system2 = build_system(RunSpec(graph="pair:p,q", seed=seed + 5000,
+                                   gst=150.0, max_time=max_time,
+                                   crashes={"q": crash_at}))
+    build_full_extraction(system2.engine, system2.pids,
                           box_factory(BOXES[box_name], system2.provider),
                           monitors=[("p", "q")])
     system2.engine.run()
     comp = check_strong_completeness(
-        system2.engine.trace, ["p"], ["q"], sched, detector="extracted")
+        system2.engine.trace, ["p"], ["q"], system2.schedule,
+        detector="extracted")
     return {
         "accuracy_conv": acc.convergence if acc.ok else None,
         "detect_latency": (comp.convergence - crash_at

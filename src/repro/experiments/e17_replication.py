@@ -20,7 +20,7 @@ from repro.core.extraction import build_full_extraction
 from repro.dining.boxes import box_factory
 from repro.experiments.common import ExperimentResult
 from repro.runtime.builder import build_system
-from repro.sim.faults import CrashSchedule
+from repro.runtime.spec import RunSpec
 
 EXP_ID = "E17"
 TITLE = "End-to-end: dining → extracted ◇P → atomic broadcast → replicated KV"
@@ -29,10 +29,11 @@ TITLE = "End-to-end: dining → extracted ◇P → atomic broadcast → replicat
 def run(seed: int = 1701, n: int = 3, n_commands: int = 5,
         crash_at: float = 260.0, max_time: float = 12000.0,
         use_extraction: bool = True) -> ExperimentResult:
-    pids = [f"p{i}" for i in range(n)]
-    faulty = pids[-1]
-    system = build_system(pids, seed=seed, max_time=max_time,
-                          crash=CrashSchedule.single(faulty, crash_at))
+    faulty = f"p{n - 1}"
+    system = build_system(RunSpec(graph=f"clique:{n}", seed=seed, gst=150.0,
+                                  max_time=max_time,
+                                  crashes={faulty: crash_at}))
+    pids = system.pids
     if use_extraction:
         detectors, _ = build_full_extraction(
             system.engine, pids, box_factory("wf-ewx", system.provider))

@@ -20,7 +20,6 @@ from __future__ import annotations
 from repro.analysis.report import Table
 from repro.apps.dstm import SharedMemorySTM
 from repro.experiments.common import ExperimentResult
-from repro.sim.faults import CrashSchedule
 
 EXP_ID = "E18"
 TITLE = "Shared-memory DSTM: CM boosting + serializability (the [8] setting)"
@@ -52,9 +51,9 @@ def run(seed: int = 1801, client_counts: tuple[int, ...] = (2, 4, 6),
     # them via suspicion and still finish, serializably.
     crash_stm = SharedMemorySTM(n_clients=3, tx_target=tx_target, seed=40,
                                 max_time=max_time,
-                                crash=CrashSchedule.single("c1", 60.0))
+                                crashes={"p1": 60.0})
     crashed = crash_stm.run(with_cm=False)
-    table.add_row(["3 (crash c1)", "no CM", crashed.committed,
+    table.add_row(["3 (crash p1)", "no CM", crashed.committed,
                    crashed.aborted, crashed.abort_ratio(), crashed.steals,
                    crashed.serializable(), crashed.all_done])
     ok_all &= (crashed.serializable() and crashed.all_done

@@ -25,15 +25,17 @@ from repro.dining.boxes import box_factory
 from repro.experiments.common import ExperimentResult
 from repro.oracles.properties import false_positive_count, suspicion_series
 from repro.runtime.builder import build_system
+from repro.runtime.spec import RunSpec
 
 EXP_ID = "E20"
 TITLE = "Section 5.1 ablation: one dining instance is not enough"
 
 
 def _one(seed: int, horizon: float, construction) -> tuple[int, float]:
-    system = build_system(["p", "q"], seed=seed, max_time=horizon)
+    system = build_system(RunSpec(graph="pair:p,q", seed=seed, gst=150.0,
+                                  max_time=horizon))
     _, pairs = build_full_extraction(
-        system.engine, ["p", "q"], box_factory("wf-ewx", system.provider),
+        system.engine, system.pids, box_factory("wf-ewx", system.provider),
         construction=construction, monitors=[("p", "q")])
     label = pairs[("p", "q")].output.detector_label
     system.engine.run()

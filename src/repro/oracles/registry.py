@@ -307,9 +307,8 @@ _register(DetectorEntry(
     example='detector="eventually_perfect", '
             'detector_params={"initial_timeout": 20}',
     label=BOX_LABEL,
-    # NB: the runtime's historical default timeout is 10 (what
-    # build_system always passed), not the class default of 24 — the
-    # golden traces pin this.
+    # NB: the runtime's default timeout is 10, not the class default of
+    # 24 — the golden traces pin it.
     defaults={"heartbeat_period": 4, "initial_timeout": 10, "backoff": 2.0},
     assumptions=DetectorAssumptions(accuracy="eventual_strong",
                                     completeness="strong", label=BOX_LABEL),

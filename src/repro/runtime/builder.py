@@ -2,10 +2,11 @@
 
 All wiring of Engine + Network + oracles + dining stacks lives here:
 
-* :func:`build_system` — engine + per-process box oracle + suspicion
-  provider (the substrate experiments attach their own instances to);
-* :func:`instantiate` — the full declarative path: substrate + dining
-  algorithm + per-process workload clients from a :class:`RunSpec`;
+* :func:`build_system` — a :class:`RunSpec`'s substrate: engine +
+  per-process box oracle + suspicion provider (what experiments attach
+  their own instances to);
+* :func:`instantiate` — the full declarative path: that substrate +
+  the spec's dining algorithm + per-process workload clients;
 * :func:`execute` — instantiate, run to the horizon, and judge: returns
   the :class:`~repro.runtime.result.RunResult` envelope.  It reads the
   verdicts off the run's interval machine; the trace-taking checkers
@@ -22,7 +23,7 @@ worker processes with bit-identical per-seed results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
 import networkx as nx
@@ -48,7 +49,6 @@ from repro.oracles.properties import (
 )
 from repro.oracles.registry import (
     BOX_LABEL,
-    DEFAULT_DETECTOR,
     DetectorSpec,
     InstallContext,
     install_detector,
@@ -62,18 +62,25 @@ from repro.sim.link_faults import LinkFaultModel, Partition
 from repro.sim.metrics import collect_metrics
 from repro.sim.network import DelayModel, PartialSynchronyDelays
 from repro.sim.transport import ReliableTransport, RetransmitPolicy
-from repro.types import ProcessId, Time
+from repro.types import ProcessId
 
 #: Dining-instance id used by every declarative run (trace checkers key
 #: state rows by it).
 INSTANCE = "SCENARIO"
 
 
+#: The partial-synchrony channel constants every run shares: after GST a
+#: message takes at most ``DELTA``; before it, up to ``PRE_GST_MAX``.
+DELTA = 1.5
+PRE_GST_MAX = 30.0
+
+
 @dataclass
 class System:
-    """A built simulation: engine plus the box-internal oracle plumbing."""
+    """A built substrate: engine, processes and detector, no dining box."""
 
     engine: Engine
+    graph: nx.Graph
     pids: list[ProcessId]
     schedule: CrashSchedule
     #: ``pid ->`` the dining-facing detector (an
@@ -81,80 +88,73 @@ class System:
     #: anything with the ``suspected(q)`` query API).
     box_modules: dict[ProcessId, Any]
     provider: SuspicionProvider
-    transport: "ReliableTransport | None" = None
+    transport: "ReliableTransport | None"
     #: The ``detector=`` label the dining-facing ``"suspect"`` trace rows
     #: carry (``boxfd`` for native modules; ``omega`` / ``flawed`` for the
     #: derived ones).
-    detector_label: str = BOX_LABEL
+    detector_label: str
     #: The property battery this run's detector claims — what ``execute``
     #: judges the trace against.
-    assumptions: DetectorAssumptions = field(
-        default_factory=DetectorAssumptions)
+    assumptions: DetectorAssumptions
+    #: The ordered (owner, target) monitoring relation when the spec's
+    #: pair selection is local; ``None`` means all-to-all (``pairs=all``).
+    monitors: "list[tuple[ProcessId, ProcessId]] | None"
 
 
-def build_system(
-    pids: Sequence[ProcessId],
-    seed: int,
-    gst: Time = 150.0,
-    max_time: Time = 3000.0,
-    crash: CrashSchedule | None = None,
-    delta: Time = 1.5,
-    pre_gst_max: Time = 30.0,
-    delay_model: "DelayModel | None" = None,
-    fault_model: "LinkFaultModel | None" = None,
-    transport: "bool | RetransmitPolicy" = False,
-    trace_sink: str = "full",
-    record_messages: bool = False,
-    obs: bool = True,
-    spans: bool = False,
-    peers_of: Mapping[ProcessId, Sequence[ProcessId]] | None = None,
-    detector: "DetectorSpec | str" = DEFAULT_DETECTOR,
-) -> System:
-    """Engine + per-process box-internal oracle + the suspicion provider
-    dining boxes use.
-
-    ``detector`` selects the oracle from the registry
-    (:data:`repro.oracles.registry.REGISTRY`) — a :class:`DetectorSpec`
-    (which carries parameter overrides) or a bare registry name.
-    ``delay_model`` overrides the default GST channel model (e.g. to wrap
-    it in adversarial :class:`~repro.sim.adversary.TargetedDelays`).
-    ``fault_model`` makes the wire fair-lossy; pass ``transport=True`` (or
-    a :class:`~repro.sim.transport.RetransmitPolicy`) to restore reliable
-    channels over it, so algorithms keep their Section 4 assumptions.
-    ``trace_sink`` is the trace retention (``full`` | ``counters``, which
-    keeps no rows).  ``peers_of`` restricts
-    each process's oracle module to an explicit peer list
-    (conflict-graph-local monitoring); default is all-to-all.
-    """
-    spec = (DetectorSpec(detector, seed=seed) if isinstance(detector, str)
-            else detector)
-    schedule = crash or CrashSchedule.none()
+def build_system(spec: RunSpec) -> System:
+    """The substrate half of :func:`instantiate`: the spec's graph, its
+    processes (``sorted(graph.nodes)``), crash schedule, link faults,
+    transport and channel model, an engine over them, and the registry
+    detector with its suspicion provider — everything but the dining box
+    and its clients, so experiments can attach their own instances."""
+    graph = parse_graph(spec.graph)
+    validate_conflict_graph(graph,
+                            allow_disconnected=spec.allow_disconnected)
+    pids = sorted(graph.nodes)
+    bad = set(spec.crashes) - set(pids)
+    if bad:
+        raise ConfigurationError(f"crashes name unknown processes: {bad}")
+    selection = PairSelection.parse(spec.pairs)
+    # pairs=all leaves the historical all-to-all construction untouched
+    # (golden traces pin it bit-for-bit); local selections restrict each
+    # oracle module to its conflict-graph peers.
+    peers_of = None if selection.is_all else selection.peers_map(pids, graph)
+    monitors = (None if selection.is_all
+                else [(p, q) for p in pids for q in peers_of[p]])
+    fault_model = build_fault_model(spec, pids)
+    transport = (spec.transport if spec.transport is not None
+                 else fault_model is not None)
+    schedule = CrashSchedule(dict(spec.crashes))
     engine = Engine(
-        SimConfig(seed=seed, max_time=max_time, trace_sink=trace_sink,
-                  record_messages=record_messages, obs=obs, spans=spans),
-        delay_model=delay_model or PartialSynchronyDelays(
-            gst=gst, delta=delta, pre_gst_max=pre_gst_max),
+        SimConfig(seed=spec.seed, max_time=spec.max_time,
+                  trace_sink=spec.trace, record_messages=spec.record_messages,
+                  obs=spec.obs, spans=spec.spans),
+        delay_model=build_delay_model(spec),
         crash_schedule=schedule,
         fault_model=fault_model,
     )
     installed: ReliableTransport | None = None
-    if transport:
-        policy = transport if isinstance(transport, RetransmitPolicy) else None
-        installed = ReliableTransport(policy).install(engine)
+    if isinstance(transport, Mapping):
+        installed = ReliableTransport(RetransmitPolicy(
+            **{k: float(v) for k, v in transport.items()})).install(engine)
+    elif transport:
+        installed = ReliableTransport().install(engine)
     for pid in pids:
         engine.add_process(pid)
-    modules = install_detector(spec, InstallContext(
-        engine=engine, pids=list(pids), schedule=schedule,
-        peers_of=peers_of, seed=seed))
+    detector = DetectorSpec(spec.detector, dict(spec.detector_params),
+                            seed=spec.seed)
+    modules = install_detector(detector, InstallContext(
+        engine=engine, pids=pids, schedule=schedule,
+        peers_of=peers_of, seed=spec.seed))
 
     def provider(pid: ProcessId):
         return modules[pid].suspected
 
-    entry = spec.entry
-    return System(engine=engine, pids=list(pids), schedule=schedule,
+    entry = detector.entry
+    return System(engine=engine, graph=graph, pids=pids, schedule=schedule,
                   box_modules=modules, provider=provider,
                   transport=installed, detector_label=entry.label,
-                  assumptions=entry.assumptions)
+                  assumptions=entry.assumptions, monitors=monitors)
 
 
 # -- declarative pieces -------------------------------------------------------
@@ -198,9 +198,8 @@ def build_fault_model(spec: RunSpec,
 
 def build_delay_model(spec: RunSpec) -> DelayModel:
     """The channel model, wrapped in a targeted adversary if ``slow``."""
-    # Same channel constants build_system would pick on its own, so a
-    # spec with no adversary behaves exactly as before.
-    base = PartialSynchronyDelays(gst=spec.gst, delta=1.5, pre_gst_max=30.0)
+    base = PartialSynchronyDelays(gst=spec.gst, delta=DELTA,
+                                  pre_gst_max=PRE_GST_MAX)
     if spec.slow is None:
         return base
     slow = dict(spec.slow)
@@ -232,16 +231,12 @@ def build_delay_model(spec: RunSpec) -> DelayModel:
 
 @dataclass
 class BuiltRun:
-    """A fully wired, not-yet-executed run."""
+    """A fully wired, not-yet-executed run: the substrate plus the box."""
 
     spec: RunSpec
-    graph: nx.Graph
     system: System
     instance: DiningInstance
-    diners: Mapping[ProcessId, Any] = field(default_factory=dict)
-    #: The ordered (owner, target) monitoring relation when the spec's
-    #: pair selection is local; ``None`` means all-to-all (``pairs=all``).
-    monitors: "list[tuple[ProcessId, ProcessId]] | None" = None
+    diners: Mapping[ProcessId, Any]
 
     @property
     def engine(self) -> Engine:
@@ -251,49 +246,22 @@ class BuiltRun:
 def instantiate(spec: RunSpec) -> BuiltRun:
     """Wire engine, oracle substrate, dining stack, and workload clients
     for ``spec`` — without running anything."""
-    graph = parse_graph(spec.graph)
-    validate_conflict_graph(graph,
-                            allow_disconnected=spec.allow_disconnected)
-    pids = sorted(graph.nodes)
-    bad = set(spec.crashes) - set(pids)
-    if bad:
-        raise ConfigurationError(f"crashes name unknown processes: {bad}")
-    selection = PairSelection.parse(spec.pairs)
-    # pairs=all leaves the historical all-to-all construction untouched
-    # (golden traces pin it bit-for-bit); local selections restrict each
-    # oracle module to its conflict-graph peers.
-    peers_of = None if selection.is_all else selection.peers_map(pids, graph)
-    monitors = (None if selection.is_all
-                else [(p, q) for p in pids for q in peers_of[p]])
-    fault_model = build_fault_model(spec, pids)
-    use_transport: Any = (spec.transport if spec.transport is not None
-                          else fault_model is not None)
-    if isinstance(use_transport, Mapping):
-        use_transport = RetransmitPolicy(
-            **{k: float(v) for k, v in use_transport.items()})
-    system = build_system(
-        pids, seed=spec.seed, gst=spec.gst, max_time=spec.max_time,
-        crash=CrashSchedule(dict(spec.crashes)),
-        detector=DetectorSpec(spec.detector, dict(spec.detector_params),
-                              seed=spec.seed),
-        delay_model=build_delay_model(spec), fault_model=fault_model,
-        transport=use_transport, trace_sink=spec.trace,
-        record_messages=spec.record_messages, obs=spec.obs,
-        spans=spec.spans, peers_of=peers_of,
-    )
-    instance = box_factory(spec.algorithm, system.provider)(INSTANCE, graph)
+    system = build_system(spec)
+    instance = box_factory(spec.algorithm, system.provider)(INSTANCE,
+                                                            system.graph)
     diners = instance.attach(system.engine)
-    for pid in pids:
+    for pid in system.pids:
         system.engine.process(pid).add_component(
             build_client(spec.client, pid, diners[pid], system.engine))
     # Cost-visibility counter (repro report): how many ordered pairs the
     # oracle actually monitors.  DiningInstance.attach counts the dining
     # instances, the box's and any its detector or wrapper runs.
-    n_pairs = (len(pids) * (len(pids) - 1) if monitors is None
-               else len(monitors))
+    n = len(system.pids)
+    n_pairs = (n * (n - 1) if system.monitors is None
+               else len(system.monitors))
     system.engine.registry.counter("monitor.pairs_monitored").inc(n_pairs)
-    return BuiltRun(spec=spec, graph=graph, system=system,
-                    instance=instance, diners=diners, monitors=monitors)
+    return BuiltRun(spec=spec, system=system, instance=instance,
+                    diners=diners)
 
 
 def justify_violations(trace, violations, detector: str = BOX_LABEL) -> bool:
@@ -312,7 +280,7 @@ def justify_violations(trace, violations, detector: str = BOX_LABEL) -> bool:
 def judge(built: BuiltRun) -> tuple:
     """``(exclusion, wait_freedom, fairness, detector_verdicts, justified)``
     of a finished run whose interval machine judged it from the start."""
-    machine = built.engine.intervals
+    machine, system = built.engine.intervals, built.system
     exclusion = exclusion_of(machine)
     return (
         exclusion,
@@ -324,8 +292,8 @@ def judge(built: BuiltRun) -> tuple:
         # *claims* (System.assumptions), so S/◇S substrates aren't graded
         # against ◇P expectations — and flawed_cm, which claims ◇P's
         # battery, visibly fails it.
-        detector_verdicts(machine, built.system.pids,
-                          built.system.assumptions, pairs=built.monitors),
+        detector_verdicts(machine, system.pids, system.assumptions,
+                          pairs=system.monitors),
         all(machine.justified(v.u, v.v, v.start)
             for v in exclusion.violations),
     )
@@ -347,7 +315,7 @@ def execute(spec: RunSpec, check: Optional[bool] = None) -> RunResult:
     if check is None:
         check = eng.trace.mode != "counters"
     if check:
-        eng.intervals.judge(built.graph, INSTANCE,
+        eng.intervals.judge(built.system.graph, INSTANCE,
                             built.system.detector_label)
     else:
         eng.intervals.forgo_verdicts()

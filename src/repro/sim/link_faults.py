@@ -70,15 +70,6 @@ class Partition:
         """Convenience constructor accepting any iterable of pids."""
         return cls(start=float(start), end=float(end), side=frozenset(side))
 
-    def active_at(self, now: Time) -> bool:
-        return self.start <= now < self.end
-
-    def severs(self, msg: Message, now: Time) -> bool:
-        """Does this partition drop ``msg`` sent at ``now``?"""
-        if not self.active_at(now):
-            return False
-        return (msg.sender in self.side) != (msg.receiver in self.side)
-
 
 @dataclass(frozen=True, slots=True)
 class Fate:
@@ -91,14 +82,6 @@ class Fate:
 
     copies: int
     reason: Optional[str] = None
-
-    @property
-    def dropped(self) -> bool:
-        return self.copies == 0
-
-    @property
-    def duplicated(self) -> bool:
-        return self.copies > 1
 
 
 # Fate is a value type with only four observable states, so the verdict
@@ -150,7 +133,8 @@ class LinkFaultModel:
         fair-lossy streak (a forced delivery would breach the partition);
         random drops do, and the streak cap forces delivery once reached.
         """
-        # Partition.severs inlined: this runs once per wire transmission.
+        # The partition test is spelled out here, not a Partition method:
+        # this runs once per wire transmission.
         sender = msg.sender
         receiver = msg.receiver
         for part in self.partitions:

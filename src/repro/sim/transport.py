@@ -180,10 +180,6 @@ class ReliableTransport:
     def abandoned(self) -> int:
         return int(self._c_abandoned.value)
 
-    def owns(self, msg: Message) -> bool:
-        """Is ``msg`` a transport wire envelope (vs. application traffic)?"""
-        return msg.tag == TRANSPORT_TAG
-
     # -- send path (called by Network.send) ------------------------------------
 
     # Both send paths below transmit the data envelope and arm its timer

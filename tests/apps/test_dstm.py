@@ -4,7 +4,6 @@ import pytest
 
 from repro.apps.dstm import DSTMClient, SharedMemorySTM
 from repro.errors import ConfigurationError
-from repro.sim.faults import CrashSchedule
 from repro.sim.shm import SharedMemory
 
 
@@ -54,7 +53,7 @@ class TestContention:
 class TestCrashAndStealing:
     def test_crashed_owner_orecs_reclaimed(self):
         stm = SharedMemorySTM(n_clients=3, tx_target=12, seed=40,
-                              crash=CrashSchedule.single("c1", 60.0))
+                              crashes={"p1": 60.0})
         r = stm.run(with_cm=False)
         assert r.steals > 0             # survivors stole the stale orec
         assert r.all_done               # ...and finished (wait-free-ish)

@@ -10,7 +10,7 @@ from repro.apps.kv_store import (
 from repro.consensus.atomic_broadcast import setup_atomic_broadcast
 from repro.errors import ConfigurationError
 from repro.runtime.builder import build_system
-from repro.sim.faults import CrashSchedule
+from repro.runtime.spec import RunSpec
 
 
 class TestApplyCommand:
@@ -40,9 +40,10 @@ class TestApplyCommand:
             apply_command({}, {"op": "swap", "key": "a", "value": None})
 
 
-def run_replicated(seed=1, crash=None, n=3, max_time=9000.0):
-    pids = [f"p{i}" for i in range(n)]
-    system = build_system(pids, seed=seed, max_time=max_time, crash=crash)
+def run_replicated(seed=1, crashes=None, n=3, max_time=9000.0):
+    system = build_system(RunSpec(graph=f"clique:{n}", seed=seed, gst=150.0,
+                                  max_time=max_time, crashes=crashes or {}))
+    pids = system.pids
     abcs = setup_atomic_broadcast(system.engine, pids, system.box_modules)
     replicas = {
         pid: system.engine.process(pid).add_component(KVReplica("kv", abcs[pid]))
@@ -60,7 +61,7 @@ def run_replicated(seed=1, crash=None, n=3, max_time=9000.0):
             if not system.engine.process(pid).crashed:
                 sent.append(replicas[pid].submit(op, key, value))
         system.engine.schedule_call(at, go)
-    correct = [p for p in pids if crash is None or not crash.is_faulty(p)]
+    correct = [p for p in pids if not system.schedule.is_faulty(p)]
     system.engine.run(stop_when=lambda: system.engine.now > 160.0
                       and all(replicas[p].applied >= len(sent)
                               for p in correct))
@@ -75,8 +76,8 @@ def test_replicas_converge_failure_free():
 
 
 def test_replicas_converge_under_crash():
-    crash = CrashSchedule.single("p2", 130.0)
-    system, replicas, correct = run_replicated(seed=521, crash=crash)
+    system, replicas, correct = run_replicated(seed=521,
+                                               crashes={"p2": 130.0})
     res = check_replication(replicas, correct)
     assert res.ok, res
     assert res.final_state["x"] == 3

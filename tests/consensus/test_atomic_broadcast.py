@@ -7,14 +7,16 @@ from repro.consensus.atomic_broadcast import (
     setup_atomic_broadcast,
 )
 from repro.runtime.builder import build_system
+from repro.runtime.spec import RunSpec
 from repro.sim.faults import CrashSchedule
 from repro.sim.trace import Trace
 
 
-def run_abcast(seed=1, crash=None, n=3, n_msgs=5, max_time=8000.0,
+def run_abcast(seed=1, crashes=None, n=3, n_msgs=5, max_time=8000.0,
                stagger=40.0):
-    pids = [f"p{i}" for i in range(n)]
-    system = build_system(pids, seed=seed, max_time=max_time, crash=crash)
+    system = build_system(RunSpec(graph=f"clique:{n}", seed=seed, gst=150.0,
+                                  max_time=max_time, crashes=crashes or {}))
+    pids = system.pids
     eps = setup_atomic_broadcast(system.engine, pids, system.box_modules)
     sent: list[str] = []
     for i in range(n_msgs):
@@ -25,8 +27,7 @@ def run_abcast(seed=1, crash=None, n=3, n_msgs=5, max_time=8000.0,
                 sent.append(eps[s].abroadcast(f"m{i}"))
 
         system.engine.schedule_call(20.0 + stagger * i, go)
-    correct = [p for p in pids
-               if crash is None or not crash.is_faulty(p)]
+    correct = [p for p in pids if not system.schedule.is_faulty(p)]
     deadline = 20.0 + stagger * n_msgs
     system.engine.run(stop_when=lambda: system.engine.now > deadline
                       and all(len(eps[p].delivered_ids) >= len(sent)
@@ -49,8 +50,7 @@ def test_identical_sequences_across_replicas():
 
 
 def test_crash_leaves_prefix_compatible_sequences():
-    crash = CrashSchedule.single("p2", 150.0)
-    res, *_ = run_abcast(seed=512, crash=crash)
+    res, *_ = run_abcast(seed=512, crashes={"p2": 150.0})
     assert res.agreement and res.no_duplication and res.validity
     assert res.all_delivered   # at the correct processes
 

@@ -8,6 +8,7 @@ from repro.core.witness import ExtractedPairModule, WitnessShared, WitnessThread
 from repro.dining.base import DinerComponent
 from repro.dining.boxes import box_factory
 from repro.runtime.builder import build_system
+from repro.runtime.spec import RunSpec
 from tests.conftest import make_engine
 
 
@@ -70,17 +71,17 @@ class ManualPair:
         self.engine.run(until=self.engine.now + steps)
 
 
-def run_pair_system(seed: int = 1, crash=None, max_time: float = 2500.0,
+def run_pair_system(seed: int = 1, crashes=None, max_time: float = 2500.0,
                     box: str = "wf", gst: float = 150.0,
                     horizon: float = 150.0):
     """One ordered pair (p monitors q) over a real black box."""
     from repro.core.extraction import build_full_extraction
 
-    system = build_system(["p", "q"], seed=seed, gst=gst, max_time=max_time,
-                          crash=crash)
+    system = build_system(RunSpec(graph="pair:p,q", seed=seed, gst=gst,
+                                  max_time=max_time, crashes=crashes or {}))
     factory = box_factory("wf-ewx" if box == "wf" else f"deferred:{horizon}",
                           system.provider)
     detectors, pairs = build_full_extraction(
-        system.engine, ["p", "q"], factory, monitors=[("p", "q")])
+        system.engine, system.pids, factory, monitors=[("p", "q")])
     system.engine.run()
     return system, detectors, pairs[("p", "q")]

@@ -18,13 +18,14 @@ from repro.oracles.properties import (
     check_strong_completeness,
 )
 from repro.runtime.builder import build_system
-from repro.sim.faults import CrashSchedule
+from repro.runtime.spec import RunSpec
 from repro.types import DinerState
 
 
-def run_full(n=3, seed=100, crash=None, max_time=2500.0):
-    pids = [f"p{i}" for i in range(n)]
-    system = build_system(pids, seed=seed, max_time=max_time, crash=crash)
+def run_full(n=3, seed=100, crashes=None, max_time=2500.0):
+    system = build_system(RunSpec(graph=f"clique:{n}", seed=seed, gst=150.0,
+                                  max_time=max_time, crashes=crashes or {}))
+    pids = system.pids
     detectors, pairs = build_full_extraction(
         system.engine, pids, box_factory("wf-ewx", system.provider))
     system.engine.run()
@@ -39,20 +40,22 @@ def test_all_ordered_pairs_built():
 
 
 def test_monitors_subset():
-    pids = ["a", "b", "c"]
-    system = build_system(pids, seed=1, max_time=10.0)
+    system = build_system(RunSpec(graph="clique:3", seed=1, gst=150.0,
+                                  max_time=10.0))
+    pids = system.pids
     detectors, pairs = build_full_extraction(
         system.engine, pids, box_factory("wf-ewx", system.provider),
-        monitors=[("a", "b")])
-    assert list(pairs) == [("a", "b")]
+        monitors=[("p0", "p1")])
+    assert list(pairs) == [("p0", "p1")]
     # Every pid gets a facade; one that monitors nobody gets an empty one.
     assert list(detectors) == pids
-    assert detectors["b"].monitored == detectors["c"].monitored == ()
+    assert detectors["p1"].monitored == detectors["p2"].monitored == ()
 
 
 def test_lemma_monitors_armed_by_default():
-    system = build_system(["p", "q"], seed=1, max_time=10.0)
-    _, pairs = build_full_extraction(system.engine, ["p", "q"],
+    system = build_system(RunSpec(graph="pair:p,q", seed=1, gst=150.0,
+                                  max_time=10.0))
+    _, pairs = build_full_extraction(system.engine, system.pids,
                                      box_factory("wf-ewx", system.provider))
     subject = pairs[("p", "q")].subjects[0]
     assert subject.diner.state is DinerState.THINKING
@@ -83,7 +86,7 @@ def test_full_system_accuracy_failure_free():
 
 def test_full_system_completeness_one_crash():
     system, pids, detectors, _ = run_full(
-        n=3, seed=102, crash=CrashSchedule.single("p2", 700.0))
+        n=3, seed=102, crashes={"p2": 700.0})
     rep = check_strong_completeness(
         system.engine.trace, pids, pids, system.schedule,
         detector="extracted")
@@ -146,30 +149,31 @@ class TestPairSelection:
         assert len(pairs) == 2 * g.number_of_edges()
 
     def test_build_full_extraction_with_selection(self):
-        pids = ["p0", "p1", "p2", "p3"]
-        system = build_system(pids, seed=9, max_time=10.0)
-        g = graphs.path(4)
+        system = build_system(RunSpec(graph="path:4", seed=9, gst=150.0,
+                                      max_time=10.0))
+        g = system.graph
         detectors, pairs = build_full_extraction(
-            system.engine, pids, box_factory("wf-ewx", system.provider),
+            system.engine, system.pids, box_factory("wf-ewx", system.provider),
             selection="neighbors", graph=g)
         assert len(pairs) == 2 * g.number_of_edges()
         assert set(detectors["p0"].monitored) == {"p1"}
         assert set(detectors["p1"].monitored) == {"p0", "p2"}
 
     def test_build_full_extraction_rejects_monitors_plus_selection(self):
-        pids = ["a", "b"]
-        system = build_system(pids, seed=1, max_time=10.0)
+        system = build_system(RunSpec(graph="pair:a,b", seed=1, gst=150.0,
+                                      max_time=10.0))
         with pytest.raises(ConfigurationError, match="not both"):
             build_full_extraction(
-                system.engine, pids, box_factory("wf-ewx", system.provider),
+                system.engine, system.pids,
+                box_factory("wf-ewx", system.provider),
                 monitors=[("a", "b")], selection="neighbors",
-                graph=graphs.pair_graph("a", "b"))
+                graph=system.graph)
 
 
 def test_pairs_are_independent_of_each_other():
     """Crashing p2 must not disturb the (p0, p1) pair's accuracy."""
     system, pids, detectors, _ = run_full(
-        n=3, seed=103, crash=CrashSchedule.single("p2", 400.0))
+        n=3, seed=103, crashes={"p2": 400.0})
     rep = check_eventual_strong_accuracy(
         system.engine.trace, pids, pids, system.schedule,
         detector="extracted")

@@ -10,13 +10,14 @@ from repro.oracles.properties import (
     suspicion_series,
 )
 from repro.runtime.builder import build_system
-from repro.sim.faults import CrashSchedule
+from repro.runtime.spec import RunSpec
 from tests.runtime.reference_judge import convergence_time
 
 
-def run_flawed(seed=1, box="wf", crash=None, max_time=2000.0, horizon=150.0):
-    system = build_system(["p", "q"], seed=seed, gst=100.0,
-                          max_time=max_time, crash=crash)
+def run_flawed(seed=1, box="wf", crashes=None, max_time=2000.0,
+               horizon=150.0):
+    system = build_system(RunSpec(graph="pair:p,q", seed=seed, gst=100.0,
+                                  max_time=max_time, crashes=crashes or {}))
     factory = box_factory("wf-ewx" if box == "wf" else f"deferred:{horizon}",
                           system.provider)
     pair = FlawedCMPair("p", "q", factory)
@@ -38,7 +39,8 @@ def test_heartbeat_period_validated():
 
 
 def test_double_attach_rejected():
-    system = build_system(["p", "q"], seed=1, max_time=10.0)
+    system = build_system(RunSpec(graph="pair:p,q", seed=1, gst=150.0,
+                                  max_time=10.0))
     pair = FlawedCMPair("p", "q", box_factory("wf-ewx", system.provider))
     pair.attach(system.engine)
     with pytest.raises(ConfigurationError):
@@ -62,7 +64,7 @@ def test_converges_on_well_behaved_box_with_correct_subject():
 
 def test_completeness_on_well_behaved_box():
     system, pair = run_flawed(seed=112, box="wf",
-                              crash=CrashSchedule.single("q", 500.0))
+                              crashes={"q": 500.0})
     series = suspicion_series(system.engine.trace, "p", "q",
                               detector="flawed")
     assert convergence_time(series, lambda s: s) is not None

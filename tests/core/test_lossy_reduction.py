@@ -16,25 +16,20 @@ from repro.oracles.properties import (
     check_strong_completeness,
 )
 from repro.runtime.builder import build_system
-from repro.sim.faults import CrashSchedule
-from repro.sim.link_faults import LinkFaultModel, Partition
-from repro.sim.transport import RetransmitPolicy
+from repro.runtime.spec import RunSpec
 
 #: Snappy retransmission so recovery timescales fit the test horizon.
-POLICY = RetransmitPolicy(rto_initial=5.0, rto_max=40.0)
+POLICY = {"rto_initial": 5.0, "rto_max": 40.0}
 
 
-def run_lossy_pair(seed=3, crash=None, max_time=2500.0, drop=0.12,
+def run_lossy_pair(seed=3, crashes=None, max_time=2500.0, drop=0.12,
                    partition=None):
-    faults = LinkFaultModel(
-        drop=drop,
-        partitions=[partition] if partition is not None else (),
-    )
-    system = build_system(["p", "q"], seed=seed, gst=150.0,
-                          max_time=max_time, crash=crash,
-                          fault_model=faults, transport=POLICY)
+    system = build_system(RunSpec(
+        graph="pair:p,q", seed=seed, gst=150.0, max_time=max_time,
+        crashes=crashes or {}, drop=drop, partition=partition,
+        transport=POLICY))
     detectors, pairs = build_full_extraction(
-        system.engine, ["p", "q"], box_factory("wf-ewx", system.provider),
+        system.engine, system.pids, box_factory("wf-ewx", system.provider),
         monitors=[("p", "q")])
     system.engine.run()
     return system, detectors, pairs[("p", "q")]
@@ -44,7 +39,7 @@ class TestExtractionOverLossyWire:
     def test_accuracy_with_drop_and_partition(self):
         """◇P extraction converges (no permanent false suspicion of the
         correct subject) despite 12% loss and a mid-run partition."""
-        part = Partition.of(["q"], start=400.0, end=650.0)
+        part = {"side": ["q"], "start": 400.0, "end": 650.0}
         system, _, _ = run_lossy_pair(partition=part)
         rep = check_eventual_strong_accuracy(
             system.engine.trace, ["p"], ["q"], system.schedule,
@@ -58,7 +53,7 @@ class TestExtractionOverLossyWire:
         """A crashed subject is eventually permanently suspected even while
         the wire keeps losing (and the transport keeps repairing) traffic."""
         system, _, _ = run_lossy_pair(
-            crash=CrashSchedule.single("q", 900.0), drop=0.15)
+            crashes={"q": 900.0}, drop=0.15)
         rep = check_strong_completeness(
             system.engine.trace, ["p"], ["q"], system.schedule,
             detector="extracted")
@@ -80,7 +75,7 @@ class TestExtractionOverLossyWire:
         assert history(5) != history(6)
 
     def test_heavy_loss_still_converges(self):
-        part = Partition.of(["p"], start=300.0, end=480.0)
+        part = {"side": ["p"], "start": 300.0, "end": 480.0}
         system, _, _ = run_lossy_pair(seed=11, drop=0.25, partition=part,
                                       max_time=3000.0)
         rep = check_eventual_strong_accuracy(
@@ -94,10 +89,10 @@ class TestRawLossyWireBreaksAssumptions:
         """Control experiment: the same faults with no transport leave the
         application short of messages — the Section 4 premise really is
         doing work in the tests above."""
-        faults = LinkFaultModel(drop=0.3)
-        system = build_system(["p", "q"], seed=3, max_time=800.0,
-                              fault_model=faults)
-        build_full_extraction(system.engine, ["p", "q"],
+        system = build_system(RunSpec(graph="pair:p,q", seed=3, gst=150.0,
+                                      max_time=800.0, drop=0.3,
+                                      transport=False))
+        build_full_extraction(system.engine, system.pids,
                               box_factory("wf-ewx", system.provider),
                               monitors=[("p", "q")])
         system.engine.run()

@@ -8,7 +8,6 @@ from repro.oracles.properties import (
     check_eventual_strong_accuracy,
     check_strong_completeness,
 )
-from repro.sim.faults import CrashSchedule
 from tests.core.helpers import run_pair_system
 
 
@@ -20,8 +19,10 @@ def test_self_monitoring_rejected():
 def test_double_attach_rejected():
     from repro.dining.boxes import box_factory
     from repro.runtime.builder import build_system
+    from repro.runtime.spec import RunSpec
 
-    system = build_system(["p", "q"], seed=1, max_time=10.0)
+    system = build_system(RunSpec(graph="pair:p,q", seed=1, gst=150.0,
+                                  max_time=10.0))
     pair = ReductionPair("p", "q", box_factory("wf-ewx", system.provider))
     pair.attach(system.engine)
     with pytest.raises(ConfigurationError):
@@ -37,8 +38,10 @@ def test_unattached_query_rejected():
 def test_pair_creates_two_instances_and_four_threads():
     from repro.dining.boxes import box_factory
     from repro.runtime.builder import build_system
+    from repro.runtime.spec import RunSpec
 
-    system = build_system(["p", "q"], seed=1, max_time=10.0)
+    system = build_system(RunSpec(graph="pair:p,q", seed=1, gst=150.0,
+                                  max_time=10.0))
     pair = ReductionPair("p", "q", box_factory("wf-ewx", system.provider))
     pair.attach(system.engine)
     assert len(pair.instances) == 2
@@ -59,7 +62,7 @@ def test_accuracy_with_correct_subject(box):
 @pytest.mark.parametrize("box", ["wf", "deferred"])
 def test_completeness_with_crashed_subject(box):
     system, detectors, pair = run_pair_system(
-        seed=91, box=box, crash=CrashSchedule.single("q", 600.0))
+        seed=91, box=box, crashes={"q": 600.0})
     rep = check_strong_completeness(
         system.engine.trace, ["p"], ["q"], system.schedule,
         detector="extracted")
@@ -71,7 +74,7 @@ def test_witness_crash_leaves_subject_unobserved_but_harmless():
     """Paper Section 8: if the witness crashes, the subject may eat forever;
     this must not corrupt anything else."""
     system, _, pair = run_pair_system(
-        seed=92, crash=CrashSchedule.single("p", 400.0), max_time=1500.0)
+        seed=92, crashes={"p": 400.0}, max_time=1500.0)
     # q's subjects are still running (or parked eating); no exception, and
     # q's process is alive.
     assert not system.engine.process("q").crashed

@@ -11,12 +11,12 @@ from repro.oracles.properties import (
     suspicion_series,
 )
 from repro.runtime.builder import build_system
-from repro.sim.faults import CrashSchedule
+from repro.runtime.spec import RunSpec
 
 
-def run_prelim(seed=1, crash=None, max_time=2000.0):
-    system = build_system(["p", "q"], seed=seed, max_time=max_time,
-                          crash=crash)
+def run_prelim(seed=1, crashes=None, max_time=2000.0):
+    system = build_system(RunSpec(graph="pair:p,q", seed=seed, gst=150.0,
+                                  max_time=max_time, crashes=crashes or {}))
     pair = PreliminaryPair("p", "q", box_factory("wf-ewx", system.provider))
     pair.attach(system.engine)
     system.engine.run()
@@ -29,7 +29,8 @@ def test_self_monitoring_rejected():
 
 
 def test_double_attach_rejected():
-    system = build_system(["p", "q"], seed=1, max_time=10.0)
+    system = build_system(RunSpec(graph="pair:p,q", seed=1, gst=150.0,
+                                  max_time=10.0))
     pair = PreliminaryPair("p", "q", box_factory("wf-ewx", system.provider))
     pair.attach(system.engine)
     with pytest.raises(ConfigurationError):
@@ -38,7 +39,7 @@ def test_double_attach_rejected():
 
 def test_completeness_still_holds():
     """The sketch is only broken on the accuracy side."""
-    system, _ = run_prelim(seed=910, crash=CrashSchedule.single("q", 500.0))
+    system, _ = run_prelim(seed=910, crashes={"q": 500.0})
     rep = check_strong_completeness(system.engine.trace, ["p"], ["q"],
                                     system.schedule, detector="prelim")
     assert rep.ok

@@ -16,7 +16,6 @@ from repro.oracles.properties import (
     check_strong_completeness,
     false_positive_count,
 )
-from repro.sim.faults import CrashSchedule
 from tests.core.helpers import run_pair_system
 
 
@@ -39,7 +38,7 @@ def test_theorem2_accuracy_sweep(seed, box):
 def test_theorem1_completeness_sweep(seed, box, crash_at):
     system, _, pair = run_pair_system(
         seed=seed, box=box, max_time=2200.0,
-        crash=CrashSchedule.single("q", crash_at))
+        crashes={"q": crash_at})
     rep = check_strong_completeness(
         system.engine.trace, ["p"], ["q"], system.schedule,
         detector="extracted")

@@ -4,13 +4,13 @@ import pytest
 
 from repro.dining import box_factory
 from repro.errors import ConfigurationError
-from repro.runtime import RunSpec, instantiate, parse_graph
-from repro.runtime.builder import build_system
+from repro.runtime import RunSpec, build_system, instantiate, parse_graph
 
 
 def test_box_factory_covers_all_algorithms():
-    graph = parse_graph("ring:3")
-    system = build_system(sorted(graph.nodes), seed=1, max_time=10.0)
+    system = build_system(RunSpec(graph="ring:3", seed=1, gst=150.0,
+                                  max_time=10.0))
+    graph = system.graph
     for algo in ("wf-ewx", "hygienic", "deferred", "deferred:99",
                  "manager", "fair:2"):
         instance = box_factory(algo, system.provider)(algo, graph)

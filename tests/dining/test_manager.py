@@ -80,11 +80,12 @@ class TestReductionOverManagerBox:
             check_strong_completeness,
         )
         from repro.runtime.builder import build_system
+        from repro.runtime.spec import RunSpec
 
-        crash = CrashSchedule.single("q", 600.0) if crashed else None
-        system = build_system(["p", "q"], seed=426 + crashed,
-                              max_time=2500.0, crash=crash)
-        build_full_extraction(system.engine, ["p", "q"],
+        system = build_system(RunSpec(
+            graph="pair:p,q", seed=426 + crashed, gst=150.0, max_time=2500.0,
+            crashes={"q": 600.0} if crashed else {}))
+        build_full_extraction(system.engine, system.pids,
                               box_factory("manager", system.provider),
                               monitors=[("p", "q")])
         system.engine.run()

@@ -175,18 +175,18 @@ class TestStaleGrantRegression:
     def test_ring3_seed8_no_deadlock(self):
         from repro.dining.client import EagerClient
         from repro.dining.fair_wrapper import FairDining
-        from repro.graphs import ring as ring_graph
         from repro.runtime.builder import build_system
+        from repro.runtime.spec import RunSpec
 
-        g = ring_graph(3)
-        pids = sorted(g.nodes)
-        system = build_system(pids, seed=8, max_time=800.0)
+        system = build_system(RunSpec(graph="ring:3", seed=8, gst=150.0,
+                                      max_time=800.0))
         from repro.dining.wf_ewx import WaitFreeEWXDining as Box
 
         inner = lambda iid, gr: Box(iid, gr, system.provider)  # noqa: E731
-        inst = FairDining("SCENARIO", g, inner, system.provider, k=2)
+        inst = FairDining("SCENARIO", system.graph, inner, system.provider,
+                          k=2)
         diners = inst.attach(system.engine)
-        for pid in pids:
+        for pid in system.pids:
             system.engine.process(pid).add_component(
                 EagerClient("client", diners[pid], eat_steps=2))
         system.engine.run()

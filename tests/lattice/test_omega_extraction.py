@@ -15,15 +15,16 @@ from repro.obs import IntervalMachine
 from repro.oracles.omega import OmegaElector
 from repro.oracles.properties import leader_agreement
 from repro.runtime.builder import build_system
-from repro.sim.faults import CrashSchedule
+from repro.runtime.spec import RunSpec
 
-PIDS = ["p1", "p2", "p3"]
+PIDS = ["p0", "p1", "p2"]
 
 
-def run_extraction(box, construction=ReductionPair, crash=None, seed=11,
+def run_extraction(box, construction=ReductionPair, crashes=None, seed=11,
                    max_time=2000.0):
     """An :class:`OmegaElector` per process over the dining-extracted ◇P."""
-    system = build_system(PIDS, seed=seed, max_time=max_time, crash=crash)
+    system = build_system(RunSpec(graph="clique:3", seed=seed, gst=150.0,
+                                  max_time=max_time, crashes=crashes or {}))
     detectors, _ = build_full_extraction(
         system.engine, PIDS, box_factory(box, system.provider),
         construction=construction)
@@ -60,17 +61,16 @@ class TestSoundExtraction:
         report = leader_report(system)
         assert report.ok
         for pid in PIDS:
-            assert final_leader(system.engine.trace, pid) == "p1"
-            assert electors[pid].leader == "p1"
+            assert final_leader(system.engine.trace, pid) == "p0"
+            assert electors[pid].leader == "p0"
 
     def test_crash_of_leader_forces_reelection(self):
-        crash = CrashSchedule({"p1": 600.0})
-        system, _ = run_extraction("wf-ewx", crash=crash)
-        correct = [p for p in PIDS if p != "p1"]
+        system, _ = run_extraction("wf-ewx", crashes={"p0": 600.0})
+        correct = [p for p in PIDS if p != "p0"]
         report = leader_report(system)
         assert report.ok
         for pid in correct:
-            assert final_leader(system.engine.trace, pid) == "p2"
+            assert final_leader(system.engine.trace, pid) == "p1"
 
     def test_stability_spans_end_with_an_unbounded_suffix(self):
         system, _ = run_extraction("wf-ewx")
@@ -79,7 +79,7 @@ class TestSoundExtraction:
             spans = leader_stability_spans(system.engine.trace, pid, end)
             assert spans, f"{pid} never elected a leader"
             leader, start, stop = spans[-1]
-            assert leader == "p1" and stop == end
+            assert leader == "p0" and stop == end
             # The final span must cover a real suffix, not a last-moment
             # flip.
             assert stop - start > 100.0
@@ -96,7 +96,7 @@ class TestFlawedExtraction:
         end_s, end_f = sound.engine.now, flawed.engine.now
 
         def last_span_len(system, end):
-            spans = leader_stability_spans(system.engine.trace, "p2", end)
+            spans = leader_stability_spans(system.engine.trace, "p1", end)
             assert spans
             leader, start, stop = spans[-1]
             return stop - start, len(spans)
@@ -109,9 +109,9 @@ class TestFlawedExtraction:
     def test_flawed_flapping_continues_into_the_suffix(self):
         system, _ = run_extraction("deferred", FlawedCMPair)
         end = system.engine.now
-        # p1 trivially elects itself forever (it never self-suspects);
+        # p0 trivially elects itself forever (it never self-suspects);
         # the flapping shows at the owners above it in the id order.
-        spans = leader_stability_spans(system.engine.trace, "p3", end)
+        spans = leader_stability_spans(system.engine.trace, "p2", end)
         # Leader changes keep happening in the last quarter of the run —
         # the quiet-suffix condition the lattice checks can never hold.
         late = [s for s in spans if s[1] > end * 0.75]

@@ -32,7 +32,7 @@ class TestRunSpec:
 class TestInstantiate:
     def test_wires_graph_oracle_and_clients(self):
         built = instantiate(RunSpec(graph="ring:3", seed=1, max_time=50.0))
-        assert sorted(built.graph.nodes) == ["p0", "p1", "p2"]
+        assert sorted(built.system.graph.nodes) == ["p0", "p1", "p2"]
         assert sorted(built.diners) == ["p0", "p1", "p2"]
         assert sorted(built.system.box_modules) == ["p0", "p1", "p2"]
         assert built.engine is built.system.engine

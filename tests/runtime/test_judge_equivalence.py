@@ -78,7 +78,8 @@ def run_online(spec):
     """``execute``'s path, keeping the built run: judge, run, finish."""
     built = instantiate(spec)
     eng = built.engine
-    eng.intervals.judge(built.graph, INSTANCE, built.system.detector_label)
+    system = built.system
+    eng.intervals.judge(system.graph, INSTANCE, system.detector_label)
     eng.run()
     snapshot = collect_metrics(eng).snapshot
     return built, snapshot
@@ -91,7 +92,7 @@ def verdicts(exclusion, wait_freedom, fairness, detector, justified):
 
 def judge_offline(built):
     eng = built.engine
-    trace, now, graph = eng.trace, eng.now, built.graph
+    trace, now, graph = eng.trace, eng.now, built.system.graph
     schedule = built.system.schedule
     exclusion = builder.check_exclusion(trace, graph, INSTANCE, schedule, now)
     return verdicts(
@@ -101,7 +102,7 @@ def judge_offline(built):
         builder.measure_fairness(trace, graph, INSTANCE, now, schedule),
         builder.check_detector_properties(trace, built.system.pids, schedule,
                                           built.system.assumptions,
-                                          pairs=built.monitors),
+                                          pairs=built.system.monitors),
         builder.justify_violations(trace, exclusion.violations,
                                    detector=built.system.detector_label),
     )
@@ -119,7 +120,7 @@ class RowsView:
 def judge_by_reference(built):
     """The parent's verdicts, probe snapshot and span rows of the run."""
     eng = built.engine
-    trace, now, graph = eng.trace, eng.now, built.graph
+    trace, now, graph = eng.trace, eng.now, built.system.graph
     schedule = built.system.schedule
     with mock.patch.object(Trace, "records", ref.records), \
             mock.patch.object(Trace, "_sink", RowsView(), create=True):
@@ -131,7 +132,7 @@ def judge_by_reference(built):
             ref.measure_fairness(trace, graph, INSTANCE, now, schedule),
             ref.check_detector_properties(trace, built.system.pids,
                                           schedule, built.system.assumptions,
-                                          pairs=built.monitors),
+                                          pairs=built.system.monitors),
             ref.justify_violations(trace, exclusion.violations,
                                    detector=built.system.detector_label),
         )
@@ -148,7 +149,7 @@ def diner_intervals(built, eating, hungry):
     eng, schedule = built.engine, built.system.schedule
     return {pid: (eating(eng.trace, INSTANCE, pid, eng.now, schedule),
                   hungry(eng.trace, INSTANCE, pid, eng.now))
-            for pid in built.graph}
+            for pid in built.system.graph}
 
 
 def reference_hungry(trace, instance, pid, end_time):

@@ -20,13 +20,13 @@ class TestNeighborsWiring:
     def test_monitors_list_is_both_edge_orientations(self):
         built = instantiate(RunSpec(graph="path:4", seed=3, max_time=50.0,
                                     pairs="neighbors"))
-        assert set(built.monitors) == {
+        assert set(built.system.monitors) == {
             ("p0", "p1"), ("p1", "p0"), ("p1", "p2"), ("p2", "p1"),
             ("p2", "p3"), ("p3", "p2")}
 
     def test_all_is_the_default_and_monitors_none(self):
         built = instantiate(RunSpec(graph="path:4", seed=3, max_time=50.0))
-        assert built.monitors is None
+        assert built.system.monitors is None
         mon = {p: set(m.monitored) for p, m in built.system.box_modules.items()}
         assert mon["p0"] == {"p1", "p2", "p3"}
 
@@ -73,4 +73,4 @@ class TestDisconnected:
         built = instantiate(RunSpec(graph=self.SPEC, seed=2, max_time=50.0,
                                     pairs="neighbors",
                                     allow_disconnected=True))
-        assert built.graph.number_of_nodes() == 12
+        assert built.system.graph.number_of_nodes() == 12

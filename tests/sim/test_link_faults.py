@@ -37,19 +37,26 @@ class TestValidation:
             Partition.of([], start=0.0, end=1.0)
 
 
+def copies_under_partition(message, now):
+    """Copies the wire delivers of ``message`` sent at ``now`` while the
+    side ``{a}`` is partitioned over ``[10, 20)``; a cut drop says so."""
+    model = LinkFaultModel(partitions=[Partition.of(["a"], 10.0, 20.0)])
+    fate = model.fate(message, now, RNG)
+    assert fate.reason == ("partition" if fate.copies == 0 else None)
+    return fate.copies
+
+
 class TestPartition:
     def test_severs_only_crossing_traffic_in_window(self):
-        part = Partition.of(["a"], start=10.0, end=20.0)
-        assert part.severs(msg(sender="a", receiver="b"), 15.0)
-        assert part.severs(msg(sender="b", receiver="a"), 15.0)
-        assert not part.severs(msg(sender="b", receiver="c"), 15.0)
+        assert copies_under_partition(msg(sender="a", receiver="b"), 15.0) == 0
+        assert copies_under_partition(msg(sender="b", receiver="a"), 15.0) == 0
+        assert copies_under_partition(msg(sender="b", receiver="c"), 15.0) == 1
 
     def test_window_boundaries_half_open(self):
-        part = Partition.of(["a"], start=10.0, end=20.0)
         crossing = msg(sender="a", receiver="b")
-        assert not part.severs(crossing, 9.999)
-        assert part.severs(crossing, 10.0)
-        assert not part.severs(crossing, 20.0)
+        assert copies_under_partition(crossing, 9.999) == 1
+        assert copies_under_partition(crossing, 10.0) == 0
+        assert copies_under_partition(crossing, 20.0) == 1
 
 
 class TestFate:
@@ -61,32 +68,33 @@ class TestFate:
         set_floor(monkeypatch, sys.maxsize)
         model = LinkFaultModel(drop=0.5)
         fates = [model.fate(msg(), 0.0, RNG) for _ in range(2000)]
-        dropped = sum(f.dropped for f in fates)
+        dropped = sum(f.copies == 0 for f in fates)
         assert 850 < dropped < 1150
-        assert all(f.reason == "loss" for f in fates if f.dropped)
+        assert all(f.reason == "loss" for f in fates if f.copies == 0)
 
     def test_duplication_rate_respected(self):
         model = LinkFaultModel(duplicate=0.3)
         fates = [model.fate(msg(), 0.0, RNG) for _ in range(2000)]
-        dups = sum(f.duplicated for f in fates)
+        dups = sum(f.copies > 1 for f in fates)
         assert 480 < dups < 720
-        assert all(f.copies == 2 for f in fates if f.duplicated)
+        assert all(f.copies == 2 for f in fates if f.copies > 1)
 
     def test_partition_drop_is_deterministic_and_labelled(self):
         model = LinkFaultModel(
             partitions=[Partition.of(["a"], start=0.0, end=100.0)])
         for _ in range(50):
             fate = model.fate(msg(sender="a", receiver="b"), 50.0, RNG)
-            assert fate.dropped and fate.reason == "partition"
-        assert not model.fate(msg(sender="a", receiver="b"), 200.0, RNG).dropped
+            assert fate.copies == 0 and fate.reason == "partition"
+        after = model.fate(msg(sender="a", receiver="b"), 200.0, RNG)
+        assert after.copies == 1
 
 
 class TestFairness:
     def test_default_floor_forces_the_26th_message_through(self):
         model = LinkFaultModel(drop=1.0)
         fates = [model.fate(msg(), 0.0, RNG) for _ in range(26)]
-        assert all(f.dropped for f in fates[:25])
-        assert not fates[25].dropped
+        assert all(f.copies == 0 for f in fates[:25])
+        assert fates[25].copies == 1
 
     def test_consecutive_random_drops_are_capped(self, monkeypatch):
         set_floor(monkeypatch, 5)
@@ -94,20 +102,21 @@ class TestFairness:
         fates = [model.fate(msg(), 0.0, RNG) for _ in range(60)]
         streak = longest = 0
         for f in fates:
-            streak = streak + 1 if f.dropped else 0
+            streak = streak + 1 if f.copies == 0 else 0
             longest = max(longest, streak)
         assert longest == 5
-        assert sum(not f.dropped for f in fates) == 10
+        assert sum(f.copies == 1 for f in fates) == 10
 
     def test_streaks_tracked_per_link(self, monkeypatch):
         set_floor(monkeypatch, 3)
         model = LinkFaultModel(drop=1.0)
         for _ in range(3):
-            assert model.fate(msg(sender="a", receiver="b"), 0.0, RNG).dropped
+            fate = model.fate(msg(sender="a", receiver="b"), 0.0, RNG)
+            assert fate.copies == 0
         # A different link's streak is independent: still dropping.
-        assert model.fate(msg(sender="a", receiver="c"), 0.0, RNG).dropped
+        assert model.fate(msg(sender="a", receiver="c"), 0.0, RNG).copies == 0
         # The saturated a->b link is forced through.
-        assert not model.fate(msg(sender="a", receiver="b"), 0.0, RNG).dropped
+        assert model.fate(msg(sender="a", receiver="b"), 0.0, RNG).copies == 1
 
     def test_partition_drops_do_not_consume_fairness_credit(self, monkeypatch):
         set_floor(monkeypatch, 2)
@@ -115,13 +124,13 @@ class TestFairness:
             drop=1.0,
             partitions=[Partition.of(["a"], start=100.0, end=200.0)])
         crossing = msg(sender="a", receiver="b")
-        assert model.fate(crossing, 0.0, RNG).dropped   # loss (streak 1)
-        assert model.fate(crossing, 0.0, RNG).dropped   # loss (streak 2)
+        assert model.fate(crossing, 0.0, RNG).copies == 0   # loss (streak 1)
+        assert model.fate(crossing, 0.0, RNG).copies == 0   # loss (streak 2)
         # Inside the window the partition must hold even though the random
         # streak is saturated.
         assert model.fate(crossing, 150.0, RNG).reason == "partition"
         # After the window the saturated streak forces delivery.
-        assert not model.fate(crossing, 250.0, RNG).dropped
+        assert model.fate(crossing, 250.0, RNG).copies == 1
 
 
 class Receiver(Component):

@@ -6,21 +6,22 @@ import pytest
 from repro.analysis.report import Table
 from repro.experiments.common import ExperimentResult
 from repro.runtime.builder import build_system
-from repro.sim.faults import CrashSchedule
+from repro.runtime.spec import RunSpec
 
 
 def test_build_system_wires_processes_and_oracles():
-    system = build_system(["a", "b", "c"], seed=1, max_time=10.0)
-    assert sorted(system.engine.processes) == ["a", "b", "c"]
-    assert set(system.box_modules) == {"a", "b", "c"}
-    suspect = system.provider("a")
-    assert suspect("b") in (True, False)
+    system = build_system(RunSpec(graph="clique:3", seed=1, gst=150.0,
+                                  max_time=10.0))
+    assert sorted(system.engine.processes) == ["p0", "p1", "p2"]
+    assert set(system.box_modules) == {"p0", "p1", "p2"}
+    suspect = system.provider("p0")
+    assert suspect("p1") in (True, False)
 
 
 def test_build_system_perfect_oracle():
-    sched = CrashSchedule.single("b", 5.0)
-    system = build_system(["a", "b"], seed=1, max_time=50.0, crash=sched,
-                          detector="perfect")
+    system = build_system(RunSpec(graph="pair:a,b", seed=1, gst=150.0,
+                                  max_time=50.0, crashes={"b": 5.0},
+                                  detector="perfect"))
     system.engine.run()
     assert system.provider("a")("b")          # crashed + latency elapsed
 
@@ -29,7 +30,7 @@ def test_build_system_rejects_unknown_oracle():
     from repro.errors import ConfigurationError
 
     with pytest.raises(ConfigurationError, match="registered detectors"):
-        build_system(["a", "b"], seed=1, detector="psychic")
+        build_system(RunSpec(graph="pair:a,b", seed=1, detector="psychic"))
 
 
 def test_experiment_result_render():

@@ -75,9 +75,11 @@ class TestReductionRunGolden:
         from repro.core import build_full_extraction
         from repro.dining.boxes import box_factory
         from repro.runtime.builder import build_system
+        from repro.runtime.spec import RunSpec
 
-        system = build_system(["p", "q"], seed=5, max_time=400.0)
-        build_full_extraction(system.engine, ["p", "q"],
+        system = build_system(RunSpec(graph="pair:p,q", seed=5, gst=150.0,
+                                      max_time=400.0))
+        build_full_extraction(system.engine, system.pids,
                               box_factory("wf-ewx", system.provider))
         system.engine.run()
         assert system.engine.events_processed == self.GOLDEN_EVENTS
@@ -238,7 +240,7 @@ class TestVerdictPins:
         system = built.system
         verdicts = check_detector_properties(
             built.engine.trace, system.pids, system.schedule,
-            system.assumptions, pairs=built.monitors)
+            system.assumptions, pairs=system.monitors)
         assert (repr_digest(result.exclusion.violations),
                 repr_digest(result.wait_freedom),
                 repr_digest(result.fairness.samples),

@@ -120,3 +120,29 @@ def test_every_top_level_definition_has_a_src_caller():
                   and node.name not in used | CALLERLESS]
     assert not callerless, (f"no src/ code uses {callerless}: "
                             "give it a src/ caller, move it under tests/ or delete it")
+
+
+# The src/ modules that call ``Engine(...)``.  runtime/builder.py's
+# build_system is the one substrate builder; each other entry builds its
+# own engine because a RunSpec cannot yet say what it needs.
+ENGINE_BUILDERS = {
+    "repro.runtime.builder",
+    # E14: a bursty step policy and per-process speeds.
+    "repro.experiments.e14_adversary",
+    # E19: OutageDelays, a channel no ◇P can be implemented over.
+    "repro.experiments.e19_asynchrony",
+    # pre_gst_max 15 (stm) and 20 (wsn), and their own ``fd`` label.
+    "repro.apps.stm", "repro.apps.wsn",
+}
+
+
+def test_only_the_builder_and_its_listed_exceptions_build_engines():
+    builders = {mod for mod, tree in TREES.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and ast.unparse(node.func).rpartition(".")[2] == "Engine"}
+    assert builders <= ENGINE_BUILDERS, (
+        f"{sorted(builders - ENGINE_BUILDERS)} build an Engine: "
+        "build the substrate with build_system(RunSpec(...))")
+    assert ENGINE_BUILDERS <= builders, (
+        f"{sorted(ENGINE_BUILDERS - builders)} no longer build an Engine: "
+        "drop them from ENGINE_BUILDERS")
